@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
-from .config import Config, ENV_CONFIG_VAR, default_config, load_config
+from .config import ENV_CONFIG_VAR, default_config, load_config
 from .errors import ConfigError, MissionError
 from .fsm import Medium, initial_state, replay
 from .mission import (
@@ -62,6 +61,14 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _seconds(text: str) -> float:
+    """argparse type for a finite, positive number of seconds."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclosim",
@@ -87,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--duration-limit",
-            type=float,
+            type=_seconds,
             default=None,
-            help="simulated-seconds budget override",
+            help="simulated-seconds budget override (finite, positive)",
         )
         p.add_argument(
             "--seed",
@@ -134,17 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None) -> Config:
-    if path is None:
-        path = os.environ.get(ENV_CONFIG_VAR) or None
-    if path is None:
-        return default_config()
-    return load_config(path)
-
-
-def _load_mission(spec: str) -> tuple[str, Mission]:
+def _load_mission(spec: str, hover_hold: float) -> tuple[str, Mission]:
+    """``hover_hold`` sets the hover time of the builtin route (``sim.hover_hold``)."""
     if spec == "builtin":
-        return "builtin", builtin_mission()
+        return "builtin", builtin_mission(hold=hover_hold)
     return Path(spec).stem, load_mission(spec)
 
 
@@ -172,11 +172,11 @@ def _write_run(out: Path, stem: str, log: RunLog, mission: Mission) -> tuple[Pat
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        config = _load_config(args.config)
+        config = load_config(args.config)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_PARSE)
     try:
-        name, mission = _load_mission(args.mission)
+        name, mission = _load_mission(args.mission, config.sim.hover_hold)
     except MissionError as exc:
         return _fail(str(exc), EXIT_PARSE)
     if args.aerial_only:
@@ -266,11 +266,11 @@ def _comparison_table(mission: Mission, left: str, right: str,
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
-        config = _load_config(args.config)
+        config = load_config(args.config)
     except ConfigError as exc:
         return _fail(str(exc), EXIT_PARSE)
     try:
-        name, mission = _load_mission(args.mission)
+        name, mission = _load_mission(args.mission, config.sim.hover_hold)
     except MissionError as exc:
         return _fail(str(exc), EXIT_PARSE)
     try:
@@ -301,7 +301,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         compute_metrics(logs["right"], mission),
     )
     table_path = out / f"{name}_compare_{args.left}_vs_{args.right}.txt"
-    atomic_write(table_path, table)
+    atomic_write(table_path, [table])
     print(table, end="")
     print(f"table: {table_path}")
     print(f"result: compared {args.left} vs {args.right} on {name}")
@@ -310,7 +310,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_validate_fsm(args: argparse.Namespace) -> int:
     try:
-        name, mission = _load_mission(args.mission)
+        name, mission = _load_mission(args.mission, default_config().sim.hover_hold)
         events = mission_events(mission)
     except MissionError as exc:
         return _fail(str(exc), EXIT_PARSE)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -138,50 +138,15 @@ def default_config() -> Config:
     return Config()
 
 
-_VEHICLE_KEYS = {
-    "mass",
-    "inertia_xx",
-    "inertia_yy",
-    "inertia_zz",
-    "track_width",
-    "wheelbase",
-    "k_f",
-    "arm",
-    "rotor_max",
-    "servo_max",
-    "dt",
-}
-_PID_CHANNELS = ("x", "y", "z", "roll", "pitch", "yaw")
-_PID_SCALARS = {"windup_limit", "tilt_limit", "torque_limit"}
-_NMPC_KEYS = {
-    "horizon",
-    "period",
-    "q_x",
-    "q_y",
-    "q_z",
-    "q_yaw",
-    "r_c",
-    "r_roll",
-    "r_pitch",
-    "r_yaw",
-    "accel_min",
-    "accel_max",
-    "tilt_max",
-    "tilt_weight",
-    "max_iters",
-    "tol",
-}
-_SIM_KEYS = {
-    "cruise_ground",
-    "cruise_air",
-    "cruise_water",
-    "land_speed",
-    "arrival_radius",
-    "controller_period",
-    "time_limit",
-    "hover_hold",
-    "yaw_slew",
-}
+# Accepted keys come from the dataclasses above, so a field added there is
+# loadable without a second list to keep in step.
+_SECTIONS = ("pid", "nmpc", "sim")
+_VEHICLE_KEYS = {f.name for f in fields(Config)} - set(_SECTIONS)
+_GAIN_KEYS = {f.name for f in fields(PidChannelGains)}
+_PID_CHANNELS = tuple(
+    f.name for f in fields(PidConfig) if isinstance(f.default, PidChannelGains)
+)
+_PID_SCALARS = {f.name for f in fields(PidConfig)} - set(_PID_CHANNELS)
 
 
 def _require_number(section: str, key: str, value) -> float:
@@ -199,7 +164,7 @@ def _merge_pid(base: PidConfig, data: dict) -> PidConfig:
         if key in _PID_CHANNELS:
             if not isinstance(value, dict):
                 raise ConfigError(f"pid.{key}: expected a mapping with p/i/d")
-            unknown = set(value) - {"p", "i", "d"}
+            unknown = set(value) - _GAIN_KEYS
             if unknown:
                 raise ConfigError(f"pid.{key}: unknown keys {sorted(unknown)}")
             gains = getattr(base, key)
@@ -214,12 +179,13 @@ def _merge_pid(base: PidConfig, data: dict) -> PidConfig:
     return replace(base, **updates)
 
 
-def _merge_section(name: str, base, data: dict, allowed: set[str]):
+def _merge_section(name: str, base, data: dict):
+    kinds = {f.name: f.type for f in fields(base)}
     updates: dict = {}
     for key, value in data.items():
-        if key not in allowed:
+        if key not in kinds:
             raise ConfigError(f"{name}: unknown key {key!r}")
-        if key in ("horizon", "max_iters"):
+        if kinds[key] in ("int", int):
             num = _require_number(f"{name}.", key, value)
             if num != int(num):
                 raise ConfigError(f"{name}.{key}: expected an integer")
@@ -312,18 +278,13 @@ def load_config(path: str | os.PathLike | None = None) -> Config:
     for key, value in raw.items():
         if key in _VEHICLE_KEYS:
             updates[key] = _require_number("", key, value)
-        elif key == "pid":
+        elif key in _SECTIONS:
             if not isinstance(value, dict):
-                raise ConfigError("pid: expected a mapping")
-            updates["pid"] = _merge_pid(cfg.pid, value)
-        elif key == "nmpc":
-            if not isinstance(value, dict):
-                raise ConfigError("nmpc: expected a mapping")
-            updates["nmpc"] = _merge_section("nmpc", cfg.nmpc, value, _NMPC_KEYS)
-        elif key == "sim":
-            if not isinstance(value, dict):
-                raise ConfigError("sim: expected a mapping")
-            updates["sim"] = _merge_section("sim", cfg.sim, value, _SIM_KEYS)
+                raise ConfigError(f"{key}: expected a mapping")
+            if key == "pid":
+                updates[key] = _merge_pid(cfg.pid, value)
+            else:
+                updates[key] = _merge_section(key, getattr(cfg, key), value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return _validate(replace(cfg, **updates))

@@ -317,13 +317,13 @@ def quat_to_euler(q: np.ndarray) -> EulerAngles:
 
 def quat_yaw(q: np.ndarray) -> float:
     """Yaw angle of a unit quaternion (valid away from the pitch singularity)."""
-    qw, qx, qy, qz = q
+    qw, qx, qy, qz = q.tolist()
     return math.atan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
 
 
 def quat_roll_pitch(q: np.ndarray) -> tuple[float, float]:
     """Roll and pitch of a unit quaternion without the gimbal warning path."""
-    qw, qx, qy, qz = q
+    qw, qx, qy, qz = q.tolist()
     roll = math.atan2(2.0 * (qw * qx + qy * qz), 1.0 - 2.0 * (qx * qx + qy * qy))
     s = 2.0 * (qw * qy - qz * qx)
     pitch = math.asin(max(-1.0, min(1.0, s)))

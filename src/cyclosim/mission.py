@@ -155,16 +155,18 @@ class Mission:
         return len(self.segments)
 
 
-def atomic_write(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and rename.
+def atomic_write(path, chunks) -> None:
+    """Write the strings in ``chunks`` to ``path`` through a temp file and rename.
 
-    An interrupted write never leaves a truncated file at ``path``.
+    ``chunks`` may be any iterable, a generator included, so a large file
+    is never held in memory whole.  An interrupted write never leaves a
+    truncated file at ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cyclosim-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -279,7 +281,7 @@ def save_mission(mission: Mission, path) -> None:
         for seg in mission.segments
     ]
     payload = {"start": [float(v) for v in mission.start], "segments": records}
-    atomic_write(path, yaml.safe_dump(payload, sort_keys=False))
+    atomic_write(path, [yaml.safe_dump(payload, sort_keys=False)])
 
 
 def in_progress_mode(segment: Segment, start_z: float) -> tuple[Medium, SubState]:

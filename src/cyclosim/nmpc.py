@@ -52,7 +52,7 @@ from .dynamics import (
     aerial_step,
 )
 from .errors import DivergenceError, SolverFailureError
-from .geometry import wrap_angle
+from .geometry import quat_roll_pitch, quat_yaw, wrap_angle
 
 __all__ = [
     "NmpcSolution",
@@ -141,21 +141,6 @@ def _check_refs(refs: np.ndarray, horizon: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _yaw_angle(q: np.ndarray) -> float:
-    qw, qx, qy, qz = q.tolist()
-    return math.atan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
-
-
-def _roll_angle(q: np.ndarray) -> float:
-    qw, qx, qy, qz = q.tolist()
-    return math.atan2(2.0 * (qw * qx + qy * qz), 1.0 - 2.0 * (qx * qx + qy * qy))
-
-
-def _pitch_angle(q: np.ndarray) -> float:
-    qw, qx, qy, qz = q.tolist()
-    return math.asin(max(-1.0, min(1.0, 2.0 * (qw * qy - qz * qx))))
-
-
 def _yaw_of(q: np.ndarray) -> tuple[float, np.ndarray]:
     qw, qx, qy, qz = q.tolist()
     a = 2.0 * (qw * qz + qx * qy)
@@ -228,7 +213,7 @@ def rollout(
         step_input = np.array([GRAVITY + a, t1, t2, t3])
         x = aerial_step(x, step_input, params, cfg.period)
         states[j + 1] = x
-        outputs[j] = (x[0], x[1], x[2], _yaw_angle(x[QUAT_SLICE]))
+        outputs[j] = (x[0], x[1], x[2], quat_yaw(x[QUAT_SLICE]))
     return states, outputs
 
 
@@ -254,9 +239,9 @@ def tilt_penalty(states: np.ndarray, cfg: NmpcConfig) -> float:
     """Quadratic penalty on roll/pitch magnitude beyond the tilt limit."""
     total = 0.0
     for x in states[1:]:
-        q = x[QUAT_SLICE]
-        over_r = abs(_roll_angle(q)) - cfg.tilt_max
-        over_p = abs(_pitch_angle(q)) - cfg.tilt_max
+        roll, pitch = quat_roll_pitch(x[QUAT_SLICE])
+        over_r = abs(roll) - cfg.tilt_max
+        over_p = abs(pitch) - cfg.tilt_max
         if over_r > 0.0:
             total += over_r * over_r
         if over_p > 0.0:
@@ -283,9 +268,9 @@ def _cost_parts(x0, u, refs, cfg: NmpcConfig, params: VehicleParams):
     g_roll = np.empty(n)
     g_pitch = np.empty(n)
     for j in range(n):
-        q = states[j + 1][QUAT_SLICE]
-        g_roll[j] = abs(_roll_angle(q)) - cfg.tilt_max
-        g_pitch[j] = abs(_pitch_angle(q)) - cfg.tilt_max
+        roll, pitch = quat_roll_pitch(states[j + 1][QUAT_SLICE])
+        g_roll[j] = abs(roll) - cfg.tilt_max
+        g_pitch[j] = abs(pitch) - cfg.tilt_max
     return tracking, g_roll, g_pitch
 
 

@@ -8,11 +8,18 @@ radii, the hover-stability window, the touchdown envelope).  Reference
 segments advance only when the vehicle satisfies the active segment's
 guard, so every waypoint is actually visited.
 
-Logs are plain arrays with a fixed column order and are written as CSV
-through an atomic temp-file rename; identical inputs produce byte-identical
-files.  ``compute_metrics`` reduces a log to per-segment tracking numbers
-(RMS and peak error, per-axis overshoot and settling on step segments,
-arrival times).
+Each controller tick runs, in order: mission progress (guards and segment
+advance), the reference step, the active controller, actuation (the held
+command through allocation and the actuator limits), the log row, and
+finally plant integration over the tick unless the run ends at this tick.
+Actuation sets the wrench the plant integrates; logging only records it.
+
+Telemetry rows go into one growing float array in ``LOG_COLUMNS`` order;
+the log's fields are column views of it.  The CSV is streamed line by
+line through an atomic temp-file rename; identical inputs produce
+byte-identical files.  ``compute_metrics`` reduces a log to per-segment
+tracking numbers (RMS and peak error, per-axis overshoot and settling on
+step segments, arrival times).
 """
 
 from __future__ import annotations
@@ -105,6 +112,21 @@ _POSITION_RUNAWAY = 1.0e3
 # Step segments shorter than this per axis get no overshoot/settling figures.
 _STEP_FLOOR = 1.0
 
+# Telemetry buffer layout: the float columns of LOG_COLUMNS in order (all
+# but the two mode labels), then the segment index.  The buffer starts at
+# _FIRST_ROWS rows and doubles when full.
+_T = 0
+_STATE, _REF, _INPUTS, _ROTORS = slice(1, 14), slice(14, 18), slice(18, 22), slice(22, 26)
+_SERVO, _COST, _ITERS, _SEGMENT = 26, 27, 28, 29
+_ROW_WIDTH = 30
+_FIRST_ROWS = 1024
+# Rows per block when writing the CSV, which bounds the memory the write takes.
+_CSV_BLOCK = 256
+
+# Zero wrench and rotor speeds of an idle actuator set; shared, so read-only.
+_IDLE = np.zeros(4)
+_IDLE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class RunLog:
@@ -185,16 +207,11 @@ class TrackingMetrics:
         return tuple(s.arrival_time for s in self.segments)
 
 
-def _surface_state_row(pose: np.ndarray, speed: float, turn_rate: float) -> np.ndarray:
-    """Expand a planar (x, y, heading) pose into a 13-state log row."""
-    x, y, heading = pose
-    row = np.zeros(13)
-    row[0:2] = (x, y)
-    row[3] = speed * math.cos(heading)
-    row[4] = speed * math.sin(heading)
-    row[6:10] = quat_from_yaw(heading)
-    row[12] = turn_rate
-    return row
+def _surface_state_row(pose: np.ndarray, speed: float, turn_rate: float) -> list:
+    """Expand a planar (x, y, heading) pose into the 13 state cells of a log row."""
+    x, y, heading = pose.tolist()
+    return [x, y, 0.0, speed * math.cos(heading), speed * math.sin(heading), 0.0,
+            *quat_from_yaw(heading).tolist(), 0.0, 0.0, turn_rate]
 
 
 def _drive_terrestrial(pose: np.ndarray, ref: np.ndarray, cruise: float,
@@ -259,23 +276,19 @@ class _Runner:
         self.start_z = float(mission.start[2])
 
         self.aerial_u = AerialInput(c=0.0, torque=np.zeros(3))
-        self.realized_u = np.zeros(4)
         self.surface_u = None
         self.force_solve = True
         self.cost = 0.0
         self.iters = 0
+        # Set by ``actuate``: the wrench the plant integrates, and the rotor
+        # speeds and servo angle that realize it.
+        self.applied = self.rotors = _IDLE
+        self.servo = self.mode.servo
 
         self.transitions: list = []
-        self.rows_t: list = []
-        self.rows_mode: list = []
-        self.rows_state: list = []
-        self.rows_ref: list = []
-        self.rows_u: list = []
-        self.rows_rot: list = []
-        self.rows_servo: list = []
-        self.rows_cost: list = []
-        self.rows_iters: list = []
-        self.rows_seg: list = []
+        self.rows = np.empty((_FIRST_ROWS, _ROW_WIDTH))
+        self.n_rows = 0
+        self.modes: list[ModeState] = []
 
     # -- state access -------------------------------------------------
 
@@ -433,28 +446,24 @@ class _Runner:
             self.aerial_u = self.pid.step(state, ref[:3], ref[3], self.tick)
             self.cost, self.iters = 0.0, 0
 
-    def actuators(self) -> tuple:
-        """Realize the held command: (applied wrench, rotor speeds, servo).
+    def actuate(self) -> None:
+        """Realize the held command as the applied wrench, rotors and servo.
 
         Aerial commands pass through allocation with clipping and back
-        through the forward mix, so the logged wrench and the wrench the
-        plant integrates both honor the actuator limits.
+        through the forward mix, so the wrench the plant integrates and the
+        logged one both honor the actuator limits.
         """
         mode = self.mode
-        if mode.medium is Medium.AERIAL:
-            if mode.substate is SubState.STATIC:
-                self.realized_u = np.zeros(4)
-                return np.zeros(4), np.zeros(4), mode.servo
+        self.applied = self.rotors = _IDLE
+        self.servo = mode.servo
+        if mode.medium is Medium.AERIAL and mode.substate is not SubState.STATIC:
             cmd = allocate(self.aerial_u, self.params, strict=False)
             applied = forward_mix(cmd, self.params)
-            wrench = np.array([applied.c, applied.torque[0],
-                               applied.torque[1], applied.torque[2]])
-            self.realized_u = wrench
-            return wrench, cmd.rotor_speeds, cmd.servo
-        if mode.medium is Medium.AQUATIC and isinstance(self.surface_u, AquaticInput):
-            rotors = aquatic_rotor_speeds(self.surface_u.speed, self.params)
-            return np.zeros(4), rotors, mode.servo
-        return np.zeros(4), np.zeros(4), mode.servo
+            self.applied = np.array([applied.c, *applied.torque.tolist()])
+            self.rotors = cmd.rotor_speeds
+            self.servo = cmd.servo
+        elif mode.medium is Medium.AQUATIC and isinstance(self.surface_u, AquaticInput):
+            self.rotors = aquatic_rotor_speeds(self.surface_u.speed, self.params)
 
     def integrate(self) -> None:
         mode = self.mode
@@ -462,7 +471,7 @@ class _Runner:
         if mode.medium is Medium.AERIAL:
             if mode.substate is SubState.STATIC:
                 return
-            u_vec = self.realized_u
+            u_vec = self.applied
             x = self.x13
             for _ in range(self.substeps):
                 x = aerial_step(x, u_vec, self.params, dt)
@@ -483,10 +492,17 @@ class _Runner:
             raise DivergenceError("surface pose diverged", state=pose)
 
     def log_row(self, t: float, ref: np.ndarray) -> None:
+        """Record tick ``t``; reads what ``actuate`` set and changes nothing."""
         mode = self.mode
-        wrench, rotors, servo = self.actuators()
+        n = self.n_rows
+        if n == len(self.rows):
+            grown = np.empty((2 * n, _ROW_WIDTH))
+            grown[:n] = self.rows
+            self.rows = grown
+        row = self.rows[n]
+        row[_T] = t
         if mode.medium is Medium.AERIAL:
-            state = self.x13.copy()
+            row[_STATE] = self.x13
         else:
             u = self.surface_u
             if isinstance(u, TerrestrialInput):
@@ -497,35 +513,29 @@ class _Runner:
                 turn = u.speed * math.tan(u.steering) / self.params.wheelbase
             else:
                 speed, turn = 0.0, 0.0
-            state = _surface_state_row(self.pose, speed, turn)
-        self.rows_t.append(t)
-        self.rows_mode.append((mode.medium.value, mode.substate.value))
-        self.rows_state.append(state)
-        self.rows_ref.append(ref.copy())
-        self.rows_u.append(wrench)
-        self.rows_rot.append(rotors)
-        self.rows_servo.append(servo)
-        self.rows_cost.append(self.cost)
-        self.rows_iters.append(self.iters)
-        self.rows_seg.append(max(self.seg_idx, 0))
+            row[_STATE] = _surface_state_row(self.pose, speed, turn)
+        row[_REF] = ref
+        row[_INPUTS] = self.applied
+        row[_ROTORS] = self.rotors
+        row[_SERVO:] = (self.servo, self.cost, self.iters, max(self.seg_idx, 0))
+        self.modes.append(mode)
+        self.n_rows = n + 1
 
     def build_log(self, completed: bool, time_limit_hit: bool,
                   diverged: bool) -> RunLog:
-        n = len(self.rows_t)
-        media = tuple(m for m, _ in self.rows_mode)
-        subs = tuple(s for _, s in self.rows_mode)
+        rows = self.rows[:self.n_rows]
         return RunLog(
-            t=np.array(self.rows_t),
-            medium=media,
-            substate=subs,
-            state=np.array(self.rows_state).reshape(n, 13),
-            ref=np.array(self.rows_ref).reshape(n, 4),
-            inputs=np.array(self.rows_u).reshape(n, 4),
-            rotors=np.array(self.rows_rot).reshape(n, 4),
-            servo=np.array(self.rows_servo),
-            cost=np.array(self.rows_cost),
-            iters=np.array(self.rows_iters, dtype=int),
-            segment=np.array(self.rows_seg, dtype=int),
+            t=rows[:, _T],
+            medium=tuple(m.medium.value for m in self.modes),
+            substate=tuple(m.substate.value for m in self.modes),
+            state=rows[:, _STATE],
+            ref=rows[:, _REF],
+            inputs=rows[:, _INPUTS],
+            rotors=rows[:, _ROTORS],
+            servo=rows[:, _SERVO],
+            cost=rows[:, _COST],
+            iters=rows[:, _ITERS].astype(int),
+            segment=rows[:, _SEGMENT].astype(int),
             transitions=tuple(self.transitions),
             completed=completed,
             time_limit_hit=time_limit_hit,
@@ -549,7 +559,8 @@ def run(config: Config, mission: Mission, controller: str = "pid",
         predictive controller in aerial modes (surface modes always use
         the simple drive laws).
     time_limit : float, optional
-        Simulated-seconds budget; defaults to the configured limit.
+        Simulated-seconds budget, finite and positive; defaults to the
+        configured limit.
 
     Returns
     -------
@@ -560,14 +571,17 @@ def run(config: Config, mission: Mission, controller: str = "pid",
     Raises
     ------
     ValueError
-        If ``controller`` is not "pid" or "nmpc".
+        If ``controller`` is not "pid" or "nmpc", or ``time_limit`` is not
+        finite and positive.
     MissionError
         If the mission cannot be realized by the transition table.
     """
     if controller not in ("pid", "nmpc"):
         raise ValueError(f"unknown controller '{controller}'")
-    mission_events(mission)
     limit = config.sim.time_limit if time_limit is None else float(time_limit)
+    if not (math.isfinite(limit) and limit > 0.0):
+        raise ValueError(f"time limit must be finite and positive, got {limit!r}")
+    mission_events(mission)
     runner = _Runner(config, mission, controller, limit)
 
     completed = False
@@ -580,6 +594,7 @@ def run(config: Config, mission: Mission, controller: str = "pid",
             done = runner.progress(t)
             ref = runner.gen.step(t, runner.tick)
             runner.control(t, k, ref)
+            runner.actuate()
             runner.log_row(t, ref)
             if done:
                 completed = True
@@ -657,22 +672,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_lines(log: RunLog):
+    """Yield the CSV header and then one line per row, block by block."""
+    yield ",".join(LOG_COLUMNS) + "\n"
+    for a in range(0, len(log), _CSV_BLOCK):
+        b = a + _CSV_BLOCK
+        block = np.column_stack((log.t[a:b], log.state[a:b], log.ref[a:b],
+                                 log.inputs[a:b], log.rotors[a:b],
+                                 log.servo[a:b], log.cost[a:b]))
+        for row, medium, substate, iters in zip(
+                block.tolist(), log.medium[a:b], log.substate[a:b], log.iters[a:b]):
+            cells = [repr(row[0]), medium, substate, *map(repr, row[1:]), str(int(iters))]
+            yield ",".join(cells) + "\n"
+
+
 def save_log(log: RunLog, path) -> None:
-    """Write the log as CSV with the documented column order, atomically."""
-    lines = [",".join(LOG_COLUMNS)]
-    for i in range(len(log)):
-        s = log.state[i]
-        r = log.ref[i]
-        u = log.inputs[i]
-        w = log.rotors[i]
-        cells = [_fmt(log.t[i]), log.medium[i], log.substate[i]]
-        cells += [_fmt(v) for v in s]
-        cells += [_fmt(v) for v in r]
-        cells += [_fmt(v) for v in u]
-        cells += [_fmt(v) for v in w]
-        cells += [_fmt(log.servo[i]), _fmt(log.cost[i]), str(int(log.iters[i]))]
-        lines.append(",".join(cells))
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Write the log as CSV with the documented column order, atomically.
+
+    The text is streamed to the file, so the whole CSV is never held in
+    memory; each float cell is ``repr`` of the value, which parses back
+    exactly.
+    """
+    atomic_write(path, _csv_lines(log))
 
 
 def save_metrics(metrics: TrackingMetrics, log: RunLog, path) -> None:
@@ -699,4 +720,4 @@ def save_metrics(metrics: TrackingMetrics, log: RunLog, path) -> None:
         lines.append(f"{prefix}_duration_s = {_fmt(seg.duration)}")
     for j, (t, old, event, new) in enumerate(log.transitions):
         lines.append(f"transition_{j:02d} = {_fmt(t)} {old} -> {new} ({event})")
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, (line + "\n" for line in lines))

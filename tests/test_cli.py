@@ -12,7 +12,9 @@ import sys
 import numpy as np
 import pytest
 
+from cyclosim import cli
 from cyclosim.cli import main
+from cyclosim.errors import MissionError
 from cyclosim.fsm import Medium
 from cyclosim.mission import Action, Mission, Segment, save_mission
 
@@ -125,6 +127,35 @@ class TestSimulate:
         captured, last = _last_line(capsys)
         assert last.startswith("error:")
         assert (tmp_path / "mini_pid.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1"])
+    def test_bad_duration_limit_is_usage_error(
+        self, mini_path, tmp_path, capsys, command, limit
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                command, "--mission", str(mini_path),
+                "--duration-limit", limit, "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "--duration-limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_hover_hold_reaches_builtin_route(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "hold.yaml"
+        cfg.write_text("sim:\n  hover_hold: 3.5\n")
+        flown = []
+
+        def no_flight(config, mission, **kwargs):
+            flown.append(mission)
+            raise MissionError("stopped before the flight")
+
+        monkeypatch.setattr(cli, "run", no_flight)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        holds = [s.hold for s in flown[0].segments if s.action is Action.HOVER]
+        assert holds == [3.5, 3.5]
 
     def test_divergence_exit_code(self, mini_path, tmp_path, capsys):
         cfg = tmp_path / "weak.yaml"

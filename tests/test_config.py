@@ -1,0 +1,116 @@
+"""Configuration loader tests.
+
+Oracles: every expected value is restated from the defaults or from the
+file written by the test itself; every rejection names the offending key.
+"""
+
+import pytest
+
+from cyclosim.config import ENV_CONFIG_VAR, default_config, load_config
+from cyclosim.errors import ConfigError
+
+
+@pytest.fixture
+def write(tmp_path):
+    def _write(text: str):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        return path
+    return _write
+
+
+@pytest.fixture(autouse=True)
+def keep_env_clean(monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG_VAR, raising=False)
+
+
+class TestOverlay:
+    def test_flat_vehicle_key(self, write):
+        cfg = load_config(write("mass: 1.25\n"))
+        assert cfg.mass == 1.25
+        assert cfg.arm == default_config().arm
+
+    def test_nested_pid_gains(self, write):
+        cfg = load_config(write("pid:\n  roll:\n    p: 7.5\n  windup_limit: 0.5\n"))
+        defaults = default_config().pid
+        assert cfg.pid.roll.p == 7.5
+        assert cfg.pid.roll.i == defaults.roll.i
+        assert cfg.pid.roll.d == defaults.roll.d
+        assert cfg.pid.windup_limit == 0.5
+        assert cfg.pid.pitch == defaults.pitch
+
+    def test_sections(self, write):
+        cfg = load_config(write("nmpc:\n  horizon: 20\nsim:\n  hover_hold: 3.5\n"))
+        assert cfg.nmpc.horizon == 20
+        assert isinstance(cfg.nmpc.horizon, int)
+        assert cfg.sim.hover_hold == 3.5
+
+    def test_integer_key_accepts_whole_float(self, write):
+        cfg = load_config(write("nmpc:\n  max_iters: 30.0\n"))
+        assert cfg.nmpc.max_iters == 30
+        assert isinstance(cfg.nmpc.max_iters, int)
+
+
+class TestRejections:
+    def test_unknown_top_level_key(self, write):
+        with pytest.raises(ConfigError, match="unknown config key 'masss'"):
+            load_config(write("masss: 1.0\n"))
+
+    @pytest.mark.parametrize("section", ["pid", "nmpc", "sim"])
+    def test_unknown_section_key(self, write, section):
+        with pytest.raises(ConfigError, match=f"{section}: unknown key 'bogus'"):
+            load_config(write(f"{section}:\n  bogus: 1.0\n"))
+
+    def test_unknown_pid_channel_key(self, write):
+        with pytest.raises(ConfigError, match=r"pid\.yaw: unknown keys \['k'\]"):
+            load_config(write("pid:\n  yaw:\n    k: 1.0\n"))
+
+    def test_pid_channel_needs_mapping(self, write):
+        with pytest.raises(ConfigError, match=r"pid\.x: expected a mapping"):
+            load_config(write("pid:\n  x: 1.0\n"))
+
+    @pytest.mark.parametrize("section", ["pid", "nmpc", "sim"])
+    def test_section_needs_mapping(self, write, section):
+        with pytest.raises(ConfigError, match=f"{section}: expected a mapping"):
+            load_config(write(f"{section}: 3\n"))
+
+    def test_fractional_horizon(self, write):
+        with pytest.raises(ConfigError, match=r"nmpc\.horizon: expected an integer"):
+            load_config(write("nmpc:\n  horizon: 15.5\n"))
+
+    def test_bool_value(self, write):
+        with pytest.raises(ConfigError, match=r"sim\.cruise_air: expected a number"):
+            load_config(write("sim:\n  cruise_air: true\n"))
+
+    def test_bool_vehicle_value(self, write):
+        with pytest.raises(ConfigError, match="mass: expected a number"):
+            load_config(write("mass: yes\n"))
+
+    def test_non_finite_value(self, write):
+        with pytest.raises(ConfigError, match=r"sim\.time_limit: must be finite"):
+            load_config(write("sim:\n  time_limit: .inf\n"))
+
+    def test_root_must_be_mapping(self, write):
+        with pytest.raises(ConfigError, match="config root must be a mapping"):
+            load_config(write("- 1\n- 2\n"))
+
+
+class TestFallbacks:
+    def test_empty_file_gives_defaults(self, write):
+        assert load_config(write("")) == default_config()
+
+    def test_no_path_no_env_gives_defaults(self):
+        assert load_config(None) == default_config()
+
+    def test_env_var_fallback(self, write, monkeypatch):
+        monkeypatch.setenv(ENV_CONFIG_VAR, str(write("sim:\n  cruise_air: 4.0\n")))
+        assert load_config(None).sim.cruise_air == 4.0
+
+    def test_explicit_path_beats_env_var(self, write, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_CONFIG_VAR, str(tmp_path / "missing.yaml"))
+        assert load_config(write("mass: 0.9\n")).mass == 0.9
+
+    def test_env_var_missing_file_names_path(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_CONFIG_VAR, str(tmp_path / "missing.yaml"))
+        with pytest.raises(ConfigError, match="missing.yaml"):
+            load_config(None)

@@ -218,6 +218,11 @@ class TestRunEndings:
         with pytest.raises(ValueError, match="controller"):
             run(cfg, mission, controller="lqr")
 
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, 0.0, -1.0])
+    def test_time_limit_must_be_finite_and_positive(self, cfg, limit):
+        with pytest.raises(ValueError, match="time limit"):
+            run(cfg, mini_mission(), controller="pid", time_limit=limit)
+
     def test_misaligned_controller_period_rejected(self, cfg, mission):
         bad = dataclasses.replace(
             cfg, sim=dataclasses.replace(cfg.sim, controller_period=0.0103)
@@ -337,3 +342,82 @@ class TestFiles:
         assert sum(1 for k in pairs if k.startswith("transition_")) == len(
             log.transitions
         )
+
+
+class TestWriter:
+    def _log(self):
+        n = 5
+        rng = np.random.default_rng(3)
+        awkward = np.array([0.1, 1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308,
+                            -2.5e-17, 123456789.123456789, math.pi, 1e16, -7.0])
+        t = np.array([0.0, 0.01, 0.02, 0.03, 0.04])
+        state = rng.standard_normal((n, 13))
+        state[:, 0:10] = awkward[None, :] / (1 + np.arange(n))[:, None]
+        return RunLog(
+            t=t,
+            medium=("aerial", "aerial", "aerial", "aquatic", "aquatic"),
+            substate=("takeoff", "hovering", "landing", "static", "driving"),
+            state=state,
+            ref=rng.standard_normal((n, 4)) * 1e3,
+            inputs=rng.standard_normal((n, 4)) * 1e-9,
+            rotors=rng.uniform(0.0, 1200.0, (n, 4)),
+            servo=np.array([0.0, 0.1, -0.2, math.pi / 2, 1e-300]),
+            cost=np.array([0.0, 12.5, 3e-8, 1e6, 0.0]),
+            iters=np.array([0, 3, 17, 0, 50]),
+            segment=np.zeros(n, dtype=int),
+            transitions=(),
+            completed=True,
+            time_limit_hit=False,
+            diverged=False,
+        )
+
+    def test_cells_parse_back_exactly(self, tmp_path):
+        log = self._log()
+        path = tmp_path / "log.csv"
+        save_log(log, path)
+        text = path.read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        lines = text.splitlines()
+        assert lines[0] == ",".join(LOG_COLUMNS)
+        assert len(lines) == len(log) + 1
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert cells[1:3] == [log.medium[i], log.substate[i]]
+            floats = [float(c) for c in [cells[0], *cells[3:-1]]]
+            expected = [log.t[i], *log.state[i], *log.ref[i], *log.inputs[i],
+                        *log.rotors[i], log.servo[i], log.cost[i]]
+            assert len(floats) == len(expected)
+            for got, want in zip(floats, expected):
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert cells[-1] == str(int(log.iters[i]))
+
+    def test_iters_written_as_int(self, tmp_path):
+        log = self._log()
+        log = dataclasses.replace(log, iters=log.iters.astype(float))
+        path = tmp_path / "log.csv"
+        save_log(log, path)
+        iters = [line.split(",")[-1] for line in path.read_text().splitlines()[1:]]
+        assert iters == ["0", "3", "17", "0", "50"]
+
+    def test_empty_log_writes_header_only(self, tmp_path):
+        log = _synthetic_log([], np.zeros((0, 3)), np.zeros((0, 4)), [])
+        path = tmp_path / "log.csv"
+        save_log(log, path)
+        assert path.read_text() == ",".join(LOG_COLUMNS) + "\n"
+
+
+class TestLogLayout:
+    def test_fields_keep_their_dtypes(self, cfg):
+        log = run(cfg, mini_mission(), controller="pid")
+        n = len(log)
+        for name, width in (("state", 13), ("ref", 4), ("inputs", 4), ("rotors", 4)):
+            assert getattr(log, name).shape == (n, width)
+            assert getattr(log, name).dtype == np.float64
+        for name in ("t", "servo", "cost"):
+            assert getattr(log, name).shape == (n,)
+            assert getattr(log, name).dtype == np.float64
+        assert log.iters.dtype == np.dtype(int)
+        assert log.segment.dtype == np.dtype(int)
+        assert isinstance(log.medium, tuple) and isinstance(log.substate, tuple)
+        assert len(log.medium) == len(log.substate) == n
