@@ -260,35 +260,30 @@ class ActuatorCommand:
 # ---------------------------------------------------------------------------
 
 
-def _aerial_rhs(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndarray:
-    """Aerial state derivative; hot path, no validation.
-
-    Works in plain floats: scalar numpy arithmetic is several times slower
-    and this function dominates both the plant loop and the optimizer.
-    """
-    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x.tolist()
-    c, tx, ty, tz = u.tolist()
-    jx, jy, jz = p.inertia.tolist()
-
-    # v_dot = R(q) @ (0, 0, c) - (0, 0, g): only the third column of R matters.
-    ax = 2.0 * (qx * qz + qw * qy) * c
-    ay = 2.0 * (qy * qz - qw * qx) * c
-    az = (1.0 - 2.0 * (qx * qx + qy * qy)) * c - p.g_z
-
-    # q_dot = 0.5 * Omega(w) @ q
-    qdw = 0.5 * (-wx * qx - wy * qy - wz * qz)
-    qdx = 0.5 * (wx * qw + wz * qy - wy * qz)
-    qdy = 0.5 * (wy * qw - wz * qx + wx * qz)
-    qdz = 0.5 * (wz * qw + wy * qx - wx * qy)
-
-    # w_dot = J^-1 (tau - w x J w) with diagonal J
-    wdx = (tx - (jz - jy) * wy * wz) / jx
-    wdy = (ty - (jx - jz) * wz * wx) / jy
-    wdz = (tz - (jy - jx) * wx * wy) / jz
-
-    return np.array(
-        [vx, vy, vz, ax, ay, az, qdw, qdx, qdy, qdz, wdx, wdy, wdz]
+def _rates(qw, qx, qy, qz, wx, wy, wz, c, tx, ty, tz, jx, jy, jz, g_z):
+    """Acceleration, quaternion rate and body acceleration as 10 floats:
+    scalar numpy arithmetic is several times slower on this hot path."""
+    return (
+        # v_dot = R(q) @ (0, 0, c) - (0, 0, g): only the third column of R matters.
+        2.0 * (qx * qz + qw * qy) * c,
+        2.0 * (qy * qz - qw * qx) * c,
+        (1.0 - 2.0 * (qx * qx + qy * qy)) * c - g_z,
+        # q_dot = 0.5 * Omega(w) @ q
+        0.5 * (-wx * qx - wy * qy - wz * qz),
+        0.5 * (wx * qw + wz * qy - wy * qz),
+        0.5 * (wy * qw - wz * qx + wx * qz),
+        0.5 * (wz * qw + wy * qx - wx * qy),
+        # w_dot = J^-1 (tau - w x J w) with diagonal J
+        (tx - (jz - jy) * wy * wz) / jx,
+        (ty - (jx - jz) * wz * wx) / jy,
+        (tz - (jy - jx) * wx * wy) / jz,
     )
+
+
+def _aerial_rhs(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndarray:
+    """Aerial state derivative; hot path, no validation."""
+    _, _, _, vx, vy, vz, *attitude = x.tolist()
+    return np.array([vx, vy, vz, *_rates(*attitude, *u.tolist(), *p.inertia.tolist(), p.g_z)])
 
 
 def aerial_derivative(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndarray:
@@ -318,6 +313,30 @@ def aerial_derivative(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndar
     return _aerial_rhs(x, u, p)
 
 
+def _check_pose(pose) -> np.ndarray:
+    pose = np.asarray(pose, dtype=float)
+    if pose.shape != (3,):
+        raise ValueError("pose must have shape (3,)")
+    if not np.isfinite(pose).all():
+        raise ValueError("pose must be finite")
+    return pose
+
+
+def _terrestrial_rhs(pose: np.ndarray, u: TerrestrialInput, p: VehicleParams) -> np.ndarray:
+    """Ground-plane derivative; hot path of the plant loop, no validation."""
+    v = 0.5 * (u.v_right + u.v_left)
+    heading = pose[2]
+    turn = (u.v_right - u.v_left) / p.track_width
+    return np.array([v * math.cos(heading), v * math.sin(heading), turn])
+
+
+def _aquatic_rhs(pose: np.ndarray, u: AquaticInput, p: VehicleParams) -> np.ndarray:
+    """Surface-craft derivative; hot path of the plant loop, no validation."""
+    heading = pose[2]
+    turn = u.speed * math.tan(u.steering) / p.wheelbase
+    return np.array([u.speed * math.cos(heading), u.speed * math.sin(heading), turn])
+
+
 def terrestrial_derivative(
     pose: np.ndarray, u: TerrestrialInput, p: VehicleParams
 ) -> np.ndarray:
@@ -326,20 +345,7 @@ def terrestrial_derivative(
     ``pose`` is ``[x, y, heading]``; forward speed is the wheel-speed mean,
     heading rate the wheel-speed difference over the track width.
     """
-    pose = np.asarray(pose, dtype=float)
-    if pose.shape != (3,):
-        raise ValueError("pose must have shape (3,)")
-    if not np.isfinite(pose).all():
-        raise ValueError("pose must be finite")
-    v = 0.5 * (u.v_right + u.v_left)
-    heading = pose[2]
-    return np.array(
-        [
-            v * math.cos(heading),
-            v * math.sin(heading),
-            (u.v_right - u.v_left) / p.track_width,
-        ]
-    )
+    return _terrestrial_rhs(_check_pose(pose), u, p)
 
 
 def aquatic_derivative(
@@ -350,19 +356,7 @@ def aquatic_derivative(
     ``pose`` is ``[x, y, heading]``; heading rate is
     ``speed * tan(steering) / wheelbase``.
     """
-    pose = np.asarray(pose, dtype=float)
-    if pose.shape != (3,):
-        raise ValueError("pose must have shape (3,)")
-    if not np.isfinite(pose).all():
-        raise ValueError("pose must be finite")
-    heading = pose[2]
-    return np.array(
-        [
-            u.speed * math.cos(heading),
-            u.speed * math.sin(heading),
-            u.speed * math.tan(u.steering) / p.wheelbase,
-        ]
-    )
+    return _aquatic_rhs(_check_pose(pose), u, p)
 
 
 # ---------------------------------------------------------------------------
@@ -405,26 +399,74 @@ def step_rk4(model, state: np.ndarray, u, dt: float, quat_slice: slice | None = 
         if n < 1e-12 or not math.isfinite(n):
             raise DivergenceError("quaternion collapsed during integration", state=out)
         out[quat_slice] = q / n
-    if not np.isfinite(out).all():
+    # A finite sum means every entry is finite; otherwise check exactly, as
+    # finite entries can still overflow the sum.
+    if not math.isfinite(out.sum()) and not np.isfinite(out).all():
         raise DivergenceError("integration produced a non-finite state", state=out)
     return out
+
+
+def _rk4_floats(s, c, tx, ty, tz, jx, jy, jz, g_z, dt):
+    """One classical RK4 step of the aerial model over plain floats.
+
+    ``s`` is the state as 13 floats.  Returns the end state as a 13-tuple,
+    quaternion not yet renormalized, and the attitudes
+    ``(qw, qx, qy, qz, wx, wy, wz)`` of stages 2-4, which the optimizer's
+    Jacobians need.  Each value is the operation, in the same order, that
+    :func:`step_rk4` applies to ``aerial_derivative`` arrays, so the result
+    is bit for bit the same; stage positions are skipped because no
+    derivative reads them.
+    """
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s
+    u = (c, tx, ty, tz, jx, jy, jz, g_z)
+    h = 0.5 * dt
+    a1x, a1y, a1z, e1w, e1x, e1y, e1z, r1x, r1y, r1z = _rates(qw, qx, qy, qz, wx, wy, wz, *u)
+    s2 = (qw + h * e1w, qx + h * e1x, qy + h * e1y, qz + h * e1z,
+          wx + h * r1x, wy + h * r1y, wz + h * r1z)
+    a2x, a2y, a2z, e2w, e2x, e2y, e2z, r2x, r2y, r2z = _rates(*s2, *u)
+    s3 = (qw + h * e2w, qx + h * e2x, qy + h * e2y, qz + h * e2z,
+          wx + h * r2x, wy + h * r2y, wz + h * r2z)
+    a3x, a3y, a3z, e3w, e3x, e3y, e3z, r3x, r3y, r3z = _rates(*s3, *u)
+    s4 = (qw + dt * e3w, qx + dt * e3x, qy + dt * e3y, qz + dt * e3z,
+          wx + dt * r3x, wy + dt * r3y, wz + dt * r3z)
+    a4x, a4y, a4z, e4w, e4x, e4y, e4z, r4x, r4y, r4z = _rates(*s4, *u)
+    w = dt / 6.0
+    end = (
+        # position rates are the stage velocities
+        px + w * (vx + 2.0 * (vx + h * a1x) + 2.0 * (vx + h * a2x) + (vx + dt * a3x)),
+        py + w * (vy + 2.0 * (vy + h * a1y) + 2.0 * (vy + h * a2y) + (vy + dt * a3y)),
+        pz + w * (vz + 2.0 * (vz + h * a1z) + 2.0 * (vz + h * a2z) + (vz + dt * a3z)),
+        vx + w * (a1x + 2.0 * a2x + 2.0 * a3x + a4x),
+        vy + w * (a1y + 2.0 * a2y + 2.0 * a3y + a4y),
+        vz + w * (a1z + 2.0 * a2z + 2.0 * a3z + a4z),
+        qw + w * (e1w + 2.0 * e2w + 2.0 * e3w + e4w),
+        qx + w * (e1x + 2.0 * e2x + 2.0 * e3x + e4x),
+        qy + w * (e1y + 2.0 * e2y + 2.0 * e3y + e4y),
+        qz + w * (e1z + 2.0 * e2z + 2.0 * e3z + e4z),
+        wx + w * (r1x + 2.0 * r2x + 2.0 * r3x + r4x),
+        wy + w * (r1y + 2.0 * r2y + 2.0 * r3y + r4y),
+        wz + w * (r1z + 2.0 * r2z + 2.0 * r3z + r4z),
+    )
+    return end, (s2, s3, s4)
 
 
 def aerial_step(x: np.ndarray, u: np.ndarray, p: VehicleParams, dt: float) -> np.ndarray:
     """One RK4 step of the aerial model with quaternion renormalization."""
     if not (0.0 < dt <= 0.05):
         raise ValueError(f"dt must lie in (0, 0.05], got {dt!r}")
-    k1 = _aerial_rhs(x, u, p)
-    k2 = _aerial_rhs(x + (0.5 * dt) * k1, u, p)
-    k3 = _aerial_rhs(x + (0.5 * dt) * k2, u, p)
-    k4 = _aerial_rhs(x + dt * k3, u, p)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    c, tx, ty, tz = u.tolist()
+    jx, jy, jz = p.inertia.tolist()
+    vals, _ = _rk4_floats(x.tolist(), c, tx, ty, tz, jx, jy, jz, p.g_z, dt)
+    out = np.array(vals)
+    # The norm stays a numpy dot: its rounding differs from a Python sum.
     q = out[QUAT_SLICE]
     n = math.sqrt(float(q @ q))
     if n < 1e-12 or not math.isfinite(n):
         raise DivergenceError("quaternion collapsed during integration", state=out)
-    out[QUAT_SLICE] = q / n
-    if not np.isfinite(out).all():
+    q /= n
+    # A finite n leaves the quaternion finite; a non-finite sum flags any
+    # other bad entry (or an overflowing sum, which the exact test clears).
+    if not math.isfinite(sum(vals)) and not np.isfinite(out).all():
         raise DivergenceError("integration produced a non-finite state", state=out)
     return out
 

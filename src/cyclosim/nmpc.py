@@ -48,7 +48,7 @@ from .dynamics import (
     AerialInput,
     VehicleParams,
     VehicleState,
-    _aerial_rhs,
+    _rk4_floats,
     aerial_step,
 )
 from .errors import DivergenceError, SolverFailureError
@@ -137,52 +137,53 @@ def _check_refs(refs: np.ndarray, horizon: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Attitude extraction helpers (value plus gradient wrt the quaternion)
+# Attitude extraction helpers (value plus gradient wrt the quaternion,
+# from the quaternion as four floats)
 # ---------------------------------------------------------------------------
 
 
-def _yaw_of(q: np.ndarray) -> tuple[float, np.ndarray]:
-    qw, qx, qy, qz = q.tolist()
+def _yaw_of(q) -> tuple[float, tuple]:
+    qw, qx, qy, qz = q
     a = 2.0 * (qw * qz + qx * qy)
     b = 1.0 - 2.0 * (qy * qy + qz * qz)
     yaw = math.atan2(a, b)
     denom = a * a + b * b
-    grad = np.array([
+    grad = (
         b * (2.0 * qz) / denom,
         b * (2.0 * qy) / denom,
         (b * (2.0 * qx) - a * (-4.0 * qy)) / denom,
         (b * (2.0 * qw) - a * (-4.0 * qz)) / denom,
-    ])
+    )
     return yaw, grad
 
 
-def _roll_of(q: np.ndarray) -> tuple[float, np.ndarray]:
-    qw, qx, qy, qz = q.tolist()
+def _roll_of(q) -> tuple[float, tuple]:
+    qw, qx, qy, qz = q
     a = 2.0 * (qw * qx + qy * qz)
     b = 1.0 - 2.0 * (qx * qx + qy * qy)
     roll = math.atan2(a, b)
     denom = a * a + b * b
-    grad = np.array([
+    grad = (
         b * (2.0 * qx) / denom,
         (b * (2.0 * qw) - a * (-4.0 * qx)) / denom,
         (b * (2.0 * qz) - a * (-4.0 * qy)) / denom,
         b * (2.0 * qy) / denom,
-    ])
+    )
     return roll, grad
 
 
-def _pitch_of(q: np.ndarray) -> tuple[float, np.ndarray]:
-    qw, qx, qy, qz = q.tolist()
+def _pitch_of(q) -> tuple[float, tuple]:
+    qw, qx, qy, qz = q
     s = 2.0 * (qw * qy - qz * qx)
     s_c = max(-1.0, min(1.0, s))
     pitch = math.asin(s_c)
     root = math.sqrt(max(1.0 - s_c * s_c, 1e-12))
-    grad = np.array([
+    grad = (
         (2.0 * qy) / root,
         (-2.0 * qz) / root,
         (2.0 * qw) / root,
         (-2.0 * qx) / root,
-    ])
+    )
     return pitch, grad
 
 
@@ -202,18 +203,18 @@ def rollout(
         ``states`` has shape (N+1, 13); ``outputs`` has shape (N, 4) and
         holds (x, y, z, yaw) after each step.
     """
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
+    u_abs = np.array(u, dtype=float)
+    u_abs[:, 0] += GRAVITY
+    n = u_abs.shape[0]
     states = np.empty((n + 1, STATE_DIM))
-    outputs = np.empty((n, 4))
     states[0] = x0
     x = np.asarray(x0, dtype=float)
     for j in range(n):
-        a, t1, t2, t3 = u[j].tolist()
-        step_input = np.array([GRAVITY + a, t1, t2, t3])
-        x = aerial_step(x, step_input, params, cfg.period)
+        x = aerial_step(x, u_abs[j], params, cfg.period)
         states[j + 1] = x
-        outputs[j] = (x[0], x[1], x[2], quat_yaw(x[QUAT_SLICE]))
+    outputs = np.empty((n, 4))
+    outputs[:, :3] = states[1:, :3]
+    outputs[:, 3] = [quat_yaw(q) for q in states[1:, QUAT_SLICE]]
     return states, outputs
 
 
@@ -250,28 +251,25 @@ def tilt_penalty(states: np.ndarray, cfg: NmpcConfig) -> float:
 
 
 def _cost_parts(x0, u, refs, cfg: NmpcConfig, params: VehicleParams):
-    """(tracking cost, per-step roll excess, per-step pitch excess).
+    """(tracking cost, per-step roll excess, per-step pitch excess, rollout).
 
-    The excess arrays are signed: ``|angle| - tilt_max`` per horizon step.
-    Divergent or overflowing trajectories give (inf, None, None) so the
-    line search rejects them.
+    The excess arrays are signed: ``|angle| - tilt_max`` per horizon step;
+    the rollout is the ``(states, outputs)`` pair, kept so the solver need
+    not fly its chosen inputs again.  Divergent or overflowing trajectories
+    give (inf, None, None, None) so the line search rejects them.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             states, outputs = rollout(x0, u, cfg, params)
             tracking = evaluate_cost(outputs, refs, u, cfg)
     except DivergenceError:
-        return math.inf, None, None
+        return math.inf, None, None, None
     if not math.isfinite(tracking):
-        return math.inf, None, None
-    n = u.shape[0]
-    g_roll = np.empty(n)
-    g_pitch = np.empty(n)
-    for j in range(n):
-        roll, pitch = quat_roll_pitch(states[j + 1][QUAT_SLICE])
-        g_roll[j] = abs(roll) - cfg.tilt_max
-        g_pitch[j] = abs(pitch) - cfg.tilt_max
-    return tracking, g_roll, g_pitch
+        return math.inf, None, None, None
+    tilt = [quat_roll_pitch(q) for q in states[1:, QUAT_SLICE]]
+    g_roll = np.array([abs(roll) - cfg.tilt_max for roll, _ in tilt])
+    g_pitch = np.array([abs(pitch) - cfg.tilt_max for _, pitch in tilt])
+    return tracking, g_roll, g_pitch, (states, outputs)
 
 
 def _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight) -> float:
@@ -292,188 +290,167 @@ def _plain_penalty_value(g_roll, g_pitch, weight) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rhs_jacobians(x: np.ndarray, u_abs: np.ndarray, p: VehicleParams) -> np.ndarray:
-    """Jacobian of the aerial derivative as one (13, 17) block [df/dx | df/du].
-
-    Hot path: element-wise scalar assignment into one preallocated block
-    avoids the tuple-to-array conversions a row-slice write would pay.
-    """
-    _, _, _, _, _, _, qw, qx, qy, qz, wx, wy, wz = x.tolist()
-    c = float(u_abs[0])
-    jx, jy, jz = p.inertia.tolist()
-
-    m = np.zeros((STATE_DIM, STATE_DIM + 4))
-    m[0, 3] = m[1, 4] = m[2, 5] = 1.0
+# Varying entries of the (13, 17) derivative Jacobian [df/dx | df/du] as
+# (row, column, term), with the term a column of the table _stage_jacobians
+# builds: 0-3 2cq, 4-7 -2cq (q = qw, qx, qy, qz), 8-9 -4c(qx, qy), 10-12
+# 0.5w, 13-15 -0.5w, 16-19 0.5q, 20-23 -0.5q, 24-29 gyroscopic, 30-32
+# R(q) e_z, 33-35 J^-1.
+_JAC_ENTRIES = (
     # d(c * R(q) e_z)/dq
-    m[3, 6] = 2.0 * qy * c
-    m[3, 7] = 2.0 * qz * c
-    m[3, 8] = 2.0 * qw * c
-    m[3, 9] = 2.0 * qx * c
-    m[4, 6] = -2.0 * qx * c
-    m[4, 7] = -2.0 * qw * c
-    m[4, 8] = 2.0 * qz * c
-    m[4, 9] = 2.0 * qy * c
-    m[5, 7] = -4.0 * qx * c
-    m[5, 8] = -4.0 * qy * c
+    (3, 6, 2), (3, 7, 3), (3, 8, 0), (3, 9, 1), (4, 6, 5), (4, 7, 4), (4, 8, 3),
+    (4, 9, 2), (5, 7, 8), (5, 8, 9),
     # d(0.5 Omega(w) q)/dq
-    m[6, 7] = -0.5 * wx
-    m[6, 8] = -0.5 * wy
-    m[6, 9] = -0.5 * wz
-    m[7, 6] = 0.5 * wx
-    m[7, 8] = 0.5 * wz
-    m[7, 9] = -0.5 * wy
-    m[8, 6] = 0.5 * wy
-    m[8, 7] = -0.5 * wz
-    m[8, 9] = 0.5 * wx
-    m[9, 6] = 0.5 * wz
-    m[9, 7] = 0.5 * wy
-    m[9, 8] = -0.5 * wx
+    (6, 7, 13), (6, 8, 14), (6, 9, 15), (7, 6, 10), (7, 8, 12), (7, 9, 14),
+    (8, 6, 11), (8, 7, 15), (8, 9, 10), (9, 6, 12), (9, 7, 11), (9, 8, 13),
     # d(0.5 Omega(w) q)/dw
-    m[6, 10] = -0.5 * qx
-    m[6, 11] = -0.5 * qy
-    m[6, 12] = -0.5 * qz
-    m[7, 10] = 0.5 * qw
-    m[7, 11] = -0.5 * qz
-    m[7, 12] = 0.5 * qy
-    m[8, 10] = 0.5 * qz
-    m[8, 11] = 0.5 * qw
-    m[8, 12] = -0.5 * qx
-    m[9, 10] = -0.5 * qy
-    m[9, 11] = 0.5 * qx
-    m[9, 12] = 0.5 * qw
+    (6, 10, 21), (6, 11, 22), (6, 12, 23), (7, 10, 16), (7, 11, 23), (7, 12, 18),
+    (8, 10, 19), (8, 11, 16), (8, 12, 21), (9, 10, 22), (9, 11, 17), (9, 12, 16),
     # d(J^-1 (tau - w x J w))/dw
-    m[10, 11] = -(jz - jy) * wz / jx
-    m[10, 12] = -(jz - jy) * wy / jx
-    m[11, 10] = -(jx - jz) * wz / jy
-    m[11, 12] = -(jx - jz) * wx / jy
-    m[12, 10] = -(jy - jx) * wy / jz
-    m[12, 11] = -(jy - jx) * wx / jz
-    # input block
-    m[3, 13] = 2.0 * (qx * qz + qw * qy)
-    m[4, 13] = 2.0 * (qy * qz - qw * qx)
-    m[5, 13] = 1.0 - 2.0 * (qx * qx + qy * qy)
-    m[10, 14] = 1.0 / jx
-    m[11, 15] = 1.0 / jy
-    m[12, 16] = 1.0 / jz
+    (10, 11, 24), (10, 12, 25), (11, 10, 26), (11, 12, 27), (12, 10, 28), (12, 11, 29),
+    # input block: d(c * R(q) e_z)/dc and J^-1
+    (3, 13, 30), (4, 13, 31), (5, 13, 32), (10, 14, 33), (11, 15, 34), (12, 16, 35),
+)
+_JAC_POS = np.array([i * (STATE_DIM + 4) + j for i, j, _ in _JAC_ENTRIES])
+_JAC_TERM = np.array([term for _, _, term in _JAC_ENTRIES])
+# Body-rate component each gyroscopic term multiplies (wx, wy, wz = 0, 1, 2).
+_GYRO_RATE = np.array([2, 1, 2, 0, 1, 0])
+_EYE_STATE = np.eye(STATE_DIM)
+_EYE_QUAT = np.eye(4)
+
+
+def _stage_jacobians(stages, thrusts, jx: float, jy: float, jz: float) -> np.ndarray:
+    """Jacobians of the aerial derivative at the RK4 stage states of a horizon.
+
+    ``stages`` holds the four stage attitudes ``(qw, qx, qy, qz, wx, wy, wz)``
+    of each step and ``thrusts`` each step's collective thrust.  Returns an
+    (n, 4, 13, 17) stack of blocks [df/dx | df/du]; each term is the scalar
+    formula's float operation applied to all stages at once (a negated
+    term is the exact negation of the rounded product).
+    """
+    n = len(thrusts)
+    s = np.array(stages)
+    q, w = s[:, :4], s[:, 4:]
+    qw, qx, qy, qz = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+    c = np.repeat(thrusts, 4)
+    terms = np.empty((4 * n, 36))
+    terms[:, 0:4] = (2.0 * q) * c[:, None]
+    terms[:, 4:8] = -terms[:, 0:4]
+    terms[:, 8:10] = (-4.0 * s[:, 1:3]) * c[:, None]
+    terms[:, 10:13] = 0.5 * w
+    terms[:, 13:16] = -terms[:, 10:13]
+    terms[:, 16:20] = 0.5 * q
+    terms[:, 20:24] = -terms[:, 16:20]
+    gyro = np.array([-(jz - jy), -(jz - jy), -(jx - jz), -(jx - jz), -(jy - jx), -(jy - jx)])
+    terms[:, 24:30] = (gyro * w[:, _GYRO_RATE]) / np.array([jx, jx, jy, jy, jz, jz])
+    terms[:, 30] = 2.0 * (qx * qz + qw * qy)
+    terms[:, 31] = 2.0 * (qy * qz - qw * qx)
+    terms[:, 32] = 1.0 - 2.0 * (qx * qx + qy * qy)
+    terms[:, 33:36] = (1.0 / jx, 1.0 / jy, 1.0 / jz)
+    m = np.zeros((n, 4, STATE_DIM, STATE_DIM + 4))
+    m[:, :, 0, 3] = m[:, :, 1, 4] = m[:, :, 2, 5] = 1.0
+    m.reshape(4 * n, -1)[:, _JAC_POS] = terms[:, _JAC_TERM]
     return m
 
 
-def _step_with_jacobians(x: np.ndarray, u_dev: np.ndarray, cfg: NmpcConfig, p: VehicleParams):
-    """One RK4 step plus its Jacobians wrt state and (deviation) input.
+def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: VehicleParams):
+    """Rollout that also stores the per-step state and input Jacobians.
 
-    The chain rule runs through all four stages and through the quaternion
-    renormalization, so the Jacobians match the integrator exactly.
+    The Jacobians chain through all four RK4 stages and the quaternion
+    renormalization, so they match the integrator exactly.  Each depends
+    only on its own step's stages, so all are formed after the rollout.
     """
+    n = u.shape[0]
     h = cfg.period
-    a0, t1, t2, t3 = u_dev.tolist()
-    u_abs = np.array([GRAVITY + a0, t1, t2, t3])
-
-    x1 = x
-    k1 = _aerial_rhs(x1, u_abs, p)
-    x2 = x + (0.5 * h) * k1
-    k2 = _aerial_rhs(x2, u_abs, p)
-    x3 = x + (0.5 * h) * k2
-    k3 = _aerial_rhs(x3, u_abs, p)
-    x4 = x + h * k3
-    k4 = _aerial_rhs(x4, u_abs, p)
-    y = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    jx, jy, jz = params.inertia.tolist()
+    g_z = params.g_z
+    states = np.empty((n + 1, STATE_DIM))
+    states[0] = x0
+    x1 = states[0].tolist()
+    stages = []
+    thrusts = []
+    q_hats = np.empty((n, 4))
+    norms = np.empty(n)
+    for j, (a0, t1, t2, t3) in enumerate(u.tolist()):
+        c = GRAVITY + a0
+        vals, later = _rk4_floats(x1, c, t1, t2, t3, jx, jy, jz, g_z, h)
+        stages += (x1[6:], *later)
+        thrusts.append(c)
+        y = states[j + 1]
+        y[:] = vals
+        # As in aerial_step: a non-finite sum is checked exactly.
+        if not math.isfinite(sum(vals)) and not np.isfinite(y).all():
+            raise DivergenceError("prediction step produced a non-finite state", state=y)
+        q = y[QUAT_SLICE]
+        norm = math.sqrt(float(q @ q))
+        if norm < 1e-12:
+            raise DivergenceError("prediction step collapsed the quaternion", state=y)
+        q /= norm
+        q_hats[j] = q
+        norms[j] = norm
+        x1 = y.tolist()
 
     # State and input sensitivities chained through the stages together:
-    # each m holds [d(k)/dx | d(k)/du] as one block.
-    m1 = _rhs_jacobians(x1, u_abs, p)
-    m2 = _rhs_jacobians(x2, u_abs, p)
-    m3 = _rhs_jacobians(x3, u_abs, p)
-    m4 = _rhs_jacobians(x4, u_abs, p)
-    d2 = m2 + (0.5 * h) * (m2[:, :STATE_DIM] @ m1)
-    d3 = m3 + (0.5 * h) * (m3[:, :STATE_DIM] @ d2)
-    d4 = m4 + h * (m4[:, :STATE_DIM] @ d3)
+    # each m holds [d(k)/dx | d(k)/du] as one block per step.
+    jac = _stage_jacobians(stages, thrusts, jx, jy, jz)
+    m1, m2, m3, m4 = jac[:, 0], jac[:, 1], jac[:, 2], jac[:, 3]
+    d2 = m2 + (0.5 * h) * (m2[:, :, :STATE_DIM] @ m1)
+    d3 = m3 + (0.5 * h) * (m3[:, :, :STATE_DIM] @ d2)
+    d4 = m4 + h * (m4[:, :, :STATE_DIM] @ d3)
     total = (h / 6.0) * (m1 + 2.0 * d2 + 2.0 * d3 + d4)
-    a_step = np.eye(STATE_DIM) + total[:, :STATE_DIM]
-    b_step = total[:, STATE_DIM:]
-
-    if not np.isfinite(y).all():
-        raise DivergenceError("prediction step produced a non-finite state", state=y)
-    q = y[QUAT_SLICE]
-    norm = math.sqrt(float(q @ q))
-    if norm < 1e-12:
-        raise DivergenceError("prediction step collapsed the quaternion", state=y)
-    q_hat = q / norm
-    proj = (np.eye(4) - np.outer(q_hat, q_hat)) / norm
-    a_step[QUAT_SLICE, :] = proj @ a_step[QUAT_SLICE, :]
-    b_step[QUAT_SLICE, :] = proj @ b_step[QUAT_SLICE, :]
-
-    out = y.copy()
-    out[QUAT_SLICE] = q_hat
-    return out, a_step, b_step
-
-
-def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: VehicleParams):
-    """Rollout that also stores the per-step state and input Jacobians."""
-    n = u.shape[0]
-    states = np.empty((n + 1, STATE_DIM))
-    a_steps = np.empty((n, STATE_DIM, STATE_DIM))
-    b_steps = np.empty((n, STATE_DIM, 4))
-    states[0] = x0
-    x = np.asarray(x0, dtype=float)
-    for j in range(n):
-        x, a_j, b_j = _step_with_jacobians(x, u[j], cfg, params)
-        states[j + 1] = x
-        a_steps[j] = a_j
-        b_steps[j] = b_j
+    a_steps = _EYE_STATE + total[:, :, :STATE_DIM]
+    b_steps = total[:, :, STATE_DIM:]
+    proj = (_EYE_QUAT - q_hats[:, :, None] * q_hats[:, None, :]) / norms[:, None, None]
+    a_steps[:, QUAT_SLICE, :] = proj @ a_steps[:, QUAT_SLICE, :]
+    b_steps[:, QUAT_SLICE, :] = proj @ b_steps[:, QUAT_SLICE, :]
     return states, a_steps, b_steps
 
 
-def _state_cost_gradient(
-    x: np.ndarray,
-    ref: np.ndarray,
-    cfg: NmpcConfig,
-    lam_r: float,
-    lam_p: float,
-    weight: float,
-) -> np.ndarray:
+def _state_cost_gradient(x, ref, cfg: NmpcConfig, lam_r, lam_p, weight) -> np.ndarray:
     """Gradient wrt the state of the tracking term plus the (augmented)
-    tilt penalty for one horizon step."""
-    grad = np.zeros(STATE_DIM)
-    q = x[QUAT_SLICE]
-
-    grad[0] = 2.0 * cfg.q_x * (x[0] - ref[0])
-    grad[1] = 2.0 * cfg.q_y * (x[1] - ref[1])
-    grad[2] = 2.0 * cfg.q_z * (x[2] - ref[2])
-
+    tilt penalty for one horizon step; ``x`` and ``ref`` are float lists."""
+    q = x[6:10]
     yaw, dyaw = _yaw_of(q)
-    grad[QUAT_SLICE] += 2.0 * cfg.q_yaw * wrap_angle(yaw - ref[3]) * dyaw
-
+    k = 2.0 * cfg.q_yaw * wrap_angle(yaw - ref[3])
+    g_q = [0.0 + k * d for d in dyaw]
     if weight > 0.0:
         roll, droll = _roll_of(q)
         s_r = lam_r / (2.0 * weight) + abs(roll) - cfg.tilt_max
         if s_r > 0.0:
-            grad[QUAT_SLICE] += (
-                2.0 * weight * s_r * math.copysign(1.0, roll) * droll
-            )
+            k = 2.0 * weight * s_r * math.copysign(1.0, roll)
+            g_q = [g + k * d for g, d in zip(g_q, droll)]
         pitch, dpitch = _pitch_of(q)
         s_p = lam_p / (2.0 * weight) + abs(pitch) - cfg.tilt_max
         if s_p > 0.0:
-            grad[QUAT_SLICE] += (
-                2.0 * weight * s_p * math.copysign(1.0, pitch) * dpitch
-            )
-    return grad
+            k = 2.0 * weight * s_p * math.copysign(1.0, pitch)
+            g_q = [g + k * d for g, d in zip(g_q, dpitch)]
+    return np.array([
+        2.0 * cfg.q_x * (x[0] - ref[0]),
+        2.0 * cfg.q_y * (x[1] - ref[1]),
+        2.0 * cfg.q_z * (x[2] - ref[2]),
+        0.0, 0.0, 0.0, *g_q, 0.0, 0.0, 0.0,
+    ])
 
 
 def _adjoint_gradient(
     states, a_steps, b_steps, u, refs, cfg: NmpcConfig, lam_r, lam_p, weight
 ) -> np.ndarray:
-    """Reverse-mode gradient of the stage objective wrt all inputs."""
+    """Reverse-mode gradient of the stage objective wrt all inputs.
+
+    The costates run backwards one step at a time; their input terms
+    ``B_j^T lam`` are then formed for the whole horizon at once.
+    """
     n = u.shape[0]
-    r = cfg.r_diag
-    grad = np.empty((n, 4))
+    xs, rs = states.tolist(), refs.tolist()
+    lr, lp = lam_r.tolist(), lam_p.tolist()
+    lams = np.empty((n, STATE_DIM, 1))
     lam = np.zeros(STATE_DIM)
     for j in range(n, 0, -1):
         lam = lam + _state_cost_gradient(
-            states[j], refs[j - 1], cfg, lam_r[j - 1], lam_p[j - 1], weight
+            xs[j], rs[j - 1], cfg, lr[j - 1], lp[j - 1], weight
         )
-        grad[j - 1] = 2.0 * r * u[j - 1] + b_steps[j - 1].T @ lam
+        lams[j - 1, :, 0] = lam
         lam = a_steps[j - 1].T @ lam
-    return grad
+    return 2.0 * cfg.r_diag * u + (b_steps.transpose(0, 2, 1) @ lams)[:, :, 0]
 
 
 def cost_gradient(
@@ -516,7 +493,7 @@ def _braking_inputs(
     u = np.zeros((n, 4))
     x = np.asarray(x0, dtype=float)
     for j in range(n):
-        q = x[QUAT_SLICE]
+        q = x[QUAT_SLICE].tolist()
         roll, _ = _roll_of(q)
         pitch, _ = _pitch_of(q)
         wx, wy, wz = x[10:13]
@@ -545,25 +522,23 @@ def _gauss_newton_direction(
     for j in range(n):
         sens = a_steps[j] @ sens
         sens[:, 4 * j : 4 * j + 4] += b_steps[j]
-        x = states[j + 1]
-        q = x[QUAT_SLICE]
+        q = states[j + 1, QUAT_SLICE].tolist()
         rows = np.empty((4, m))
         rows[0] = sens[0]
         rows[1] = sens[1]
         rows[2] = sens[2]
-        _, dyaw = _yaw_of(q)
-        rows[3] = dyaw @ sens[QUAT_SLICE, :]
+        rows[3] = np.array(_yaw_of(q)[1]) @ sens[QUAT_SLICE, :]
         h_mat += 2.0 * (rows.T * q_diag) @ rows
         if weight > 0.0:
             # Curvature rows exactly where the penalty gradient acts, so the
             # quadratic model stays consistent with the objective.
             roll, droll = _roll_of(q)
             if lam_r[j] / (2.0 * weight) + abs(roll) - cfg.tilt_max > 0.0:
-                row = droll @ sens[QUAT_SLICE, :]
+                row = np.array(droll) @ sens[QUAT_SLICE, :]
                 h_mat += (2.0 * weight) * np.outer(row, row)
             pitch, dpitch = _pitch_of(q)
             if lam_p[j] / (2.0 * weight) + abs(pitch) - cfg.tilt_max > 0.0:
-                row = dpitch @ sens[QUAT_SLICE, :]
+                row = np.array(dpitch) @ sens[QUAT_SLICE, :]
                 h_mat += (2.0 * weight) * np.outer(row, row)
     step = np.linalg.solve(h_mat + damping * np.eye(m), -grad.reshape(m))
     return step.reshape(n, 4)
@@ -583,9 +558,9 @@ def _project(u: np.ndarray, cfg: NmpcConfig) -> np.ndarray:
 def _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight):
     """Projected Armijo backtracking along direction ``d``.
 
-    Returns (trial, stage cost, tracking, roll excess, pitch excess) on
-    acceptance, None when no step along the direction yields sufficient
-    decrease.
+    Returns (trial, stage cost, tracking, roll excess, pitch excess,
+    rollout) on acceptance, None when no step along the direction yields
+    sufficient decrease.
     """
     alpha = 1.0
     gap_floor = 1e-15 * max(1.0, abs(cost))
@@ -594,13 +569,14 @@ def _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight):
         gap = float(np.dot(grad.ravel(), (u - trial).ravel()))
         if gap <= gap_floor:
             return None
-        tracking, g_roll, g_pitch = _cost_parts(x0, trial, refs, cfg, params)
+        parts = _cost_parts(x0, trial, refs, cfg, params)
+        tracking, g_roll, g_pitch, _ = parts
         if math.isfinite(tracking):
             trial_cost = _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight)
         else:
             trial_cost = math.inf
         if trial_cost <= cost - _ARMIJO_SIGMA * gap:
-            return trial, trial_cost, tracking, g_roll, g_pitch
+            return (trial, trial_cost, *parts)
         alpha *= _BACKTRACK
     return None
 
@@ -654,7 +630,7 @@ def solve(
             diagnostics={"tracking_cost": warm_parts[0]},
         )
     warm0 = u.copy()
-    tracking, g_roll, g_pitch = warm_parts
+    tracking, g_roll, g_pitch, _ = warm_parts
 
     def _canonical(parts):
         return parts[0] + _plain_penalty_value(parts[1], parts[2], cfg.tilt_weight)
@@ -681,7 +657,7 @@ def solve(
             hover_feas == best_feas and hover_canon < best_canon
         ):
             u = hover_u
-            tracking, g_roll, g_pitch = hover_parts
+            tracking, g_roll, g_pitch, _ = hover_parts
             best_u, best_parts = hover_u, hover_parts
             best_canon, best_feas = hover_canon, hover_feas
 
@@ -721,10 +697,10 @@ def solve(
         if hit is None:
             stage_solved = True  # stationary for this stage
         else:
-            trial, trial_cost, tracking, g_roll, g_pitch = hit
+            trial, trial_cost, tracking, g_roll, g_pitch, _ = hit
             decrease = cost - trial_cost
             u, cost = trial, trial_cost
-            parts = (tracking, g_roll, g_pitch)
+            parts = hit[2:]
             canon = _canonical(parts)
             feas = _feasible(parts)
             if (feas and not best_feas) or (feas == best_feas and canon < best_canon):
@@ -768,7 +744,7 @@ def solve(
         )
         if warm_cost < cost:
             u = warm0.copy()
-            tracking, g_roll, g_pitch = warm_parts
+            tracking, g_roll, g_pitch, _ = warm_parts
             cost = warm_cost
 
     if not best_feas:
@@ -788,7 +764,7 @@ def solve(
         except DivergenceError:
             pass
 
-    states, outputs = rollout(x0, best_u, cfg, params)
+    states, outputs = best_parts[3]
     return NmpcSolution(
         u=best_u,
         states=states,

@@ -36,13 +36,13 @@ from .dynamics import (
     TerrestrialInput,
     VehicleParams,
     VehicleState,
+    _aquatic_rhs,
+    _terrestrial_rhs,
     allocate,
-    aquatic_derivative,
     aquatic_rotor_speeds,
     aerial_step,
     forward_mix,
     step_rk4,
-    terrestrial_derivative,
 )
 from .errors import ConfigError, DivergenceError, MissionError
 from .fsm import (
@@ -481,9 +481,9 @@ class _Runner:
             return
         if mode.substate is not SubState.DRIVING:
             return
-        rhs = terrestrial_derivative if mode.medium is Medium.TERRESTRIAL \
-            else aquatic_derivative
-        model = lambda s, u: rhs(s, u, self.params)  # noqa: E731
+        rhs = _terrestrial_rhs if mode.medium is Medium.TERRESTRIAL else _aquatic_rhs
+        params = self.params
+        model = lambda s, u: rhs(s, u, params)  # noqa: E731
         pose = self.pose
         for _ in range(self.substeps):
             pose = step_rk4(model, pose, self.surface_u, dt)
