@@ -98,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="simulated-seconds budget override (finite, positive)",
         )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="reserved; runs are deterministic and ignore it",
-        )
 
     sim = sub.add_parser("simulate", help="run one mission closed loop")
     add_common(sim)

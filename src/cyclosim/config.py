@@ -13,10 +13,11 @@ Sections::
 
     pid:   channels x, y, z, roll, pitch, yaw, each with p/i/d,
            plus windup_limit, tilt_limit, torque_limit
-    nmpc:  horizon, period, q_x..q_yaw, r_c..r_yaw, accel_min, accel_max,
-           tilt_max, max_iters, tol, tilt_weight
+    nmpc:  horizon, period, q_x, q_y, q_z, q_yaw, r_c, r_roll, r_pitch,
+           r_yaw, accel_min, accel_max, tilt_max, max_iters, tol, tilt_weight
     sim:   cruise_ground, cruise_air, cruise_water, land_speed,
-           arrival_radius, controller_period, time_limit, hover_hold
+           arrival_radius, controller_period, time_limit, hover_hold,
+           yaw_slew
 """
 
 from __future__ import annotations

@@ -36,13 +36,13 @@ from .dynamics import (
     TerrestrialInput,
     VehicleParams,
     VehicleState,
-    _aquatic_rhs,
-    _terrestrial_rhs,
+    _planar_rates,
+    _planar_rk4,
     allocate,
     aquatic_rotor_speeds,
     aerial_step,
     forward_mix,
-    step_rk4,
+    step_rk4,  # noqa: F401  unused; perfbench's tracer looks the name up here
 )
 from .errors import ConfigError, DivergenceError, MissionError
 from .fsm import (
@@ -207,13 +207,6 @@ class TrackingMetrics:
         return tuple(s.arrival_time for s in self.segments)
 
 
-def _surface_state_row(pose: np.ndarray, speed: float, turn_rate: float) -> list:
-    """Expand a planar (x, y, heading) pose into the 13 state cells of a log row."""
-    x, y, heading = pose.tolist()
-    return [x, y, 0.0, speed * math.cos(heading), speed * math.sin(heading), 0.0,
-            *quat_from_yaw(heading).tolist(), 0.0, 0.0, turn_rate]
-
-
 def _drive_terrestrial(pose: np.ndarray, ref: np.ndarray, cruise: float,
                        track_width: float) -> TerrestrialInput:
     """Differential-drive pursuit of the reference point."""
@@ -300,12 +293,7 @@ class _Runner:
     def speed(self) -> float:
         if self.mode.medium is Medium.AERIAL and self.x13 is not None:
             return float(np.linalg.norm(self.x13[3:6]))
-        u = self.surface_u
-        if isinstance(u, TerrestrialInput):
-            return abs(0.5 * (u.v_left + u.v_right))
-        if isinstance(u, AquaticInput):
-            return abs(u.speed)
-        return 0.0
+        return abs(_planar_rates(self.surface_u, self.params)[0])
 
     # -- mode transitions ----------------------------------------------
 
@@ -481,15 +469,8 @@ class _Runner:
             return
         if mode.substate is not SubState.DRIVING:
             return
-        rhs = _terrestrial_rhs if mode.medium is Medium.TERRESTRIAL else _aquatic_rhs
-        params = self.params
-        model = lambda s, u: rhs(s, u, params)  # noqa: E731
-        pose = self.pose
-        for _ in range(self.substeps):
-            pose = step_rk4(model, pose, self.surface_u, dt)
-        self.pose = pose
-        if not np.all(np.isfinite(pose)):
-            raise DivergenceError("surface pose diverged", state=pose)
+        speed, turn = _planar_rates(self.surface_u, self.params)
+        self.pose = _planar_rk4(self.pose, speed, turn, dt, self.substeps)
 
     def log_row(self, t: float, ref: np.ndarray) -> None:
         """Record tick ``t``; reads what ``actuate`` set and changes nothing."""
@@ -504,16 +485,11 @@ class _Runner:
         if mode.medium is Medium.AERIAL:
             row[_STATE] = self.x13
         else:
-            u = self.surface_u
-            if isinstance(u, TerrestrialInput):
-                speed = 0.5 * (u.v_left + u.v_right)
-                turn = (u.v_right - u.v_left) / self.params.track_width
-            elif isinstance(u, AquaticInput):
-                speed = u.speed
-                turn = u.speed * math.tan(u.steering) / self.params.wheelbase
-            else:
-                speed, turn = 0.0, 0.0
-            row[_STATE] = _surface_state_row(self.pose, speed, turn)
+            # The planar pose expanded into the 13 state cells.
+            x, y, heading = self.pose.tolist()
+            speed, turn = _planar_rates(self.surface_u, self.params)
+            row[_STATE] = [x, y, 0.0, speed * math.cos(heading), speed * math.sin(heading),
+                           0.0, *quat_from_yaw(heading).tolist(), 0.0, 0.0, turn]
         row[_REF] = ref
         row[_INPUTS] = self.applied
         row[_ROTORS] = self.rotors

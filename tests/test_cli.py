@@ -80,7 +80,7 @@ class TestSimulate:
     def test_mini_mission_completes(self, mini_path, tmp_path, capsys):
         code = main([
             "simulate", "--mission", str(mini_path), "--controller", "pid",
-            "--out", str(tmp_path), "--seed", "7",
+            "--out", str(tmp_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -168,6 +168,16 @@ class TestSimulate:
         _, last = _last_line(capsys)
         assert last.startswith("error:")
         assert "diverged" in last
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_seed_is_usage_error(self, mini_path, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                command, "--mission", str(mini_path),
+                "--seed", "7", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_controller_is_usage_error(self, mini_path, tmp_path):
         with pytest.raises(SystemExit) as exc:

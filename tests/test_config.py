@@ -4,9 +4,21 @@ Oracles: every expected value is restated from the defaults or from the
 file written by the test itself; every rejection names the offending key.
 """
 
+import re
+from dataclasses import fields
+
 import pytest
 
-from cyclosim.config import ENV_CONFIG_VAR, default_config, load_config
+from cyclosim import config
+from cyclosim.config import (
+    ENV_CONFIG_VAR,
+    Config,
+    NmpcConfig,
+    PidConfig,
+    SimConfig,
+    default_config,
+    load_config,
+)
 from cyclosim.errors import ConfigError
 
 
@@ -114,3 +126,11 @@ class TestFallbacks:
         monkeypatch.setenv(ENV_CONFIG_VAR, str(tmp_path / "missing.yaml"))
         with pytest.raises(ConfigError, match="missing.yaml"):
             load_config(None)
+
+
+class TestDocstring:
+    @pytest.mark.parametrize("cls", [Config, NmpcConfig, SimConfig, PidConfig])
+    def test_every_key_is_listed(self, cls):
+        missing = [f.name for f in fields(cls)
+                   if not re.search(rf"\b{f.name}\b", config.__doc__)]
+        assert missing == []

@@ -8,9 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclosim.config import default_config
 from cyclosim.dynamics import (
+    _planar_rates,
+    _planar_rk4,
     AQUATIC_DRAG_GAIN,
     QUAT_SLICE,
     STATE_DIM,
@@ -133,6 +137,91 @@ class TestSurfaceModels:
             )
         assert pose[0] == pytest.approx(1.0, abs=1e-12)
         assert pose[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_SPEED = st.one_of(st.sampled_from([0.0, -0.0]), _finite(-5.0, 5.0))
+_NEAR_RIGHT_ANGLE = math.nextafter(0.5 * math.pi, 0.0)
+_STEERING = st.one_of(
+    _finite(-1.5, 1.5),
+    st.sampled_from([_NEAR_RIGHT_ANGLE, -_NEAR_RIGHT_ANGLE]),
+    _finite(1.57, _NEAR_RIGHT_ANGLE).flatmap(lambda a: st.sampled_from([a, -a])),
+)
+_SURFACE_INPUT = st.one_of(
+    st.builds(TerrestrialInput, _SPEED, _SPEED),
+    st.builds(AquaticInput, _SPEED, _STEERING),
+)
+
+
+class TestPlanarKernel:
+    """``_planar_rk4`` against repeated ``step_rk4`` over the public derivatives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pose=st.tuples(_finite(-1e4, 1e4), _finite(-1e4, 1e4), _finite(-100.0, 100.0)),
+        u=_SURFACE_INPUT,
+        dt=_finite(1e-5, 0.05),
+        steps=st.integers(1, 20),
+        length=_finite(0.05, 2.0),
+    )
+    def test_matches_step_rk4_bit_for_bit(self, pose, u, dt, steps, length):
+        p = VehicleParams(track_width=length, wheelbase=length)
+        f = terrestrial_derivative if isinstance(u, TerrestrialInput) else aquatic_derivative
+        expected = np.array(pose)
+        for _ in range(steps):
+            expected = step_rk4(lambda s, uu: f(s, uu, p), expected, u, dt)
+        got = _planar_rk4(np.array(pose), *_planar_rates(u, p), dt, steps)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_overflowing_position_diverges(self):
+        with pytest.raises(DivergenceError) as exc_info:
+            _planar_rk4(np.array([1.7e308, 0.0, 0.0]), 1e308, 0.0, 0.05, 10)
+        assert exc_info.value.state is not None
+
+    def test_diverges_at_the_same_substep(self):
+        # Speed 3.1e307 turning at -5 rad/s: the stage-rate sum of x
+        # overflows once the heading is near zero, on the fourth substep.
+        p = VehicleParams(track_width=1e307)
+        u = TerrestrialInput(v_left=5.6e307, v_right=0.6e307)
+        pose, dt = np.array([0.0, 0.0, 1.0]), 0.05
+        x = pose
+        with np.errstate(over="ignore"):
+            for first in range(1, 20):
+                try:
+                    x = step_rk4(lambda s, uu: terrestrial_derivative(s, uu, p), x, u, dt)
+                except DivergenceError as exc:
+                    expected = exc.state
+                    break
+        assert first == 4
+        speed, turn = _planar_rates(u, p)
+        assert np.array_equal(_planar_rk4(pose, speed, turn, dt, first - 1), x)
+        with pytest.raises(DivergenceError) as exc_info:
+            _planar_rk4(pose, speed, turn, dt, first)
+        assert np.array_equal(exc_info.value.state, expected)
+
+    def test_finite_pose_with_an_overflowing_sum_is_kept(self):
+        pose = np.array([1.7e308, 1.7e308, 0.0])
+        assert np.array_equal(_planar_rk4(pose, 0.0, 0.0, 1e-3, 5), pose)
+
+    def test_overflowing_heading_diverges(self):
+        # The stage heading overflows to infinity, where math.cos raises
+        # ValueError; the kernel reports a divergence instead.
+        with pytest.raises(DivergenceError):
+            _planar_rk4(np.array([0.0, 0.0, 1.7e308]), 1.0, 1e308, 0.05, 1)
+
+    def test_infinite_turn_rate_diverges(self):
+        with pytest.raises(DivergenceError):
+            _planar_rk4(np.zeros(3), 1.0, math.inf, 1e-3, 10)
+
+    def test_derivatives_check_the_input_type(self, params):
+        with pytest.raises(TypeError):
+            terrestrial_derivative(np.zeros(3), AquaticInput(1.0, 0.1), params)
+        with pytest.raises(TypeError):
+            aquatic_derivative(np.zeros(3), TerrestrialInput(1.0, 1.0), params)
 
 
 class TestRk4:

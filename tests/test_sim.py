@@ -214,6 +214,21 @@ class TestRunEndings:
         assert len(log) > 10
         assert np.all(np.isfinite(log.state))
 
+    def test_surface_divergence_ends_run_diverged(self, cfg):
+        # A quarter-turn pursuit commands the largest turn rate; with a huge
+        # track the wheel speeds differ by more than the largest float, so
+        # the heading rate is infinite on the first driving tick.
+        wide = dataclasses.replace(cfg, track_width=1.7e308)
+        ground = Mission(
+            segments=(Segment(Medium.TERRESTRIAL, Action.DRIVE, np.array([10.0, 10.0, 0.0])),),
+            start=np.array([10.0, 0.0, 0.0]),
+        )
+        log = run(wide, ground, controller="pid")
+        assert log.diverged
+        assert not (log.completed or log.time_limit_hit)
+        assert log.medium[-1] == "terrestrial"
+        assert np.all(np.isfinite(log.state[:, 0:3]))
+
     def test_unknown_controller_rejected(self, cfg, mission):
         with pytest.raises(ValueError, match="controller"):
             run(cfg, mission, controller="lqr")
