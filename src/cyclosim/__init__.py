@@ -69,9 +69,9 @@ from .mission import (
     ReferenceGenerator,
     Segment,
     builtin_mission,
-    final_mode,
     load_mission,
     mission_events,
+    mission_plan,
     save_mission,
 )
 from .nmpc import NmpcController, NmpcSolution, solve

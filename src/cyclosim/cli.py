@@ -33,7 +33,6 @@ from .mission import (
     Mission,
     atomic_write,
     builtin_mission,
-    final_mode,
     load_mission,
     mission_events,
 )
@@ -311,14 +310,6 @@ def _cmd_validate_fsm(args: argparse.Namespace) -> int:
     states = replay(initial_state(), events)
     for i, state in enumerate(states):
         print(f"{i:>2}: {state.label()}")
-    wanted = final_mode(mission)
-    reached = (states[-1].medium, states[-1].substate)
-    if reached != wanted:
-        return _fail(
-            f"trace ends at {states[-1].label()}, mission needs "
-            f"{wanted[0].value}/{wanted[1].value}",
-            1,
-        )
     print(f"result: trace of {len(states)} states reaches "
           f"{states[-1].label()} on {name}")
     return EXIT_OK

@@ -90,8 +90,6 @@ class VehicleParams:
         Servo tilt travel, rad.
     dt : float
         Plant integration step, s.
-    g_z : float
-        Gravitational acceleration, m/s^2.
     """
 
     mass: float = 0.75
@@ -105,7 +103,6 @@ class VehicleParams:
     rotor_max: float = 1200.0
     servo_max: float = math.pi / 4.0
     dt: float = 1.0e-3
-    g_z: float = GRAVITY
 
     def __post_init__(self):
         inertia = np.asarray(self.inertia, dtype=float)
@@ -124,7 +121,7 @@ class VehicleParams:
     @classmethod
     def from_config(cls, cfg: Config) -> "VehicleParams":
         shared = {f.name: getattr(cfg, f.name) for f in fields(cls)
-                  if f.name not in ("inertia", "g_z")}
+                  if f.name != "inertia"}
         return cls(inertia=np.array([cfg.inertia_xx, cfg.inertia_yy, cfg.inertia_zz]),
                    **shared)
 
@@ -246,14 +243,14 @@ class ActuatorCommand:
 # ---------------------------------------------------------------------------
 
 
-def _rates(qw, qx, qy, qz, wx, wy, wz, c, tx, ty, tz, jx, jy, jz, g_z):
+def _rates(qw, qx, qy, qz, wx, wy, wz, c, tx, ty, tz, jx, jy, jz):
     """Acceleration, quaternion rate and body acceleration as 10 floats:
     scalar numpy arithmetic is several times slower on this hot path."""
     return (
         # v_dot = R(q) @ (0, 0, c) - (0, 0, g): only the third column of R matters.
         2.0 * (qx * qz + qw * qy) * c,
         2.0 * (qy * qz - qw * qx) * c,
-        (1.0 - 2.0 * (qx * qx + qy * qy)) * c - g_z,
+        (1.0 - 2.0 * (qx * qx + qy * qy)) * c - GRAVITY,
         # q_dot = 0.5 * Omega(w) @ q
         0.5 * (-wx * qx - wy * qy - wz * qz),
         0.5 * (wx * qw + wz * qy - wy * qz),
@@ -269,7 +266,7 @@ def _rates(qw, qx, qy, qz, wx, wy, wz, c, tx, ty, tz, jx, jy, jz, g_z):
 def _aerial_rhs(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndarray:
     """Aerial state derivative; hot path, no validation."""
     _, _, _, vx, vy, vz, *attitude = x.tolist()
-    return np.array([vx, vy, vz, *_rates(*attitude, *u.tolist(), *p.inertia.tolist(), p.g_z)])
+    return np.array([vx, vy, vz, *_rates(*attitude, *u.tolist(), *p.inertia.tolist())])
 
 
 def aerial_derivative(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndarray:
@@ -397,7 +394,7 @@ def step_rk4(model, state: np.ndarray, u, dt: float, quat_slice: slice | None = 
     return out
 
 
-def _rk4_floats(s, c, tx, ty, tz, jx, jy, jz, g_z, dt):
+def _rk4_floats(s, c, tx, ty, tz, jx, jy, jz, dt):
     """One classical RK4 step of the aerial model over plain floats.
 
     ``s`` is the state as 13 floats.  Returns the end state as a 13-tuple,
@@ -409,7 +406,7 @@ def _rk4_floats(s, c, tx, ty, tz, jx, jy, jz, g_z, dt):
     derivative reads them.
     """
     px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s
-    u = (c, tx, ty, tz, jx, jy, jz, g_z)
+    u = (c, tx, ty, tz, jx, jy, jz)
     h = 0.5 * dt
     a1x, a1y, a1z, e1w, e1x, e1y, e1z, r1x, r1y, r1z = _rates(qw, qx, qy, qz, wx, wy, wz, *u)
     s2 = (qw + h * e1w, qx + h * e1x, qy + h * e1y, qz + h * e1z,
@@ -483,7 +480,7 @@ def aerial_step(x: np.ndarray, u: np.ndarray, p: VehicleParams, dt: float) -> np
         raise ValueError(f"dt must lie in (0, 0.05], got {dt!r}")
     c, tx, ty, tz = u.tolist()
     jx, jy, jz = p.inertia.tolist()
-    vals, _ = _rk4_floats(x.tolist(), c, tx, ty, tz, jx, jy, jz, p.g_z, dt)
+    vals, _ = _rk4_floats(x.tolist(), c, tx, ty, tz, jx, jy, jz, dt)
     out = np.array(vals)
     # The norm stays a numpy dot: its rounding differs from a Python sum.
     q = out[QUAT_SLICE]

@@ -12,9 +12,11 @@ for the medium, takeoffs climb vertically before any lateral move, landings
 move laterally above the pad before descending, and the yaw reference slews
 toward the path heading at a bounded rate so it never jumps.
 
-``mission_events`` derives the nominal state-machine event sequence for a
-mission, which the simulator fires through guard conditions and the CLI
-replays for validation.
+``mission_plan`` is the one place the mode sequence is decided: it folds
+the route through the transition table once and records, per segment, the
+events fired on entry, the mode held and the event fired on completion.
+The simulator fires exactly those events through its guard conditions,
+and ``mission_events`` flattens them for the CLI to replay.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ __all__ = [
     "builtin_mission",
     "load_mission",
     "save_mission",
-    "segment_entry_events",
-    "segment_completion_event",
-    "in_progress_mode",
+    "SegmentPlan",
+    "mission_plan",
     "mission_events",
-    "final_mode",
     "ReferenceGenerator",
 ]
 
@@ -208,8 +208,8 @@ def load_mission(path) -> Mission:
     Raises
     ------
     MissionError
-        If the file cannot be read or parsed, or any record is invalid;
-        record errors name the segment index.
+        If the file cannot be read or parsed, or the start or any record
+        is invalid; record errors name the segment index.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -235,7 +235,8 @@ def load_mission(path) -> Mission:
         except MissionError as exc:
             raise MissionError(f"segment {i}: {exc}") from exc
     try:
-        return Mission(segments=tuple(segments), start=raw.get("start", np.zeros(3)))
+        start = _point(raw["start"], "start") if "start" in raw else np.zeros(3)
+        return Mission(segments=tuple(segments), start=start)
     except MissionError as exc:
         raise MissionError(f"mission file {path}: {exc}") from exc
 
@@ -260,13 +261,17 @@ def _segment_from_record(rec) -> Segment:
     hold = rec.get("hold", 0.0)
     if not isinstance(hold, (int, float)) or isinstance(hold, bool):
         raise MissionError("hold must be a number")
-    target = rec["target"]
-    if not isinstance(target, (list, tuple)) or len(target) != 3 or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in target
-    ):
-        raise MissionError("target must be a 3-number list")
-    return Segment(medium=medium, action=action, target=np.array(target, dtype=float),
+    return Segment(medium=medium, action=action, target=_point(rec["target"], "target"),
                    hold=float(hold))
+
+
+def _point(value, name: str) -> np.ndarray:
+    """A YAML (x, y, z) value as an array; booleans are not numbers here."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise MissionError(f"{name} must be a 3-number list")
+    return np.array(value, dtype=float)
 
 
 def save_mission(mission: Mission, path) -> None:
@@ -284,7 +289,7 @@ def save_mission(mission: Mission, path) -> None:
     atomic_write(path, [yaml.safe_dump(payload, sort_keys=False)])
 
 
-def in_progress_mode(segment: Segment, start_z: float) -> tuple[Medium, SubState]:
+def _in_progress_mode(segment: Segment, start_z: float) -> tuple[Medium, SubState]:
     """The mode the vehicle holds while flying/driving ``segment``.
 
     ``start_z`` is the altitude the segment starts from; a FLY_TO below it
@@ -301,37 +306,26 @@ def in_progress_mode(segment: Segment, start_z: float) -> tuple[Medium, SubState
     return (Medium.AERIAL, SubState.HOVERING)
 
 
-def segment_entry_events(
-    state: ModeState, segment: Segment, start_z: float
-) -> list[TransitionEvent]:
-    """Events that move the machine from ``state`` into the segment's mode.
+def _entry_events(state: ModeState, wanted: SubState) -> list[TransitionEvent]:
+    """Events that move the machine from ``state`` into sub-state ``wanted``.
 
     Returns the (possibly empty) event list; it does not check legality.
-    The fold in :func:`mission_events` rejects sequences the transition
-    table cannot realize.
     """
     ev = TransitionEvent
-    events: list[TransitionEvent] = []
-    if segment.action is Action.DRIVE:
-        events.append(ev(EventKind.COMMAND, CommandId.DRIVE))
-    elif segment.action is Action.TAKEOFF:
-        if state.medium is not Medium.AERIAL:
-            events.append(ev(EventKind.GEAR_CONFIGURED))
-        events.append(ev(EventKind.COMMAND, CommandId.TAKEOFF))
-    elif segment.action is Action.LAND:
-        if state.substate is SubState.HOVERING:
-            events.append(ev(EventKind.COMMAND, CommandId.LAND))
-    else:
-        wanted = in_progress_mode(segment, start_z)[1]
-        if wanted is SubState.LANDING and state.substate is SubState.HOVERING:
-            events.append(ev(EventKind.COMMAND, CommandId.LAND))
-        elif wanted is SubState.HOVERING and state.substate is SubState.LANDING:
-            events.append(ev(EventKind.COMMAND, CommandId.HOVER))
-    return events
+    if wanted is SubState.DRIVING:
+        return [ev(EventKind.COMMAND, CommandId.DRIVE)]
+    if wanted is SubState.TAKEOFF:
+        gear = [] if state.medium is Medium.AERIAL else [ev(EventKind.GEAR_CONFIGURED)]
+        return gear + [ev(EventKind.COMMAND, CommandId.TAKEOFF)]
+    if wanted is SubState.LANDING and state.substate is SubState.HOVERING:
+        return [ev(EventKind.COMMAND, CommandId.LAND)]
+    if wanted is SubState.HOVERING and state.substate is SubState.LANDING:
+        return [ev(EventKind.COMMAND, CommandId.HOVER)]
+    return []
 
 
-def segment_completion_event(
-    segment: Segment, next_segment: Segment | None, index: int
+def _completion_event(
+    segment: Segment, next_segment: Segment, index: int
 ) -> TransitionEvent | None:
     """The event fired when ``segment`` finishes, or None for fly/hover legs."""
     ev = TransitionEvent
@@ -340,19 +334,40 @@ def segment_completion_event(
     if segment.action is Action.TAKEOFF:
         return ev(EventKind.HOVER_STABLE)
     if segment.action is Action.LAND:
-        if next_segment is not None and next_segment.medium is Medium.AQUATIC:
+        if next_segment.medium is Medium.AQUATIC:
             return ev(EventKind.ENTERED_WATER)
         return ev(EventKind.TOUCHED_DOWN)
     return None
 
 
-def mission_events(mission: Mission) -> list[TransitionEvent]:
-    """Nominal state-machine event sequence for ``mission``.
+def _fire(state: ModeState, event: TransitionEvent, index: int) -> ModeState:
+    nxt = step_fsm(state, event)
+    if nxt == state:
+        raise MissionError(
+            f"segment {index}: event {event.label()} is illegal from {state.label()}"
+        )
+    return nxt
+
+
+@dataclass(frozen=True)
+class SegmentPlan:
+    """One segment's mode-machine work: the ``entry`` events fired when it
+    starts, the ``mode`` held while it runs, and the ``completion`` event
+    fired when it finishes (None for fly and hover legs and the last one).
+    """
+
+    entry: tuple[TransitionEvent, ...]
+    mode: ModeState
+    completion: TransitionEvent | None
+
+
+def mission_plan(mission: Mission) -> tuple[SegmentPlan, ...]:
+    """The mode sequence of ``mission``, one :class:`SegmentPlan` per segment.
 
     Folds entry and completion events for every segment through the
-    transition table, starting parked on the ground.  The final segment's
-    completion event is omitted: a run ends at the last waypoint with the
-    segment's mode still active.
+    transition table, starting parked on the ground.  This is the one place
+    the sequence is decided: the runner fires exactly these events and the
+    CLI replays them.
 
     Raises
     ------
@@ -361,47 +376,39 @@ def mission_events(mission: Mission) -> list[TransitionEvent]:
         (for example an aerial leg before any takeoff); the message names
         the segment index.
     """
+    segments = mission.segments
     state = initial_state()
-    events: list[TransitionEvent] = []
     start_z = float(mission.start[2])
-    for i, seg in enumerate(mission.segments):
-        for e in segment_entry_events(state, seg, start_z):
-            nxt = step_fsm(state, e)
-            if nxt == state:
-                raise MissionError(
-                    f"segment {i}: event {e.label()} is illegal from {state.label()}"
-                )
-            state = nxt
-            events.append(e)
-        wanted = in_progress_mode(seg, start_z)
+    plan = []
+    for i, seg in enumerate(segments):
+        wanted = _in_progress_mode(seg, start_z)
+        entry = tuple(_entry_events(state, wanted[1]))
+        for e in entry:
+            state = _fire(state, e, i)
         if (state.medium, state.substate) != wanted:
             raise MissionError(
                 f"segment {i}: {seg.action.value} cannot run from {state.label()}"
             )
-        if i + 1 < len(mission.segments):
-            comp = segment_completion_event(seg, mission.segments[i + 1], i)
-            if comp is not None:
-                nxt = step_fsm(state, comp)
-                if nxt == state:
-                    raise MissionError(
-                        f"segment {i}: event {comp.label()} is illegal "
-                        f"from {state.label()}"
-                    )
-                state = nxt
-                events.append(comp)
+        completion = _completion_event(seg, segments[i + 1], i) \
+            if i + 1 < len(segments) else None
+        plan.append(SegmentPlan(entry=entry, mode=state, completion=completion))
+        if completion is not None:
+            state = _fire(state, completion, i)
         start_z = float(seg.target[2])
+    return tuple(plan)
+
+
+def mission_events(mission: Mission) -> list[TransitionEvent]:
+    """Nominal event sequence for ``mission``: its plan, flattened.
+
+    Raises :class:`MissionError` as :func:`mission_plan` does.
+    """
+    events: list[TransitionEvent] = []
+    for step in mission_plan(mission):
+        events += step.entry
+        if step.completion is not None:
+            events.append(step.completion)
     return events
-
-
-def final_mode(mission: Mission) -> tuple[Medium, SubState]:
-    """Mode the vehicle should be in when the mission's last leg runs."""
-    if not mission.segments:
-        s = initial_state()
-        return (s.medium, s.substate)
-    start_z = float(mission.start[2]) if len(mission.segments) == 1 else float(
-        mission.segments[-2].target[2]
-    )
-    return in_progress_mode(mission.segments[-1], start_z)
 
 
 def _slew(current: float, desired: float, max_delta: float) -> float:

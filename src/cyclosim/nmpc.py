@@ -362,7 +362,6 @@ def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: Vehicl
     n = u.shape[0]
     h = cfg.period
     jx, jy, jz = params.inertia.tolist()
-    g_z = params.g_z
     states = np.empty((n + 1, STATE_DIM))
     states[0] = x0
     x1 = states[0].tolist()
@@ -372,7 +371,7 @@ def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: Vehicl
     norms = np.empty(n)
     for j, (a0, t1, t2, t3) in enumerate(u.tolist()):
         c = GRAVITY + a0
-        vals, later = _rk4_floats(x1, c, t1, t2, t3, jx, jy, jz, g_z, h)
+        vals, later = _rk4_floats(x1, c, t1, t2, t3, jx, jy, jz, h)
         stages += (x1[6:], *later)
         thrusts.append(c)
         y = states[j + 1]

@@ -98,17 +98,16 @@ def position_loop(
     states: tuple[PidChannelState, PidChannelState, PidChannelState],
     cfg: PidConfig,
     dt: float,
-    g_z: float = GRAVITY,
 ):
     """Outer loop: position error to thrust and attitude references.
 
     The three channel PIDs produce a desired world acceleration
-    ``(ax, ay, az)``. Vertical: ``c = g_z + az`` (clipped to [0, 3g]).
+    ``(ax, ay, az)``. Vertical: ``c = g + az`` (clipped to [0, 3g]).
     Horizontal: small-angle inversion of the thrust direction, rotated by
     the current yaw::
 
-        pitch_ref = (ax cos(yaw) + ay sin(yaw)) / g_z
-        roll_ref  = (ax sin(yaw) - ay cos(yaw)) / g_z
+        pitch_ref = (ax cos(yaw) + ay sin(yaw)) / g
+        roll_ref  = (ax sin(yaw) - ay cos(yaw)) / g
 
     both clipped to ``cfg.tilt_limit``.
 
@@ -127,15 +126,15 @@ def position_loop(
         )
         new_states.append(st)
 
-    c = g_z + accel[2]
-    c_max = _C_MAX_G * g_z
+    c = GRAVITY + accel[2]
+    c_max = _C_MAX_G * GRAVITY
     if c < 0.0 or c > c_max:
         log.debug("thrust command %.3f clipped to [0, %.3f]", c, c_max)
         c = max(0.0, min(c_max, c))
 
     cy, sy = math.cos(yaw), math.sin(yaw)
-    pitch_ref = (accel[0] * cy + accel[1] * sy) / g_z
-    roll_ref = (accel[0] * sy - accel[1] * cy) / g_z
+    pitch_ref = (accel[0] * cy + accel[1] * sy) / GRAVITY
+    roll_ref = (accel[0] * sy - accel[1] * cy) / GRAVITY
     lim = cfg.tilt_limit
     if abs(pitch_ref) > lim or abs(roll_ref) > lim:
         log.debug("attitude reference clipped to +/-%.3f rad", lim)
@@ -184,7 +183,6 @@ class CascadePid:
 
     def __init__(self, cfg: Config):
         self._pid = cfg.pid
-        self._g_z = GRAVITY
         self.reset()
 
     def reset(self) -> None:
@@ -204,7 +202,7 @@ class CascadePid:
         pos_err = ref_position - state.position
         yaw = quat_yaw(state.quaternion)
         (c, roll_ref, pitch_ref), self._pos_states = position_loop(
-            pos_err, yaw, self._pos_states, self._pid, dt, self._g_z
+            pos_err, yaw, self._pos_states, self._pid, dt
         )
         roll, pitch = quat_roll_pitch(state.quaternion)
         att_err = np.array([roll_ref - roll, pitch_ref - pitch, ref_yaw - yaw])

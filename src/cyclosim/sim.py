@@ -6,7 +6,9 @@ controllers update at their own period, and the state machine is consulted
 every controller tick through guard conditions on mission progress (arrival
 radii, the hover-stability window, the touchdown envelope).  Reference
 segments advance only when the vehicle satisfies the active segment's
-guard, so every waypoint is actually visited.
+guard, so every waypoint is actually visited.  The guards decide only when
+a segment ends; which events fire is decided in one place, the mission's
+plan (``mission.mission_plan``), and the runner fires exactly those.
 
 Each controller tick runs, in order: mission progress (guards and segment
 advance), the reference step, the active controller, actuation (the held
@@ -42,7 +44,7 @@ from .dynamics import (
     aquatic_rotor_speeds,
     aerial_step,
     forward_mix,
-    step_rk4,  # noqa: F401  unused; perfbench's tracer looks the name up here
+    step_rk4,  # noqa: F401  unused; perfbench's tracer looks it up (test_tracer_names)
 )
 from .errors import ConfigError, DivergenceError, MissionError
 from .fsm import (
@@ -60,10 +62,7 @@ from .mission import (
     Mission,
     ReferenceGenerator,
     atomic_write,
-    in_progress_mode,
-    mission_events,
-    segment_completion_event,
-    segment_entry_events,
+    mission_plan,
 )
 from .nmpc import NmpcController
 from .pid import CascadePid
@@ -241,6 +240,7 @@ class _Runner:
 
     def __init__(self, config: Config, mission: Mission, controller: str,
                  time_limit: float):
+        self.plan = mission_plan(mission)
         self.cfg = config
         self.mission = mission
         self.controller = controller
@@ -266,7 +266,6 @@ class _Runner:
         self.seg_idx = -1
         self.seg_t0 = 0.0
         self.stable_since: float | None = None
-        self.start_z = float(mission.start[2])
 
         self.aerial_u = AerialInput(c=0.0, torque=np.zeros(3))
         self.surface_u = None
@@ -300,10 +299,6 @@ class _Runner:
     def emit(self, event: TransitionEvent, t: float) -> None:
         old = self.mode
         new = step_fsm(old, event)
-        if new == old:
-            raise MissionError(
-                f"event {event.label()} is illegal from {old.label()} at t={t:g}"
-            )
         if event.kind is EventKind.GEAR_CONFIGURED:
             x13 = np.zeros(13)
             x13[0:2] = self.pose[0:2]
@@ -329,18 +324,9 @@ class _Runner:
         self.transitions.append((t, old.label(), event.label(), new.label()))
 
     def advance(self, index: int, t: float) -> None:
-        seg = self.mission.segments[index]
-        for event in segment_entry_events(self.mode, seg, self.start_z):
+        for event in self.plan[index].entry:
             self.emit(event, t)
-        wanted = in_progress_mode(seg, self.start_z)
-        if (self.mode.medium, self.mode.substate) != wanted:
-            raise MissionError(
-                f"segment {index}: {seg.action.value} cannot run from "
-                f"{self.mode.label()}"
-            )
-        start_point = self.mission.start if index == 0 \
-            else self.mission.segments[index - 1].target
-        self.gen.activate(index, t, start_point)
+        self.gen.activate(index, t, self.mission.start)
         self.seg_idx = index
         self.seg_t0 = t
         self.stable_since = None
@@ -385,13 +371,9 @@ class _Runner:
                 return False
             if self.seg_idx == len(self.mission.segments) - 1:
                 return True
-            seg = self.mission.segments[self.seg_idx]
-            event = segment_completion_event(
-                seg, self.mission.segments[self.seg_idx + 1], self.seg_idx
-            )
+            event = self.plan[self.seg_idx].completion
             if event is not None:
                 self.emit(event, t)
-            self.start_z = float(seg.target[2])
             self.advance(self.seg_idx + 1, t)
         raise MissionError("mission made no progress within one tick")
 
@@ -529,7 +511,8 @@ def run(config: Config, mission: Mission, controller: str = "pid",
         Full configuration; the plant steps at ``config.dt``, controllers
         at their own periods.
     mission : Mission
-        Route to fly; validated against the transition table up front.
+        Route to fly; its :func:`~cyclosim.mission.mission_plan` is built up
+        front, so an unrealizable route fails before the first tick.
     controller : str
         "pid" for the cascade controller everywhere, "nmpc" to use the
         predictive controller in aerial modes (surface modes always use
@@ -557,7 +540,6 @@ def run(config: Config, mission: Mission, controller: str = "pid",
     limit = config.sim.time_limit if time_limit is None else float(time_limit)
     if not (math.isfinite(limit) and limit > 0.0):
         raise ValueError(f"time limit must be finite and positive, got {limit!r}")
-    mission_events(mission)
     runner = _Runner(config, mission, controller, limit)
 
     completed = False

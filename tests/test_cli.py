@@ -76,6 +76,22 @@ class TestValidateFsm:
         assert "segment 0" in last
 
 
+class TestMalformedStart:
+    @pytest.mark.parametrize("command", ["simulate", "validate-fsm"])
+    @pytest.mark.parametrize("start", ["abc", "{x: 1}", "[true, 0, 0]", "[1, 2]"])
+    def test_parse_error(self, tmp_path, capsys, command, start):
+        """The start point gets the target's check: a parse error, exit 3."""
+        path = tmp_path / "start.yaml"
+        path.write_text(f"start: {start}\nsegments: []\n")
+        argv = [command, "--mission", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        _, last = _last_line(capsys)
+        assert last.startswith("error:")
+        assert "start must be a 3-number list" in last
+
+
 class TestSimulate:
     def test_mini_mission_completes(self, mini_path, tmp_path, capsys):
         code = main([

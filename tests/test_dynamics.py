@@ -59,7 +59,7 @@ def mixing_oracle(c: float, tau: np.ndarray, p: VehicleParams):
 class TestAerialDerivative:
     def test_hover_equilibrium_exact_zero(self, params):
         x = hover_state((0.0, 0.0, 5.0)).as_vector()
-        u = np.array([params.g_z, 0.0, 0.0, 0.0])
+        u = np.array([G, 0.0, 0.0, 0.0])
         dx = aerial_derivative(x, u, params)
         assert np.all(dx == 0.0)
 

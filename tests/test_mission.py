@@ -21,9 +21,9 @@ from cyclosim.mission import (
     ReferenceGenerator,
     Segment,
     builtin_mission,
-    final_mode,
     load_mission,
     mission_events,
+    mission_plan,
     save_mission,
 )
 
@@ -118,8 +118,9 @@ class TestBuiltinMission:
         ]
 
     def test_final_mode(self, mission):
-        assert final_mode(mission) == (Medium.AQUATIC, SubState.DRIVING)
-        assert final_mode(Mission(segments=())) == (Medium.TERRESTRIAL, SubState.STATIC)
+        last = mission_plan(mission)[-1].mode
+        assert (last.medium, last.substate) == (Medium.AQUATIC, SubState.DRIVING)
+        assert mission_plan(Mission(segments=())) == ()
 
 
 class TestMissionEvents:
