@@ -48,6 +48,7 @@ from .fsm import (
     legal_transitions,
     replay,
     step_fsm,
+    successor,
 )
 from .geometry import (
     EulerAngles,

@@ -13,9 +13,11 @@ Three plant models share one vehicle:
 All integration uses a fixed-step classical Runge-Kutta 4 scheme. Aerial
 steps renormalize the attitude quaternion afterwards, keeping the norm drift
 far below 1e-9 per step.  Each medium has one plain-float kernel that gives
-the generic :func:`step_rk4` result bit for bit: ``aerial_step`` unrolls one
-step, and the planar kernel runs all of a controller tick's substeps of the
-shared surface model ``(s cos h, s sin h, r)`` in one call.
+the generic :func:`step_rk4` result bit for bit.  The aerial kernel
+``_rk4_floats`` unrolls one step, with the four derivative evaluations
+written out inline; ``aerial_step`` and the optimizer's horizon pass both
+call it.  The planar kernel runs all of a controller tick's substeps of
+the shared surface model ``(s cos h, s sin h, r)`` in one call.
 
 The rotor layout used by the allocation map (the source article does not fix
 one) is four rotors at the corners of a square with half-side ``arm``:
@@ -245,7 +247,10 @@ class ActuatorCommand:
 
 def _rates(qw, qx, qy, qz, wx, wy, wz, c, tx, ty, tz, jx, jy, jz):
     """Acceleration, quaternion rate and body acceleration as 10 floats:
-    scalar numpy arithmetic is several times slower on this hot path."""
+    scalar numpy arithmetic is several times slower on this hot path.
+
+    The reference copy of the aerial formulas; :func:`_rk4_floats` writes
+    them out inline for each RK4 stage, in the same order."""
     return (
         # v_dot = R(q) @ (0, 0, c) - (0, 0, g): only the third column of R matters.
         2.0 * (qx * qz + qw * qy) * c,
@@ -400,24 +405,70 @@ def _rk4_floats(s, c, tx, ty, tz, jx, jy, jz, dt):
     ``s`` is the state as 13 floats.  Returns the end state as a 13-tuple,
     quaternion not yet renormalized, and the attitudes
     ``(qw, qx, qy, qz, wx, wy, wz)`` of stages 2-4, which the optimizer's
-    Jacobians need.  Each value is the operation, in the same order, that
-    :func:`step_rk4` applies to ``aerial_derivative`` arrays, so the result
-    is bit for bit the same; stage positions are skipped because no
-    derivative reads them.
+    Jacobians need.  The four :func:`_rates` evaluations are unrolled
+    inline (a call per stage costs more than its arithmetic); each value is
+    the operation, in the same order, that :func:`step_rk4` applies to
+    ``aerial_derivative`` arrays, so the result is bit for bit the same.
+    Stage positions are skipped because no derivative reads them.
     """
     px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s
-    u = (c, tx, ty, tz, jx, jy, jz)
+    g = GRAVITY
     h = 0.5 * dt
-    a1x, a1y, a1z, e1w, e1x, e1y, e1z, r1x, r1y, r1z = _rates(qw, qx, qy, qz, wx, wy, wz, *u)
-    s2 = (qw + h * e1w, qx + h * e1x, qy + h * e1y, qz + h * e1z,
-          wx + h * r1x, wy + h * r1y, wz + h * r1z)
-    a2x, a2y, a2z, e2w, e2x, e2y, e2z, r2x, r2y, r2z = _rates(*s2, *u)
-    s3 = (qw + h * e2w, qx + h * e2x, qy + h * e2y, qz + h * e2z,
-          wx + h * r2x, wy + h * r2y, wz + h * r2z)
-    a3x, a3y, a3z, e3w, e3x, e3y, e3z, r3x, r3y, r3z = _rates(*s3, *u)
-    s4 = (qw + dt * e3w, qx + dt * e3x, qy + dt * e3y, qz + dt * e3z,
-          wx + dt * r3x, wy + dt * r3y, wz + dt * r3z)
-    a4x, a4y, a4z, e4w, e4x, e4y, e4z, r4x, r4y, r4z = _rates(*s4, *u)
+    # The gyroscopic inertia differences of _rates, formed once.
+    kx, ky, kz = jz - jy, jx - jz, jy - jx
+    # Stage 1: the rates of _rates at the start state.
+    a1x = 2.0 * (qx * qz + qw * qy) * c
+    a1y = 2.0 * (qy * qz - qw * qx) * c
+    a1z = (1.0 - 2.0 * (qx * qx + qy * qy)) * c - g
+    e1w = 0.5 * (-wx * qx - wy * qy - wz * qz)
+    e1x = 0.5 * (wx * qw + wz * qy - wy * qz)
+    e1y = 0.5 * (wy * qw - wz * qx + wx * qz)
+    e1z = 0.5 * (wz * qw + wy * qx - wx * qy)
+    r1x = (tx - kx * wy * wz) / jx
+    r1y = (ty - ky * wz * wx) / jy
+    r1z = (tz - kz * wx * wy) / jz
+    # Stage 2, half a step along stage 1.
+    s2 = (qw2, qx2, qy2, qz2, wx2, wy2, wz2) = (
+        qw + h * e1w, qx + h * e1x, qy + h * e1y, qz + h * e1z,
+        wx + h * r1x, wy + h * r1y, wz + h * r1z)
+    a2x = 2.0 * (qx2 * qz2 + qw2 * qy2) * c
+    a2y = 2.0 * (qy2 * qz2 - qw2 * qx2) * c
+    a2z = (1.0 - 2.0 * (qx2 * qx2 + qy2 * qy2)) * c - g
+    e2w = 0.5 * (-wx2 * qx2 - wy2 * qy2 - wz2 * qz2)
+    e2x = 0.5 * (wx2 * qw2 + wz2 * qy2 - wy2 * qz2)
+    e2y = 0.5 * (wy2 * qw2 - wz2 * qx2 + wx2 * qz2)
+    e2z = 0.5 * (wz2 * qw2 + wy2 * qx2 - wx2 * qy2)
+    r2x = (tx - kx * wy2 * wz2) / jx
+    r2y = (ty - ky * wz2 * wx2) / jy
+    r2z = (tz - kz * wx2 * wy2) / jz
+    # Stage 3, half a step along stage 2.
+    s3 = (qw3, qx3, qy3, qz3, wx3, wy3, wz3) = (
+        qw + h * e2w, qx + h * e2x, qy + h * e2y, qz + h * e2z,
+        wx + h * r2x, wy + h * r2y, wz + h * r2z)
+    a3x = 2.0 * (qx3 * qz3 + qw3 * qy3) * c
+    a3y = 2.0 * (qy3 * qz3 - qw3 * qx3) * c
+    a3z = (1.0 - 2.0 * (qx3 * qx3 + qy3 * qy3)) * c - g
+    e3w = 0.5 * (-wx3 * qx3 - wy3 * qy3 - wz3 * qz3)
+    e3x = 0.5 * (wx3 * qw3 + wz3 * qy3 - wy3 * qz3)
+    e3y = 0.5 * (wy3 * qw3 - wz3 * qx3 + wx3 * qz3)
+    e3z = 0.5 * (wz3 * qw3 + wy3 * qx3 - wx3 * qy3)
+    r3x = (tx - kx * wy3 * wz3) / jx
+    r3y = (ty - ky * wz3 * wx3) / jy
+    r3z = (tz - kz * wx3 * wy3) / jz
+    # Stage 4, a full step along stage 3.
+    s4 = (qw4, qx4, qy4, qz4, wx4, wy4, wz4) = (
+        qw + dt * e3w, qx + dt * e3x, qy + dt * e3y, qz + dt * e3z,
+        wx + dt * r3x, wy + dt * r3y, wz + dt * r3z)
+    a4x = 2.0 * (qx4 * qz4 + qw4 * qy4) * c
+    a4y = 2.0 * (qy4 * qz4 - qw4 * qx4) * c
+    a4z = (1.0 - 2.0 * (qx4 * qx4 + qy4 * qy4)) * c - g
+    e4w = 0.5 * (-wx4 * qx4 - wy4 * qy4 - wz4 * qz4)
+    e4x = 0.5 * (wx4 * qw4 + wz4 * qy4 - wy4 * qz4)
+    e4y = 0.5 * (wy4 * qw4 - wz4 * qx4 + wx4 * qz4)
+    e4z = 0.5 * (wz4 * qw4 + wy4 * qx4 - wx4 * qy4)
+    r4x = (tx - kx * wy4 * wz4) / jx
+    r4y = (ty - ky * wz4 * wx4) / jy
+    r4z = (tz - kz * wx4 * wy4) / jz
     w = dt / 6.0
     end = (
         # position rates are the stage velocities
@@ -474,6 +525,28 @@ def _planar_rk4(pose: np.ndarray, speed: float, turn: float, dt: float,
     return np.array([x, y, h])
 
 
+def _renormalized(vals) -> tuple[list, float]:
+    """An aerial RK4 end state with its quaternion renormalized, and the norm.
+
+    ``vals`` is the 13-float end state of :func:`_rk4_floats`; the state
+    comes back as a list.  Raises :class:`DivergenceError` on a collapsed
+    or non-finite quaternion norm or on any non-finite entry.
+    """
+    # The norm stays a numpy dot: its rounding differs from a Python sum.
+    q = np.array(vals[6:10])
+    n = math.sqrt(float(q @ q))
+    if n < 1e-12 or not math.isfinite(n):
+        raise DivergenceError("quaternion collapsed during integration",
+                              state=np.array(vals))
+    # A finite n leaves the quaternion finite; a non-finite sum flags any
+    # other bad entry (or an overflowing sum, which the exact test clears).
+    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
+        raise DivergenceError("integration produced a non-finite state",
+                              state=np.array(vals))
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = vals
+    return [px, py, pz, vx, vy, vz, qw / n, qx / n, qy / n, qz / n, wx, wy, wz], n
+
+
 def aerial_step(x: np.ndarray, u: np.ndarray, p: VehicleParams, dt: float) -> np.ndarray:
     """One RK4 step of the aerial model with quaternion renormalization."""
     if not (0.0 < dt <= 0.05):
@@ -481,18 +554,7 @@ def aerial_step(x: np.ndarray, u: np.ndarray, p: VehicleParams, dt: float) -> np
     c, tx, ty, tz = u.tolist()
     jx, jy, jz = p.inertia.tolist()
     vals, _ = _rk4_floats(x.tolist(), c, tx, ty, tz, jx, jy, jz, dt)
-    out = np.array(vals)
-    # The norm stays a numpy dot: its rounding differs from a Python sum.
-    q = out[QUAT_SLICE]
-    n = math.sqrt(float(q @ q))
-    if n < 1e-12 or not math.isfinite(n):
-        raise DivergenceError("quaternion collapsed during integration", state=out)
-    q /= n
-    # A finite n leaves the quaternion finite; a non-finite sum flags any
-    # other bad entry (or an overflowing sum, which the exact test clears).
-    if not math.isfinite(sum(vals)) and not np.isfinite(out).all():
-        raise DivergenceError("integration produced a non-finite state", state=out)
-    return out
+    return np.array(_renormalized(vals)[0])
 
 
 # ---------------------------------------------------------------------------

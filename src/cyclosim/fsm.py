@@ -32,6 +32,7 @@ __all__ = [
     "AQUATIC_SERVO_ANGLE",
     "initial_state",
     "legal_transitions",
+    "successor",
     "step_fsm",
     "replay",
 ]
@@ -233,20 +234,28 @@ def legal_transitions(s: ModeState) -> set[tuple[EventKind, ModeState]]:
     return out
 
 
+def successor(s: ModeState, e: TransitionEvent) -> ModeState | None:
+    """The state event ``e`` leads to from ``s``, or None if it has no edge.
+
+    Gear and servo are configured for the successor's medium.  Logs
+    nothing, so callers can test legality quietly.
+    """
+    cmd = e.payload if e.kind is EventKind.COMMAND else None
+    pair = _TABLE[(s.medium, s.substate)].get((e.kind, cmd))
+    return None if pair is None else _mode(*pair)
+
+
 def step_fsm(s: ModeState, e: TransitionEvent) -> ModeState:
     """Advance the machine by one event.
 
-    Legal events move to the successor with gear and servo configured for
-    the new medium; anything else returns ``s`` unchanged and logs the
-    rejected event.
+    Legal events move to the :func:`successor`; anything else returns ``s``
+    unchanged and logs the rejected event.
     """
-    edges = _TABLE[(s.medium, s.substate)]
-    cmd = e.payload if e.kind is EventKind.COMMAND else None
-    successor = edges.get((e.kind, cmd))
-    if successor is None:
+    nxt = successor(s, e)
+    if nxt is None:
         log.warning("event %s has no transition from %s; ignored", e.label(), s.label())
         return s
-    return _mode(*successor)
+    return nxt
 
 
 def replay(

@@ -40,7 +40,7 @@ from .fsm import (
     SubState,
     TransitionEvent,
     initial_state,
-    step_fsm,
+    successor,
 )
 from .geometry import wrap_angle
 
@@ -104,8 +104,8 @@ class Segment:
     ------
     MissionError
         On a non-finite target, a target outside the medium's band, a
-        medium/action mismatch, a surface target off the surface, or a
-        negative hold.
+        medium/action mismatch, a drive or land target off the surface,
+        or a negative hold.
     """
 
     medium: Medium
@@ -128,6 +128,9 @@ class Segment:
                 raise MissionError("drive segment targets must lie on the surface")
         elif self.medium is not Medium.AERIAL:
             raise MissionError(f"{self.action.value} segments must be aerial")
+        elif self.action is Action.LAND and target[2] != 0.0:
+            # The runner puts the vehicle on the surface at touchdown.
+            raise MissionError("land segment targets must lie on the surface")
         lo, hi = MEDIUM_BANDS[self.medium]
         if not lo <= target[0] <= hi:
             raise MissionError(
@@ -341,8 +344,8 @@ def _completion_event(
 
 
 def _fire(state: ModeState, event: TransitionEvent, index: int) -> ModeState:
-    nxt = step_fsm(state, event)
-    if nxt == state:
+    nxt = successor(state, event)
+    if nxt is None:
         raise MissionError(
             f"segment {index}: event {event.label()} is illegal from {state.label()}"
         )

@@ -7,14 +7,19 @@ from the gravity trim rather than absolute thrust.
 
 Pipeline per solve:
 
-1. roll the model out over the horizon with one RK4 step per control period
-   (outputs are position and yaw after each step);
+1. each objective evaluation flies the horizon once, one RK4 step per
+   control period, in plain floats (``_horizon_pass``); the same loop gives
+   the states, the outputs (position and yaw after each step) with their
+   wrapped errors, and the roll/pitch excess, and keeps the RK4 stage
+   attitudes and quaternion norms that step 3 needs;
 2. objective = sum of Q-weighted squared output errors (yaw wrapped) plus
    R-weighted squared inputs, plus a quadratic penalty on roll/pitch beyond
    the tilt limit;
 3. exact objective gradients come from a reverse (adjoint) sweep using
    analytic Jacobians of the RK4 step, including the quaternion
-   renormalization projector;
+   renormalization projector; they are built from the stored flight of
+   the current iterate (the warm start, the hover anchor or a line-search
+   hit), so no iterate is flown twice;
 4. search direction is a Gauss-Newton step built from forward sensitivities
    (the decision vector is small, so the normal system is dense and cheap);
    a projected Armijo backtracking line search accepts it, falling back to
@@ -38,6 +43,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,11 +54,12 @@ from .dynamics import (
     AerialInput,
     VehicleParams,
     VehicleState,
+    _renormalized,
     _rk4_floats,
     aerial_step,
 )
 from .errors import DivergenceError, SolverFailureError
-from .geometry import quat_roll_pitch, quat_yaw, wrap_angle
+from .geometry import quat_roll_pitch, wrap_angle
 
 __all__ = [
     "NmpcSolution",
@@ -192,6 +199,82 @@ def _pitch_of(q) -> tuple[float, tuple]:
 # ---------------------------------------------------------------------------
 
 
+class _Flight(NamedTuple):
+    """One flown horizon, kept whole so no iterate is flown twice.
+
+    ``states`` is the (N+1, 13) trajectory and ``yaws`` the yaw after each
+    step.  ``stages`` holds the four RK4 stage attitudes of every step,
+    ``thrusts`` each step's collective thrust and ``norms`` each step's
+    quaternion norm before renormalization: what :func:`_step_jacobians`
+    needs besides the states.
+    """
+
+    states: np.ndarray
+    yaws: list
+    stages: list
+    thrusts: list
+    norms: list
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """(N, 4) outputs: position and yaw after each step."""
+        outputs = np.empty((len(self.yaws), 4))
+        outputs[:, :3] = self.states[1:, :3]
+        outputs[:, 3] = self.yaws
+        return outputs
+
+
+def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
+                  params: VehicleParams):
+    """Fly the horizon once in plain floats.
+
+    Steps the two halves of ``aerial_step``, :func:`_rk4_floats` and the
+    quaternion renormalization, under the deviation inputs ``u``, so the
+    states are bit for bit those of ``aerial_step``.  The same loop forms
+    the output errors against ``refs`` (yaw wrapped) and the signed roll
+    and pitch excess ``|angle| - tilt_max`` of every step.  One array is
+    built at the end.
+
+    Returns
+    -------
+    (flight, errors, roll excess, pitch excess)
+        A :class:`_Flight`, a list of N error 4-tuples and two lists of
+        N floats.
+
+    Raises
+    ------
+    DivergenceError
+        Where ``aerial_step`` would: a collapsed or non-finite quaternion
+        norm, or a non-finite state.
+    """
+    jx, jy, jz = params.inertia.tolist()
+    h = cfg.period
+    tilt = cfg.tilt_max
+    x = np.asarray(x0, dtype=float).tolist()
+    rows = [x]
+    stages, thrusts, norms, yaws = [], [], [], []
+    errors, g_roll, g_pitch = [], [], []
+    for (a, t1, t2, t3), (r0, r1, r2, r3) in zip(u.tolist(), refs.tolist()):
+        c = GRAVITY + a
+        vals, later = _rk4_floats(x, c, t1, t2, t3, jx, jy, jz, h)
+        stages += (x[6:], *later)
+        x, norm = _renormalized(vals)
+        rows.append(x)
+        thrusts.append(c)
+        norms.append(norm)
+        px, py, pz, _, _, _, qw, qx, qy, qz, _, _, _ = x
+        # The angles of quat_yaw and quat_roll_pitch.
+        yaw = math.atan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
+        roll = math.atan2(2.0 * (qw * qx + qy * qz), 1.0 - 2.0 * (qx * qx + qy * qy))
+        pitch = math.asin(max(-1.0, min(1.0, 2.0 * (qw * qy - qz * qx))))
+        yaws.append(yaw)
+        errors.append((px - r0, py - r1, pz - r2, wrap_angle(yaw - r3)))
+        g_roll.append(abs(roll) - tilt)
+        g_pitch.append(abs(pitch) - tilt)
+    flight = _Flight(np.array(rows), yaws, stages, thrusts, norms)
+    return flight, errors, g_roll, g_pitch
+
+
 def rollout(
     x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: VehicleParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -203,19 +286,14 @@ def rollout(
         ``states`` has shape (N+1, 13); ``outputs`` has shape (N, 4) and
         holds (x, y, z, yaw) after each step.
     """
-    u_abs = np.array(u, dtype=float)
-    u_abs[:, 0] += GRAVITY
-    n = u_abs.shape[0]
-    states = np.empty((n + 1, STATE_DIM))
-    states[0] = x0
-    x = np.asarray(x0, dtype=float)
-    for j in range(n):
-        x = aerial_step(x, u_abs[j], params, cfg.period)
-        states[j + 1] = x
-    outputs = np.empty((n, 4))
-    outputs[:, :3] = states[1:, :3]
-    outputs[:, 3] = [quat_yaw(q) for q in states[1:, QUAT_SLICE]]
-    return states, outputs
+    u = np.asarray(u, dtype=float)
+    flight = _horizon_pass(x0, u, np.zeros((u.shape[0], 4)), cfg, params)[0]
+    return flight.states, flight.outputs
+
+
+def _weighted_cost(err: np.ndarray, u: np.ndarray, cfg: NmpcConfig) -> float:
+    """Q-weighted squared output errors plus R-weighted squared inputs."""
+    return float(np.sum(err * err * cfg.q_diag) + np.sum(u * u * cfg.r_diag))
 
 
 def evaluate_cost(
@@ -233,7 +311,7 @@ def evaluate_cost(
         raise ValueError("outputs, references and inputs must cover the same horizon")
     err = outputs - refs
     err[:, 3] = [wrap_angle(v) for v in err[:, 3].tolist()]
-    return float(np.sum(err * err * cfg.q_diag) + np.sum(u * u * cfg.r_diag))
+    return _weighted_cost(err, u, cfg)
 
 
 def tilt_penalty(states: np.ndarray, cfg: NmpcConfig) -> float:
@@ -251,25 +329,23 @@ def tilt_penalty(states: np.ndarray, cfg: NmpcConfig) -> float:
 
 
 def _cost_parts(x0, u, refs, cfg: NmpcConfig, params: VehicleParams):
-    """(tracking cost, per-step roll excess, per-step pitch excess, rollout).
+    """(tracking cost, per-step roll excess, per-step pitch excess, flight).
 
-    The excess arrays are signed: ``|angle| - tilt_max`` per horizon step;
-    the rollout is the ``(states, outputs)`` pair, kept so the solver need
-    not fly its chosen inputs again.  Divergent or overflowing trajectories
-    give (inf, None, None, None) so the line search rejects them.
+    One :func:`_horizon_pass`.  The excess arrays are signed:
+    ``|angle| - tilt_max`` per horizon step; the :class:`_Flight` is kept
+    so the solver builds its Jacobians from it and never flies an accepted
+    iterate again.  Divergent or overflowing trajectories give
+    (inf, None, None, None) so the line search rejects them.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            states, outputs = rollout(x0, u, cfg, params)
-            tracking = evaluate_cost(outputs, refs, u, cfg)
+            flight, errors, g_roll, g_pitch = _horizon_pass(x0, u, refs, cfg, params)
+            tracking = _weighted_cost(np.array(errors), u, cfg)
     except DivergenceError:
         return math.inf, None, None, None
     if not math.isfinite(tracking):
         return math.inf, None, None, None
-    tilt = [quat_roll_pitch(q) for q in states[1:, QUAT_SLICE]]
-    g_roll = np.array([abs(roll) - cfg.tilt_max for roll, _ in tilt])
-    g_pitch = np.array([abs(pitch) - cfg.tilt_max for _, pitch in tilt])
-    return tracking, g_roll, g_pitch, (states, outputs)
+    return tracking, np.array(g_roll), np.array(g_pitch), flight
 
 
 def _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight) -> float:
@@ -352,45 +428,17 @@ def _stage_jacobians(stages, thrusts, jx: float, jy: float, jz: float) -> np.nda
     return m
 
 
-def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: VehicleParams):
-    """Rollout that also stores the per-step state and input Jacobians.
+def _step_jacobians(flight: _Flight, h: float, params: VehicleParams):
+    """Per-step state and input Jacobians ``(A, B)`` of a flown horizon.
 
-    The Jacobians chain through all four RK4 stages and the quaternion
+    They chain through all four RK4 stages and the quaternion
     renormalization, so they match the integrator exactly.  Each depends
-    only on its own step's stages, so all are formed after the rollout.
+    only on its own step's stages, so all are formed at once.
     """
-    n = u.shape[0]
-    h = cfg.period
     jx, jy, jz = params.inertia.tolist()
-    states = np.empty((n + 1, STATE_DIM))
-    states[0] = x0
-    x1 = states[0].tolist()
-    stages = []
-    thrusts = []
-    q_hats = np.empty((n, 4))
-    norms = np.empty(n)
-    for j, (a0, t1, t2, t3) in enumerate(u.tolist()):
-        c = GRAVITY + a0
-        vals, later = _rk4_floats(x1, c, t1, t2, t3, jx, jy, jz, h)
-        stages += (x1[6:], *later)
-        thrusts.append(c)
-        y = states[j + 1]
-        y[:] = vals
-        # As in aerial_step: a non-finite sum is checked exactly.
-        if not math.isfinite(sum(vals)) and not np.isfinite(y).all():
-            raise DivergenceError("prediction step produced a non-finite state", state=y)
-        q = y[QUAT_SLICE]
-        norm = math.sqrt(float(q @ q))
-        if norm < 1e-12:
-            raise DivergenceError("prediction step collapsed the quaternion", state=y)
-        q /= norm
-        q_hats[j] = q
-        norms[j] = norm
-        x1 = y.tolist()
-
     # State and input sensitivities chained through the stages together:
     # each m holds [d(k)/dx | d(k)/du] as one block per step.
-    jac = _stage_jacobians(stages, thrusts, jx, jy, jz)
+    jac = _stage_jacobians(flight.stages, flight.thrusts, jx, jy, jz)
     m1, m2, m3, m4 = jac[:, 0], jac[:, 1], jac[:, 2], jac[:, 3]
     d2 = m2 + (0.5 * h) * (m2[:, :, :STATE_DIM] @ m1)
     d3 = m3 + (0.5 * h) * (m3[:, :, :STATE_DIM] @ d2)
@@ -398,10 +446,19 @@ def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: Vehicl
     total = (h / 6.0) * (m1 + 2.0 * d2 + 2.0 * d3 + d4)
     a_steps = _EYE_STATE + total[:, :, :STATE_DIM]
     b_steps = total[:, :, STATE_DIM:]
+    q_hats = flight.states[1:, QUAT_SLICE]
+    norms = np.array(flight.norms)
     proj = (_EYE_QUAT - q_hats[:, :, None] * q_hats[:, None, :]) / norms[:, None, None]
     a_steps[:, QUAT_SLICE, :] = proj @ a_steps[:, QUAT_SLICE, :]
     b_steps[:, QUAT_SLICE, :] = proj @ b_steps[:, QUAT_SLICE, :]
-    return states, a_steps, b_steps
+    return a_steps, b_steps
+
+
+def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: VehicleParams):
+    """Rollout that also returns the per-step state and input Jacobians:
+    ``(states, A, B)``."""
+    flight = _horizon_pass(x0, u, np.zeros((u.shape[0], 4)), cfg, params)[0]
+    return (flight.states, *_step_jacobians(flight, cfg.period, params))
 
 
 def _state_cost_gradient(x, ref, cfg: NmpcConfig, lam_r, lam_p, weight) -> np.ndarray:
@@ -629,7 +686,7 @@ def solve(
             diagnostics={"tracking_cost": warm_parts[0]},
         )
     warm0 = u.copy()
-    tracking, g_roll, g_pitch, _ = warm_parts
+    tracking, g_roll, g_pitch, flight = warm_parts
 
     def _canonical(parts):
         return parts[0] + _plain_penalty_value(parts[1], parts[2], cfg.tilt_weight)
@@ -656,7 +713,7 @@ def solve(
             hover_feas == best_feas and hover_canon < best_canon
         ):
             u = hover_u
-            tracking, g_roll, g_pitch, _ = hover_parts
+            tracking, g_roll, g_pitch, flight = hover_parts
             best_u, best_parts = hover_u, hover_parts
             best_canon, best_feas = hover_canon, hover_feas
 
@@ -677,7 +734,9 @@ def solve(
     while iterations < cfg.max_iters:
         iterations += 1
         stage_iters += 1
-        states, a_steps, b_steps = _forward_pass(x0, u, cfg, params)
+        # The current iterate was flown by the evaluation that chose it.
+        states = flight.states
+        a_steps, b_steps = _step_jacobians(flight, cfg.period, params)
         grad = _adjoint_gradient(
             states, a_steps, b_steps, u, refs, cfg, lam_r, lam_p, weight
         )
@@ -696,7 +755,7 @@ def solve(
         if hit is None:
             stage_solved = True  # stationary for this stage
         else:
-            trial, trial_cost, tracking, g_roll, g_pitch, _ = hit
+            trial, trial_cost, tracking, g_roll, g_pitch, flight = hit
             decrease = cost - trial_cost
             u, cost = trial, trial_cost
             parts = hit[2:]
@@ -743,7 +802,7 @@ def solve(
         )
         if warm_cost < cost:
             u = warm0.copy()
-            tracking, g_roll, g_pitch, _ = warm_parts
+            tracking, g_roll, g_pitch, flight = warm_parts
             cost = warm_cost
 
     if not best_feas:
@@ -763,11 +822,11 @@ def solve(
         except DivergenceError:
             pass
 
-    states, outputs = best_parts[3]
+    flight = best_parts[3]
     return NmpcSolution(
         u=best_u,
-        states=states,
-        outputs=outputs,
+        states=flight.states,
+        outputs=flight.outputs,
         cost=best_canon,
         iterations=iterations,
         converged=converged,

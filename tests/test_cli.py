@@ -75,6 +75,26 @@ class TestValidateFsm:
         assert last.startswith("error:")
         assert "segment 0" in last
 
+    def test_illegal_route_prints_only_the_error(self, tmp_path):
+        """The plan tests legality quietly: no "ignored" warning precedes
+        the error line (a fresh process, so logging is unconfigured)."""
+        path = tmp_path / "drive_after_hover.yaml"
+        path.write_text(
+            "start: [100.0, 0.0, 0.0]\n"
+            "segments:\n"
+            "- {medium: aerial, action: takeoff, target: [100.0, 0.0, 5.0]}\n"
+            "- {medium: aerial, action: hover, target: [100.0, 0.0, 5.0], hold: 1.0}\n"
+            "- {medium: terrestrial, action: drive, target: [90.0, 0.0, 0.0]}\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclosim.cli", "validate-fsm", "--mission", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "error: segment 2: event command(drive) is illegal from aerial/hovering"
+        ]
+
 
 class TestMalformedStart:
     @pytest.mark.parametrize("command", ["simulate", "validate-fsm"])
@@ -133,6 +153,20 @@ class TestSimulate:
             "--out", str(tmp_path),
         ])
         assert code == 0
+
+    def test_raised_land_target_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "raised.yaml"
+        path.write_text(
+            "start: [150.0, 0.0, 0.0]\n"
+            "segments:\n"
+            "- {medium: aerial, action: takeoff, target: [150.0, 0.0, 6.0]}\n"
+            "- {medium: aerial, action: land, target: [150.0, 0.0, 3.0]}\n"
+        )
+        code = main(["simulate", "--mission", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        _, last = _last_line(capsys)
+        assert last == "error: segment 1: land segment targets must lie on the surface"
+        assert not (tmp_path / "out").exists()
 
     def test_time_limit_exit_code(self, mini_path, tmp_path, capsys):
         code = main([

@@ -15,6 +15,7 @@ from cyclosim.config import default_config
 from cyclosim.dynamics import (
     _planar_rates,
     _planar_rk4,
+    _rk4_floats,
     AQUATIC_DRAG_GAIN,
     QUAT_SLICE,
     STATE_DIM,
@@ -222,6 +223,31 @@ class TestPlanarKernel:
             terrestrial_derivative(np.zeros(3), AquaticInput(1.0, 0.1), params)
         with pytest.raises(TypeError):
             aquatic_derivative(np.zeros(3), TerrestrialInput(1.0, 1.0), params)
+
+
+class TestAerialKernel:
+    """``_rk4_floats`` against one generic ``step_rk4`` over ``aerial_derivative``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(_finite(-1e3, 1e3), min_size=STATE_DIM, max_size=STATE_DIM),
+        u=st.tuples(_finite(0.0, 1e3), _finite(-10.0, 10.0), _finite(-10.0, 10.0),
+                    _finite(-10.0, 10.0)),
+        inertia=st.tuples(_finite(1e-3, 1.0), _finite(1e-3, 1.0), _finite(1e-3, 1.0)),
+        dt=_finite(1e-5, 0.05),
+    )
+    def test_matches_step_rk4_before_renormalization(self, x, u, inertia, dt):
+        p = VehicleParams(inertia=np.array(inertia))
+        x, u = np.array(x), np.array(u)
+        f = lambda s, v: aerial_derivative(s, v, p)
+        end, later = _rk4_floats(x.tolist(), *u.tolist(), *inertia, dt)
+        assert np.array_equal(np.array(end), step_rk4(f, x, u, dt))
+        # Stages 2-4 are the attitudes (q, w) that step_rk4 feeds the model.
+        k1 = f(x, u)
+        s2 = x + (0.5 * dt) * k1
+        s3 = x + (0.5 * dt) * f(s2, u)
+        s4 = x + dt * f(s3, u)
+        assert np.array_equal(np.array(later), np.array([s2[6:], s3[6:], s4[6:]]))
 
 
 class TestRk4:

@@ -26,6 +26,7 @@ from cyclosim.fsm import (
     legal_transitions,
     replay,
     step_fsm,
+    successor,
 )
 
 K = EventKind
@@ -199,6 +200,22 @@ class TestStepFsm:
                 else:
                     assert out == s
                     assert len(caplog.records) == 1
+
+    def test_successor_is_the_quiet_lookup(self, caplog):
+        """``successor`` gives step_fsm's result on every edge and None,
+        without logging, where step_fsm absorbs the event."""
+        for medium, substate in LEGAL_PAIRS:
+            s = make_state(medium, substate)
+            for kind, payload in ALPHABET:
+                key = (medium, substate, kind, payload if kind is K.COMMAND else None)
+                with caplog.at_level(logging.WARNING, logger="cyclosim.fsm"):
+                    caplog.clear()
+                    out = successor(s, make_event(kind, payload))
+                    assert not caplog.records
+                if key in EXPECTED_EDGES:
+                    assert out == step_fsm(s, make_event(kind, payload))
+                else:
+                    assert out is None
 
     def test_invariants_hold_on_every_edge(self):
         for medium, substate in LEGAL_PAIRS:

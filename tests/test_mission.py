@@ -62,6 +62,13 @@ class TestSegmentValidation:
         with pytest.raises(MissionError):
             Segment(Medium.TERRESTRIAL, Action.DRIVE, np.array([50.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("z", [3.0, -0.5, 1e-9])
+    def test_land_targets_on_the_surface(self, z):
+        # The runner puts the vehicle at z = 0 on touchdown, so a raised pad
+        # would make the logged state jump.
+        with pytest.raises(MissionError, match="land segment targets must lie on the surface"):
+            Segment(Medium.AERIAL, Action.LAND, np.array([150.0, 0.0, z]))
+
     def test_rejects_bad_targets_and_hold(self):
         with pytest.raises(MissionError):
             Segment(Medium.AERIAL, Action.HOVER, np.array([150.0, np.nan, 50.0]))
@@ -305,6 +312,18 @@ class TestMissionFiles:
             "  - {medium: terrestrial, action: drive, target: [150, 0, 0]}\n"
         )
         with pytest.raises(MissionError, match="segment 1"):
+            load_mission(path)
+
+    def test_raised_land_target_names_segment_index(self, tmp_path):
+        path = tmp_path / "raised.yaml"
+        path.write_text(
+            "start: [150, 0, 0]\n"
+            "segments:\n"
+            "  - {medium: aerial, action: takeoff, target: [150, 0, 6]}\n"
+            "  - {medium: aerial, action: land, target: [150, 0, 3]}\n"
+        )
+        with pytest.raises(MissionError,
+                           match="segment 1: land segment targets must lie on the surface"):
             load_mission(path)
 
     def test_unknown_keys_rejected(self, tmp_path):

@@ -8,15 +8,31 @@ adherence, warm-start monotonicity, determinism) are checked on seeded
 random instances.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclosim import nmpc
 from cyclosim.config import GRAVITY, NmpcConfig, default_config
-from cyclosim.dynamics import QUAT_SLICE, VehicleParams, hover_state
-from cyclosim.errors import SolverFailureError
-from cyclosim.geometry import EulerAngles, euler_to_quat, quat_roll_pitch, wrap_angle
+from cyclosim.dynamics import (
+    QUAT_SLICE,
+    VehicleParams,
+    aerial_derivative,
+    hover_state,
+    step_rk4,
+)
+from cyclosim.errors import DivergenceError, SolverFailureError
+from cyclosim.geometry import (
+    EulerAngles,
+    euler_to_quat,
+    quat_roll_pitch,
+    quat_yaw,
+    wrap_angle,
+)
 from cyclosim.nmpc import (
     NmpcController,
     cost_gradient,
@@ -114,6 +130,115 @@ class TestRollout:
         b = solve(x0, full, None, ncfg, params)
         assert np.array_equal(a.u, b.u)
         assert a.cost == b.cost
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _horizon_cases(draw):
+    """A state, deviation inputs and references over a 1-8 step horizon.
+
+    The input scale reaches 1e160, where the body rates and then the
+    quaternion overflow, so some cases diverge part way."""
+    n = draw(st.integers(1, 8))
+    q = np.array(draw(st.lists(_finite(-1.0, 1.0), min_size=4, max_size=4)))
+    norm = math.sqrt(float(q @ q))
+    q = q / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0, 0.0])
+    x0 = np.array([
+        *draw(st.lists(_finite(-1e3, 1e3), min_size=3, max_size=3)),
+        *draw(st.lists(_finite(-50.0, 50.0), min_size=3, max_size=3)),
+        *q,
+        *draw(st.lists(_finite(-20.0, 20.0), min_size=3, max_size=3)),
+    ])
+    scale = draw(st.sampled_from([1.0, 30.0, 1e4, 1e160]))
+    u = np.array(draw(st.lists(_finite(-1.0, 1.0), min_size=4 * n, max_size=4 * n)))
+    refs = np.array(draw(st.lists(_finite(-1e3, 1e3), min_size=4 * n, max_size=4 * n)))
+    period = draw(_finite(1e-3, 0.05))
+    return x0, scale * u.reshape(n, 4), refs.reshape(n, 4), period
+
+
+def _oracle(x0, u, refs, ncfg, params):
+    """The generic RK4 step, evaluate_cost and quat_roll_pitch, step by
+    step; None where the trajectory or its cost diverges."""
+    states = [x0]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, tx, ty, tz in u:
+                states.append(step_rk4(
+                    lambda s, v: aerial_derivative(s, v, params), states[-1],
+                    np.array([GRAVITY + a, tx, ty, tz]), ncfg.period,
+                    quat_slice=QUAT_SLICE,
+                ))
+    except (DivergenceError, ValueError):
+        # aerial_derivative rejects a non-finite stage state with ValueError.
+        return None
+    states = np.array(states)
+    outputs = np.column_stack([states[1:, :3], [quat_yaw(q) for q in states[1:, QUAT_SLICE]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        tracking = evaluate_cost(outputs, refs, u, ncfg)
+    if not math.isfinite(tracking):
+        return None
+    tilt = np.array([quat_roll_pitch(q) for q in states[1:, QUAT_SLICE]])
+    return states, outputs, tracking, np.abs(tilt) - ncfg.tilt_max
+
+
+class TestHorizonPass:
+    """One flight of the horizon feeds the cost, the tilt terms and the
+    Jacobians; the generic RK4 step is its reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_horizon_cases())
+    def test_matches_the_generic_step_bit_for_bit(self, case, ncfg, params):
+        x0, u, refs, period = case
+        cfg = dataclasses.replace(ncfg, period=period)
+        expected = _oracle(x0, u, refs, cfg, params)
+        tracking, g_roll, g_pitch, flight = nmpc._cost_parts(x0, u, refs, cfg, params)
+        if expected is None:
+            assert tracking == math.inf and flight is None
+            return
+        states, outputs, expected_tracking, excess = expected
+        assert tracking == expected_tracking
+        assert np.array_equal(g_roll, excess[:, 0])
+        assert np.array_equal(g_pitch, excess[:, 1])
+        assert np.array_equal(flight.states, states)
+        assert np.array_equal(flight.outputs, outputs)
+        got_states, got_outputs = rollout(x0, u, cfg, params)
+        assert np.array_equal(got_states, states)
+        assert np.array_equal(got_outputs, outputs)
+        # The Jacobians built from the stored flight are those of a
+        # separate forward pass.
+        a_steps, b_steps = nmpc._step_jacobians(flight, cfg.period, params)
+        fp_states, fp_a, fp_b = nmpc._forward_pass(x0, u, cfg, params)
+        assert np.array_equal(fp_states, states)
+        assert np.array_equal(a_steps, fp_a)
+        assert np.array_equal(b_steps, fp_b)
+
+    def test_solve_flies_each_iterate_once(self, ncfg, params, monkeypatch):
+        """A warm-started solve builds its Jacobians from the flights its
+        cost evaluations made: no separate rollout, forward pass or plant
+        step is ever called."""
+        x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
+        x0[3:6] = (0.4, -0.2, 0.1)
+        refs = hold_refs([1.0, 0.5, 1.5, 0.3], ncfg.horizon)
+        cold = solve(x0, refs, None, ncfg, params)
+        warm = np.vstack([cold.u[1:], cold.u[-1:]])
+        x1 = cold.states[1]
+        expected = solve(x1, refs, warm, ncfg, params)
+        assert expected.converged and expected.iterations >= 2
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an iterate was flown twice")
+
+        for name in ("rollout", "_forward_pass", "aerial_step"):
+            monkeypatch.setattr(nmpc, name, forbidden)
+        got = solve(x1, refs, warm, ncfg, params)
+        assert np.array_equal(got.u, expected.u)
+        assert np.array_equal(got.states, expected.states)
+        assert np.array_equal(got.outputs, expected.outputs)
+        assert (got.cost, got.iterations, got.converged) == (
+            expected.cost, expected.iterations, expected.converged)
 
 
 class TestEvaluateCost:
