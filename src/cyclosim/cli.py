@@ -36,7 +36,8 @@ from .mission import (
     load_mission,
     mission_events,
 )
-from .sim import RunLog, TrackingMetrics, compute_metrics, run, save_log, save_metrics
+from .sim import (RunLog, TrackingMetrics, _time_limit, compute_metrics, run, save_log,
+                  save_metrics)
 
 __all__ = ["main", "build_parser"]
 
@@ -141,6 +142,22 @@ def _load_mission(spec: str, hover_hold: float) -> tuple[str, Mission]:
     return Path(spec).stem, load_mission(spec)
 
 
+def _load_inputs(args: argparse.Namespace):
+    """``(config, mission name, mission)`` for a run command, or its exit code."""
+    try:
+        config = load_config(args.config)
+    except ConfigError as exc:
+        return _fail(str(exc), EXIT_PARSE)
+    try:
+        _time_limit(config, args.duration_limit)
+    except ValueError as exc:
+        return _fail(f"--duration-limit: {exc}", EXIT_USAGE)
+    try:
+        return (config, *_load_mission(args.mission, config.sim.hover_hold))
+    except MissionError as exc:
+        return _fail(str(exc), EXIT_PARSE)
+
+
 def _prepare_out(directory: str) -> Path:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,14 +181,10 @@ def _write_run(out: Path, stem: str, log: RunLog, mission: Mission) -> tuple[Pat
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-    try:
-        name, mission = _load_mission(args.mission, config.sim.hover_hold)
-    except MissionError as exc:
-        return _fail(str(exc), EXIT_PARSE)
+    loaded = _load_inputs(args)
+    if isinstance(loaded, int):
+        return loaded
+    config, name, mission = loaded
     if args.aerial_only:
         offending = [
             i for i, seg in enumerate(mission.segments)
@@ -258,14 +271,10 @@ def _comparison_table(mission: Mission, left: str, right: str,
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-    try:
-        name, mission = _load_mission(args.mission, config.sim.hover_hold)
-    except MissionError as exc:
-        return _fail(str(exc), EXIT_PARSE)
+    loaded = _load_inputs(args)
+    if isinstance(loaded, int):
+        return loaded
+    config, name, mission = loaded
     try:
         out = _prepare_out(args.out)
     except OSError as exc:

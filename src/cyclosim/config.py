@@ -18,6 +18,8 @@ Sections::
     sim:   cruise_ground, cruise_air, cruise_water, land_speed,
            arrival_radius, controller_period, time_limit, hover_hold,
            yaw_slew
+
+Validation also caps the work a run may ask for (``MAX_TICKS`` and below).
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ __all__ = [
 ENV_CONFIG_VAR = "CYCLOSIM_CONFIG"
 
 GRAVITY = 9.81
+
+# Work caps, far above the defaults (60,000 ticks, 10 substeps, horizon 15,
+# 50 iterations).  The run log holds 30 floats a tick, 240 MB at MAX_TICKS.
+MAX_TICKS = 1_000_000
+MAX_SUBSTEPS = 1_000
+MAX_HORIZON = 200
+MAX_ITERS = 1_000
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ def default_config() -> Config:
 # Accepted keys come from the dataclasses above, so a field added there is
 # loadable without a second list to keep in step.
 _SECTIONS = ("pid", "nmpc", "sim")
-_VEHICLE_KEYS = {f.name for f in fields(Config)} - set(_SECTIONS)
+_VEHICLE_KEYS = tuple(f.name for f in fields(Config) if f.name not in _SECTIONS)
 _GAIN_KEYS = {f.name for f in fields(PidChannelGains)}
 _PID_CHANNELS = tuple(
     f.name for f in fields(PidConfig) if isinstance(f.default, PidChannelGains)
@@ -197,18 +206,7 @@ def _merge_section(name: str, base, data: dict):
 
 
 def _validate(cfg: Config) -> Config:
-    positive = [
-        ("mass", cfg.mass),
-        ("inertia_xx", cfg.inertia_xx),
-        ("inertia_yy", cfg.inertia_yy),
-        ("inertia_zz", cfg.inertia_zz),
-        ("track_width", cfg.track_width),
-        ("wheelbase", cfg.wheelbase),
-        ("k_f", cfg.k_f),
-        ("arm", cfg.arm),
-        ("rotor_max", cfg.rotor_max),
-        ("servo_max", cfg.servo_max),
-        ("dt", cfg.dt),
+    positive = [(key, getattr(cfg, key)) for key in _VEHICLE_KEYS] + [
         ("nmpc.period", cfg.nmpc.period),
         ("nmpc.tol", cfg.nmpc.tol),
         ("sim.controller_period", cfg.sim.controller_period),
@@ -219,8 +217,10 @@ def _validate(cfg: Config) -> Config:
             raise ConfigError(f"{name} must be positive, got {value!r}")
     if cfg.dt > 0.05:
         raise ConfigError(f"dt must be <= 0.05 s, got {cfg.dt!r}")
-    if cfg.nmpc.horizon < 2:
-        raise ConfigError("nmpc.horizon must be >= 2")
+    for key, value, low, cap in (("horizon", cfg.nmpc.horizon, 2, MAX_HORIZON),
+                                 ("max_iters", cfg.nmpc.max_iters, 1, MAX_ITERS)):
+        if not low <= value <= cap:
+            raise ConfigError(f"nmpc.{key} must lie in [{low}, {cap}], got {value!r}")
     for key, value in zip(
         ("r_c", "r_roll", "r_pitch", "r_yaw"), cfg.nmpc.r_diag, strict=True
     ):
@@ -235,12 +235,18 @@ def _validate(cfg: Config) -> Config:
         raise ConfigError("nmpc tilt limit must be positive and its weight nonnegative")
     if cfg.nmpc.period > 0.05:
         raise ConfigError("nmpc.period must be <= 0.05 s (one integrator step)")
-    if cfg.nmpc.max_iters < 1:
-        raise ConfigError("nmpc.max_iters must be >= 1")
     if cfg.nmpc.accel_min >= cfg.nmpc.accel_max:
         raise ConfigError("nmpc.accel_min must be below nmpc.accel_max")
     if cfg.sim.controller_period < cfg.dt:
         raise ConfigError("sim.controller_period must be >= dt")
+    substeps = cfg.sim.controller_period / cfg.dt
+    if substeps > MAX_SUBSTEPS:
+        raise ConfigError(f"sim.controller_period over dt is {substeps:.3g} substeps"
+                          f" per tick, above the cap of {MAX_SUBSTEPS}")
+    ticks = cfg.sim.time_limit / cfg.sim.controller_period
+    if ticks > MAX_TICKS:
+        raise ConfigError(f"sim.time_limit over sim.controller_period is {ticks:.3g}"
+                          f" ticks, above the cap of {MAX_TICKS}")
     return cfg
 
 

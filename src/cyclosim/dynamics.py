@@ -15,9 +15,11 @@ steps renormalize the attitude quaternion afterwards, keeping the norm drift
 far below 1e-9 per step.  Each medium has one plain-float kernel that gives
 the generic :func:`step_rk4` result bit for bit.  The aerial kernel
 ``_rk4_floats`` unrolls one step, with the four derivative evaluations
-written out inline; ``aerial_step`` and the optimizer's horizon pass both
-call it.  The planar kernel runs all of a controller tick's substeps of
-the shared surface model ``(s cos h, s sin h, r)`` in one call.
+written out inline; ``aerial_step`` runs all of a controller tick's steps
+with it, and the optimizer's horizon pass calls it once per step.  The
+planar kernel runs a tick's substeps of the shared surface model
+``(s cos h, s sin h, r)`` in one call.  Allocation and forward mixing
+compute in plain floats too, with the rounding of their array forms.
 
 The rotor layout used by the allocation map (the source article does not fix
 one) is four rotors at the corners of a square with half-side ``arm``:
@@ -161,10 +163,19 @@ class VehicleState:
 
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "VehicleState":
+        """The state of a 13-vector, with fields that are views of it."""
         x = np.asarray(x, dtype=float)
         if x.shape != (STATE_DIM,):
             raise ValueError(f"state vector must have shape ({STATE_DIM},)")
-        return cls(x[0:3], x[3:6], x[6:10], x[10:13])
+        q = x[QUAT_SLICE]
+        # One pass (a finite sum means finite entries); a vector that fails
+        # gets the field-by-field constructor's error.
+        if not math.isfinite(sum(x.tolist())) or abs(float(q @ q) - 1.0) > 1e-6:
+            return cls(x[0:3], x[3:6], q, x[10:13])
+        state = object.__new__(cls)
+        state.__dict__.update(position=x[0:3], velocity=x[3:6], quaternion=q,
+                              body_rates=x[10:13])
+        return state
 
 
 def hover_state(position, yaw: float = 0.0) -> VehicleState:
@@ -547,14 +558,22 @@ def _renormalized(vals) -> tuple[list, float]:
     return [px, py, pz, vx, vy, vz, qw / n, qx / n, qy / n, qz / n, wx, wy, wz], n
 
 
-def aerial_step(x: np.ndarray, u: np.ndarray, p: VehicleParams, dt: float) -> np.ndarray:
-    """One RK4 step of the aerial model with quaternion renormalization."""
+def aerial_step(x: np.ndarray, u: np.ndarray, p: VehicleParams, dt: float,
+                steps: int = 1) -> np.ndarray:
+    """``steps`` RK4 steps of the aerial model, each renormalizing the
+    quaternion: :func:`_rk4_floats` and :func:`_renormalized` in plain floats,
+    with one array built at the end, so ``steps=k`` equals k chained one-step
+    calls bit for bit.  Raises :class:`DivergenceError` at the first bad
+    step, with that step's state.
+    """
     if not (0.0 < dt <= 0.05):
         raise ValueError(f"dt must lie in (0, 0.05], got {dt!r}")
     c, tx, ty, tz = u.tolist()
     jx, jy, jz = p.inertia.tolist()
-    vals, _ = _rk4_floats(x.tolist(), c, tx, ty, tz, jx, jy, jz, dt)
-    return np.array(_renormalized(vals)[0])
+    s = x.tolist()
+    for _ in range(steps):
+        s = _renormalized(_rk4_floats(s, c, tx, ty, tz, jx, jy, jz, dt)[0])[0]
+    return np.array(s)
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +613,10 @@ def allocate(u: AerialInput, p: VehicleParams, strict: bool = True) -> ActuatorC
     ActuatorCommand
         Rotor speeds (rad/s, FL/FR/RL/RR) and servo angle (rad).
     """
+    tx, ty, tz = u.torque.tolist()
     b0 = p.mass * u.c
-    b1 = u.torque[0] / p.arm
-    b2 = u.torque[1] / p.arm
+    b1 = tx / p.arm
+    b2 = ty / p.arm
     # Thrusts from the orthogonal mixing rows (M^-1 = M^T / 4).
     t1 = 0.25 * (b0 + b1 - b2)
     t2 = 0.25 * (b0 - b1 - b2)
@@ -604,7 +624,6 @@ def allocate(u: AerialInput, p: VehicleParams, strict: bool = True) -> ActuatorC
     t4 = 0.25 * (b0 - b1 + b2)
 
     rear = t3 + t4
-    tz = float(u.torque[2])
     if abs(rear) * p.arm < 1e-9:
         if abs(tz) > 1e-12:
             raise SaturationError(
@@ -615,14 +634,14 @@ def allocate(u: AerialInput, p: VehicleParams, strict: bool = True) -> ActuatorC
     else:
         servo = tz / (p.arm * rear)
 
-    speeds = np.empty(4)
+    speeds = []
     clipped: list[str] = []
     for i, t in enumerate((t1, t2, t3, t4)):
         w = math.copysign(math.sqrt(abs(t) / p.k_f), t)
         if abs(w) > p.rotor_max:
             clipped.append(f"rotor_{i + 1}")
             w = math.copysign(p.rotor_max, w)
-        speeds[i] = w
+        speeds.append(w)
     if abs(servo) > p.servo_max:
         clipped.append("servo")
         servo = math.copysign(p.servo_max, servo)
@@ -631,20 +650,24 @@ def allocate(u: AerialInput, p: VehicleParams, strict: bool = True) -> ActuatorC
         raise SaturationError(
             f"actuator limits exceeded on: {', '.join(clipped)}", channels=clipped
         )
-    return ActuatorCommand(rotor_speeds=speeds, servo=servo)
+    return ActuatorCommand(rotor_speeds=np.array(speeds), servo=servo)
 
 
 def forward_mix(cmd: ActuatorCommand, p: VehicleParams) -> AerialInput:
     """Forward mixing model: actuator command back to thrust and torques.
 
-    Exact inverse of :func:`allocate` for in-range commands.
+    Exact inverse of :func:`allocate` for in-range commands.  Computed in
+    floats with the rounding of the array form ``k_f * w * |w|``: the
+    collective sum runs in numpy's order for four entries, from ``+0.0``.
     """
-    w = cmd.rotor_speeds
-    t = p.k_f * w * np.abs(w)
-    c = float(t.sum()) / p.mass
-    tau_x = p.arm * float(t[0] - t[1] + t[2] - t[3])
-    tau_y = p.arm * float(-t[0] - t[1] + t[2] + t[3])
-    tau_z = p.arm * cmd.servo * float(t[2] + t[3])
+    kf = p.k_f
+    w0, w1, w2, w3 = cmd.rotor_speeds.tolist()
+    t0, t1 = kf * w0 * abs(w0), kf * w1 * abs(w1)
+    t2, t3 = kf * w2 * abs(w2), kf * w3 * abs(w3)
+    c = (0.0 + t0 + t1 + t2 + t3) / p.mass
+    tau_x = p.arm * (t0 - t1 + t2 - t3)
+    tau_y = p.arm * (-t0 - t1 + t2 + t3)
+    tau_z = p.arm * cmd.servo * (t2 + t3)
     return AerialInput(c=c, torque=np.array([tau_x, tau_y, tau_z]))
 
 

@@ -75,20 +75,6 @@ class CommandId(Enum):
     LAND = "land"
 
 
-# The eight legal (medium, sub-state) pairs.
-_LEGAL_PAIRS = frozenset(
-    {
-        (Medium.TERRESTRIAL, SubState.STATIC),
-        (Medium.TERRESTRIAL, SubState.DRIVING),
-        (Medium.AERIAL, SubState.STATIC),
-        (Medium.AERIAL, SubState.TAKEOFF),
-        (Medium.AERIAL, SubState.HOVERING),
-        (Medium.AERIAL, SubState.LANDING),
-        (Medium.AQUATIC, SubState.STATIC),
-        (Medium.AQUATIC, SubState.DRIVING),
-    }
-)
-
 _GEAR_FOR_MEDIUM = {
     Medium.TERRESTRIAL: Gear.RETRACTED,
     Medium.AERIAL: Gear.OPEN,
@@ -220,6 +206,9 @@ _TABLE: dict = {
         (EventKind.REACHED_WAYPOINT, None): (Medium.AQUATIC, SubState.STATIC),
     },
 }
+
+# The eight legal (medium, sub-state) pairs: the table's rows.
+_LEGAL_PAIRS = frozenset(_TABLE)
 
 
 def legal_transitions(s: ModeState) -> set[tuple[EventKind, ModeState]]:

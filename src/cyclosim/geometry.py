@@ -37,7 +37,6 @@ __all__ = [
     "omega_matrix",
     "quat_normalize",
     "quat_multiply",
-    "quat_conjugate",
     "quat_rotation_matrix",
     "quat_rotate",
     "quat_derivative",
@@ -68,9 +67,6 @@ class EulerAngles:
         for name in ("roll", "pitch", "yaw"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"EulerAngles.{name} must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.roll, self.pitch, self.yaw])
 
 
 def wrap_angle(angle: float) -> float:
@@ -221,11 +217,6 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             aw * bz + ax * by - ay * bx + az * bw,
         ]
     )
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    """Conjugate (inverse for unit quaternions)."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def quat_rotation_matrix(q: np.ndarray) -> np.ndarray:

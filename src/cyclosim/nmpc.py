@@ -119,12 +119,6 @@ class NmpcSolution:
         a, tx, ty, tz = self.u[0]
         return AerialInput(c=max(0.0, GRAVITY + a), torque=np.array([tx, ty, tz]))
 
-    def input_sequence(self) -> list[AerialInput]:
-        return [
-            AerialInput(c=max(0.0, GRAVITY + row[0]), torque=row[1:4].copy())
-            for row in self.u
-        ]
-
 
 def hover_inputs(horizon: int) -> np.ndarray:
     """Default warm start: zero deviation (hover thrust, zero torque)."""
@@ -461,24 +455,28 @@ def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: Vehicl
     return (flight.states, *_step_jacobians(flight, cfg.period, params))
 
 
-def _state_cost_gradient(x, ref, cfg: NmpcConfig, lam_r, lam_p, weight) -> np.ndarray:
+def _attitudes(states: np.ndarray) -> list:
+    """``(yaw, roll, pitch)`` of every state after the first, each a value
+    with its quaternion gradient: formed once per iterate for both the
+    adjoint gradient and the Gauss-Newton direction."""
+    return [(_yaw_of(q), _roll_of(q), _pitch_of(q))
+            for q in states[1:, QUAT_SLICE].tolist()]
+
+
+def _state_cost_gradient(x, ref, cfg: NmpcConfig, lam_r, lam_p, weight,
+                         angles) -> np.ndarray:
     """Gradient wrt the state of the tracking term plus the (augmented)
-    tilt penalty for one horizon step; ``x`` and ``ref`` are float lists."""
-    q = x[6:10]
-    yaw, dyaw = _yaw_of(q)
+    tilt penalty for one horizon step; ``x`` and ``ref`` are float lists and
+    ``angles`` the step's entry of :func:`_attitudes`."""
+    (yaw, dyaw), roll, pitch = angles
     k = 2.0 * cfg.q_yaw * wrap_angle(yaw - ref[3])
     g_q = [0.0 + k * d for d in dyaw]
     if weight > 0.0:
-        roll, droll = _roll_of(q)
-        s_r = lam_r / (2.0 * weight) + abs(roll) - cfg.tilt_max
-        if s_r > 0.0:
-            k = 2.0 * weight * s_r * math.copysign(1.0, roll)
-            g_q = [g + k * d for g, d in zip(g_q, droll)]
-        pitch, dpitch = _pitch_of(q)
-        s_p = lam_p / (2.0 * weight) + abs(pitch) - cfg.tilt_max
-        if s_p > 0.0:
-            k = 2.0 * weight * s_p * math.copysign(1.0, pitch)
-            g_q = [g + k * d for g, d in zip(g_q, dpitch)]
+        for lam, (angle, d_angle) in ((lam_r, roll), (lam_p, pitch)):
+            s = lam / (2.0 * weight) + abs(angle) - cfg.tilt_max
+            if s > 0.0:
+                k = 2.0 * weight * s * math.copysign(1.0, angle)
+                g_q = [g + k * d for g, d in zip(g_q, d_angle)]
     return np.array([
         2.0 * cfg.q_x * (x[0] - ref[0]),
         2.0 * cfg.q_y * (x[1] - ref[1]),
@@ -488,21 +486,25 @@ def _state_cost_gradient(x, ref, cfg: NmpcConfig, lam_r, lam_p, weight) -> np.nd
 
 
 def _adjoint_gradient(
-    states, a_steps, b_steps, u, refs, cfg: NmpcConfig, lam_r, lam_p, weight
+    states, a_steps, b_steps, u, refs, cfg: NmpcConfig, lam_r, lam_p, weight,
+    angles=None,
 ) -> np.ndarray:
     """Reverse-mode gradient of the stage objective wrt all inputs.
 
     The costates run backwards one step at a time; their input terms
-    ``B_j^T lam`` are then formed for the whole horizon at once.
+    ``B_j^T lam`` are then formed for the whole horizon at once.  ``angles``
+    is :func:`_attitudes` of ``states``, formed here if not given.
     """
     n = u.shape[0]
     xs, rs = states.tolist(), refs.tolist()
     lr, lp = lam_r.tolist(), lam_p.tolist()
+    if angles is None:
+        angles = _attitudes(states)
     lams = np.empty((n, STATE_DIM, 1))
     lam = np.zeros(STATE_DIM)
     for j in range(n, 0, -1):
         lam = lam + _state_cost_gradient(
-            xs[j], rs[j - 1], cfg, lr[j - 1], lp[j - 1], weight
+            xs[j], rs[j - 1], cfg, lr[j - 1], lp[j - 1], weight, angles[j - 1]
         )
         lams[j - 1, :, 0] = lam
         lam = a_steps[j - 1].T @ lam
@@ -562,14 +564,18 @@ def _braking_inputs(
 
 
 def _gauss_newton_direction(
-    states, a_steps, b_steps, grad, cfg: NmpcConfig, lam_r, lam_p, weight, damping
+    states, a_steps, b_steps, grad, cfg: NmpcConfig, lam_r, lam_p, weight, damping,
+    angles=None,
 ) -> np.ndarray:
     """Gauss-Newton step for the stacked decision vector.
 
     Forward sensitivities give the Jacobian of every output (and of the
     active or near-active tilt angles) wrt all inputs; the effort curvature
-    keeps the normal matrix positive definite.
+    keeps the normal matrix positive definite.  ``angles`` is
+    :func:`_attitudes` of ``states``, formed here if not given.
     """
+    if angles is None:
+        angles = _attitudes(states)
     n = grad.shape[0]
     m = 4 * n
     h_mat = np.diag(2.0 * np.tile(cfg.r_diag, n))
@@ -578,24 +584,20 @@ def _gauss_newton_direction(
     for j in range(n):
         sens = a_steps[j] @ sens
         sens[:, 4 * j : 4 * j + 4] += b_steps[j]
-        q = states[j + 1, QUAT_SLICE].tolist()
+        (_, dyaw), roll, pitch = angles[j]
         rows = np.empty((4, m))
         rows[0] = sens[0]
         rows[1] = sens[1]
         rows[2] = sens[2]
-        rows[3] = np.array(_yaw_of(q)[1]) @ sens[QUAT_SLICE, :]
+        rows[3] = np.array(dyaw) @ sens[QUAT_SLICE, :]
         h_mat += 2.0 * (rows.T * q_diag) @ rows
         if weight > 0.0:
             # Curvature rows exactly where the penalty gradient acts, so the
             # quadratic model stays consistent with the objective.
-            roll, droll = _roll_of(q)
-            if lam_r[j] / (2.0 * weight) + abs(roll) - cfg.tilt_max > 0.0:
-                row = np.array(droll) @ sens[QUAT_SLICE, :]
-                h_mat += (2.0 * weight) * np.outer(row, row)
-            pitch, dpitch = _pitch_of(q)
-            if lam_p[j] / (2.0 * weight) + abs(pitch) - cfg.tilt_max > 0.0:
-                row = np.array(dpitch) @ sens[QUAT_SLICE, :]
-                h_mat += (2.0 * weight) * np.outer(row, row)
+            for lam, (angle, d_angle) in ((lam_r[j], roll), (lam_p[j], pitch)):
+                if lam / (2.0 * weight) + abs(angle) - cfg.tilt_max > 0.0:
+                    row = np.array(d_angle) @ sens[QUAT_SLICE, :]
+                    h_mat += (2.0 * weight) * np.outer(row, row)
     step = np.linalg.solve(h_mat + damping * np.eye(m), -grad.reshape(m))
     return step.reshape(n, 4)
 
@@ -736,12 +738,13 @@ def solve(
         stage_iters += 1
         # The current iterate was flown by the evaluation that chose it.
         states = flight.states
+        angles = _attitudes(states)
         a_steps, b_steps = _step_jacobians(flight, cfg.period, params)
         grad = _adjoint_gradient(
-            states, a_steps, b_steps, u, refs, cfg, lam_r, lam_p, weight
+            states, a_steps, b_steps, u, refs, cfg, lam_r, lam_p, weight, angles
         )
         d = _gauss_newton_direction(
-            states, a_steps, b_steps, grad, cfg, lam_r, lam_p, weight, damping
+            states, a_steps, b_steps, grad, cfg, lam_r, lam_p, weight, damping, angles
         )
         hit = _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight)
         if hit is None:

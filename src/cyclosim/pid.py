@@ -10,7 +10,7 @@ primitive:
 The derivative is a backward difference on the error and is zero on the
 first step after a reset. The integral accumulator is clamped symmetrically
 (anti-windup). All saturations in the loops are silent: commands are clipped
-and execution continues.
+and execution continues.  Every update computes in plain Python floats.
 """
 
 from __future__ import annotations
@@ -92,14 +92,23 @@ def pid_step(
     return output, PidChannelState(integral=integral, prev_error=error)
 
 
+def _three(values, name: str) -> list:
+    """The three floats of a length-3 sequence."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (3,):
+        raise ValueError(f"{name} must have shape (3,)")
+    return values.tolist()
+
+
 def position_loop(
-    position_error: np.ndarray,
+    position_error,
     yaw: float,
     states: tuple[PidChannelState, PidChannelState, PidChannelState],
     cfg: PidConfig,
     dt: float,
 ):
-    """Outer loop: position error to thrust and attitude references.
+    """Outer loop: position error (any length-3 sequence) to thrust and
+    attitude references.
 
     The three channel PIDs produce a desired world acceleration
     ``(ax, ay, az)``. Vertical: ``c = g + az`` (clipped to [0, 3g]).
@@ -115,41 +124,37 @@ def position_loop(
     -------
     ((c, roll_ref, pitch_ref), new_states)
     """
-    position_error = np.asarray(position_error, dtype=float)
-    if position_error.shape != (3,):
-        raise ValueError("position_error must have shape (3,)")
-    accel = np.empty(3)
-    new_states = []
-    for i, gains in enumerate((cfg.x, cfg.y, cfg.z)):
-        accel[i], st = pid_step(
-            states[i], gains, float(position_error[i]), dt, cfg.windup_limit
-        )
-        new_states.append(st)
+    ex, ey, ez = _three(position_error, "position_error")
+    windup = cfg.windup_limit
+    ax, state_x = pid_step(states[0], cfg.x, ex, dt, windup)
+    ay, state_y = pid_step(states[1], cfg.y, ey, dt, windup)
+    az, state_z = pid_step(states[2], cfg.z, ez, dt, windup)
 
-    c = GRAVITY + accel[2]
+    c = GRAVITY + az
     c_max = _C_MAX_G * GRAVITY
     if c < 0.0 or c > c_max:
         log.debug("thrust command %.3f clipped to [0, %.3f]", c, c_max)
         c = max(0.0, min(c_max, c))
 
     cy, sy = math.cos(yaw), math.sin(yaw)
-    pitch_ref = (accel[0] * cy + accel[1] * sy) / GRAVITY
-    roll_ref = (accel[0] * sy - accel[1] * cy) / GRAVITY
+    pitch_ref = (ax * cy + ay * sy) / GRAVITY
+    roll_ref = (ax * sy - ay * cy) / GRAVITY
     lim = cfg.tilt_limit
     if abs(pitch_ref) > lim or abs(roll_ref) > lim:
         log.debug("attitude reference clipped to +/-%.3f rad", lim)
     pitch_ref = max(-lim, min(lim, pitch_ref))
     roll_ref = max(-lim, min(lim, roll_ref))
-    return (c, roll_ref, pitch_ref), tuple(new_states)
+    return (c, roll_ref, pitch_ref), (state_x, state_y, state_z)
 
 
 def attitude_loop(
-    attitude_error: np.ndarray,
+    attitude_error,
     states: tuple[PidChannelState, PidChannelState, PidChannelState],
     cfg: PidConfig,
     dt: float,
 ):
-    """Inner loop: attitude error (roll, pitch, yaw) to body torques.
+    """Inner loop: attitude error (roll, pitch, yaw; any length-3 sequence)
+    to body torques.
 
     The yaw component is wrapped to (-pi, pi] before the PID so the vehicle
     always turns the short way. Torques are clipped to ``cfg.torque_limit``.
@@ -157,25 +162,21 @@ def attitude_loop(
     Returns
     -------
     (torque, new_states)
+        ``torque`` is a 3-tuple of floats.
     """
-    attitude_error = np.asarray(attitude_error, dtype=float)
-    if attitude_error.shape != (3,):
-        raise ValueError("attitude_error must have shape (3,)")
-    errors = (
-        float(attitude_error[0]),
-        float(attitude_error[1]),
-        wrap_angle(float(attitude_error[2])),
-    )
-    torque = np.empty(3)
-    new_states = []
-    for i, gains in enumerate((cfg.roll, cfg.pitch, cfg.yaw)):
-        torque[i], st = pid_step(states[i], gains, errors[i], dt, cfg.windup_limit)
-        new_states.append(st)
+    e_roll, e_pitch, e_yaw = _three(attitude_error, "attitude_error")
+    e_yaw = wrap_angle(e_yaw)
+    windup = cfg.windup_limit
+    tx, state_roll = pid_step(states[0], cfg.roll, e_roll, dt, windup)
+    ty, state_pitch = pid_step(states[1], cfg.pitch, e_pitch, dt, windup)
+    tz, state_yaw = pid_step(states[2], cfg.yaw, e_yaw, dt, windup)
+    torque = (tx, ty, tz)
     lim = cfg.torque_limit
-    if np.abs(torque).max() > lim:
+    if max(abs(tx), abs(ty), abs(tz)) > lim:
         log.debug("torque command clipped to +/-%.3f N*m", lim)
-        torque = np.clip(torque, -lim, lim)
-    return torque, tuple(new_states)
+        # As np.clip: a NaN stays NaN (and AerialInput rejects it).
+        torque = tuple(min(max(t, -lim), lim) for t in torque)
+    return torque, (state_roll, state_pitch, state_yaw)
 
 
 class CascadePid:
@@ -193,18 +194,19 @@ class CascadePid:
     def step(
         self,
         state: VehicleState,
-        ref_position: np.ndarray,
+        ref_position,
         ref_yaw: float,
         dt: float,
     ) -> AerialInput:
         """One controller update at the controller rate."""
-        ref_position = np.asarray(ref_position, dtype=float)
-        pos_err = ref_position - state.position
+        rx, ry, rz = _three(ref_position, "ref_position")
+        px, py, pz = state.position.tolist()
         yaw = quat_yaw(state.quaternion)
         (c, roll_ref, pitch_ref), self._pos_states = position_loop(
-            pos_err, yaw, self._pos_states, self._pid, dt
+            (rx - px, ry - py, rz - pz), yaw, self._pos_states, self._pid, dt
         )
         roll, pitch = quat_roll_pitch(state.quaternion)
-        att_err = np.array([roll_ref - roll, pitch_ref - pitch, ref_yaw - yaw])
-        torque, self._att_states = attitude_loop(att_err, self._att_states, self._pid, dt)
+        torque, self._att_states = attitude_loop(
+            (roll_ref - roll, pitch_ref - pitch, ref_yaw - yaw), self._att_states, self._pid, dt
+        )
         return AerialInput(c=c, torque=torque)

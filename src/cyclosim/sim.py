@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
+from .config import MAX_TICKS, Config
 from .dynamics import (
     AerialInput,
     AquaticInput,
@@ -441,12 +441,10 @@ class _Runner:
         if mode.medium is Medium.AERIAL:
             if mode.substate is SubState.STATIC:
                 return
-            u_vec = self.applied
-            x = self.x13
-            for _ in range(self.substeps):
-                x = aerial_step(x, u_vec, self.params, dt)
+            x = aerial_step(self.x13, self.applied, self.params, dt, self.substeps)
             self.x13 = x
-            if not np.all(np.isfinite(x)) or np.any(np.abs(x[0:3]) > _POSITION_RUNAWAY):
+            # aerial_step returns finite states only.
+            if max(map(abs, x[0:3].tolist())) > _POSITION_RUNAWAY:
                 raise DivergenceError("aerial state diverged", state=x)
             return
         if mode.substate is not SubState.DRIVING:
@@ -501,6 +499,19 @@ class _Runner:
         )
 
 
+def _time_limit(config: Config, time_limit: float | None) -> float:
+    """The run's simulated-seconds budget; ValueError unless it is finite,
+    positive and within ``MAX_TICKS`` controller ticks."""
+    limit = config.sim.time_limit if time_limit is None else float(time_limit)
+    if not (math.isfinite(limit) and limit > 0.0):
+        raise ValueError(f"time limit must be finite and positive, got {limit!r}")
+    ticks = limit / config.sim.controller_period
+    if ticks > MAX_TICKS:
+        raise ValueError(f"time limit {limit!r} s is {ticks:.3g} ticks,"
+                         f" above the cap of {MAX_TICKS}")
+    return limit
+
+
 def run(config: Config, mission: Mission, controller: str = "pid",
         time_limit: float | None = None) -> RunLog:
     """Simulate ``mission`` closed loop and return the telemetry log.
@@ -531,15 +542,13 @@ def run(config: Config, mission: Mission, controller: str = "pid",
     ------
     ValueError
         If ``controller`` is not "pid" or "nmpc", or ``time_limit`` is not
-        finite and positive.
+        finite and positive or asks for more than ``MAX_TICKS`` ticks.
     MissionError
         If the mission cannot be realized by the transition table.
     """
     if controller not in ("pid", "nmpc"):
         raise ValueError(f"unknown controller '{controller}'")
-    limit = config.sim.time_limit if time_limit is None else float(time_limit)
-    if not (math.isfinite(limit) and limit > 0.0):
-        raise ValueError(f"time limit must be finite and positive, got {limit!r}")
+    limit = _time_limit(config, time_limit)
     runner = _Runner(config, mission, controller, limit)
 
     completed = False

@@ -192,6 +192,20 @@ class TestSimulate:
         assert "--duration-limit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_duration_limit_over_the_tick_cap_is_usage_error(
+        self, mini_path, tmp_path, capsys, command
+    ):
+        code = main([
+            command, "--mission", str(mini_path),
+            "--duration-limit", "1e300", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        _, last = _last_line(capsys)
+        assert last == ("error: --duration-limit: time limit 1e+300 s is 1e+302 ticks,"
+                        " above the cap of 1000000")
+        assert not (tmp_path / "out").exists()
+
     def test_hover_hold_reaches_builtin_route(self, tmp_path, monkeypatch):
         cfg = tmp_path / "hold.yaml"
         cfg.write_text("sim:\n  hover_hold: 3.5\n")

@@ -134,3 +134,41 @@ class TestDocstring:
         missing = [f.name for f in fields(cls)
                    if not re.search(rf"\b{f.name}\b", config.__doc__)]
         assert missing == []
+
+
+class TestWorkCaps:
+    """Each key that sets how much work a run does has a fixed cap; over it
+    is a ConfigError naming the key.  No run is started."""
+
+    def test_ticks(self, write):
+        # The tick count is sim.time_limit over sim.controller_period.
+        with pytest.raises(ConfigError, match=r"sim\.time_limit over sim\.controller_period"
+                                              r" is 6e\+302 ticks"):
+            load_config(write("dt: 1.0e-300\nsim:\n  controller_period: 1.0e-300\n"))
+        with pytest.raises(ConfigError, match=r"sim\.time_limit over"):
+            load_config(write("sim:\n  time_limit: 1.0e+300\n"))
+
+    def test_substeps_per_tick(self, write):
+        with pytest.raises(ConfigError, match=r"sim\.controller_period over dt is 1e\+05"
+                                              r" substeps per tick"):
+            load_config(write("dt: 1.0e-7\n"))
+
+    def test_horizon(self, write):
+        with pytest.raises(ConfigError, match=r"nmpc\.horizon must lie in \[2, 200\]"):
+            load_config(write("nmpc:\n  horizon: 100000000\n"))
+
+    def test_max_iters(self, write):
+        with pytest.raises(ConfigError, match=r"nmpc\.max_iters must lie in \[1, 1000\]"):
+            load_config(write("nmpc:\n  max_iters: 1000000000\n"))
+
+    def test_caps_are_inclusive_and_far_above_the_defaults(self, write):
+        cfg = load_config(write(
+            f"dt: 1.0e-5\nnmpc:\n  horizon: {config.MAX_HORIZON}\n"
+            f"  max_iters: {config.MAX_ITERS}\n"
+            f"sim:\n  time_limit: {config.MAX_TICKS * 0.01}\n"))
+        assert round(cfg.sim.controller_period / cfg.dt) == config.MAX_SUBSTEPS
+        base = default_config()
+        assert 10 * base.sim.time_limit / base.sim.controller_period <= config.MAX_TICKS
+        assert 10 * base.sim.controller_period / base.dt <= config.MAX_SUBSTEPS
+        assert 10 * base.nmpc.horizon <= config.MAX_HORIZON
+        assert 10 * base.nmpc.max_iters <= config.MAX_ITERS

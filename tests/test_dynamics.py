@@ -249,6 +249,53 @@ class TestAerialKernel:
         s4 = x + dt * f(s3, u)
         assert np.array_equal(np.array(later), np.array([s2[6:], s3[6:], s4[6:]]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.tuples(*[_finite(-100.0, 100.0)] * 6, *[_finite(-1.0, 1.0)] * 4,
+                    *[_finite(-10.0, 10.0)] * 3),
+        u=st.tuples(_finite(0.0, 50.0), _finite(-1.0, 1.0), _finite(-1.0, 1.0),
+                    _finite(-1.0, 1.0)),
+        inertia=st.tuples(_finite(1e-3, 1.0), _finite(1e-3, 1.0), _finite(1e-3, 1.0)),
+        dt=_finite(1e-5, 0.05),
+        steps=st.integers(1, 12),
+    )
+    def test_steps_match_chained_step_rk4_bit_for_bit(self, x, u, inertia, dt, steps):
+        params = VehicleParams(inertia=np.array(inertia))
+        x, u = np.array(x), np.array(u)
+        f = lambda s, v: aerial_derivative(s, v, params)
+        expected = x
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(steps):
+                    expected = step_rk4(f, expected, u, dt, quat_slice=QUAT_SLICE)
+        except (DivergenceError, ValueError):
+            # A collapsed quaternion or a blow-up: aerial_derivative rejects
+            # a non-finite stage state with ValueError.
+            with pytest.raises(DivergenceError):
+                aerial_step(x, u, params, dt, steps)
+            return
+        got = aerial_step(x, u, params, dt, steps)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_diverges_at_the_same_substep(self, params):
+        # x grows by 5e303 a step from 1.7975e308 and overflows on the fourth.
+        x0 = hover_state((1.7975e308, 0.0, 0.0)).as_vector()
+        x0[3] = 1e305
+        u, dt = np.array([G, 0.0, 0.0, 0.0]), 0.05
+        x = x0
+        for first in range(1, 20):
+            try:
+                x = aerial_step(x, u, params, dt)
+            except DivergenceError as exc:
+                expected = exc.state
+                break
+        assert first == 4
+        assert np.array_equal(aerial_step(x0, u, params, dt, first - 1), x)
+        with pytest.raises(DivergenceError) as exc_info:
+            aerial_step(x0, u, params, dt, first + 3)
+        assert np.array_equal(exc_info.value.state, expected)
+
 
 class TestRk4:
     def test_free_fall_closed_form(self, params):
@@ -321,6 +368,34 @@ class TestVehicleState:
         with pytest.raises(ValueError):
             VehicleState.from_vector(np.zeros(STATE_DIM + 1))
 
+    def test_vector_fields_are_views(self):
+        x = hover_state((1.0, -2.0, 3.0), yaw=0.7).as_vector()
+        s = VehicleState.from_vector(x)
+        for name, part in (("position", x[0:3]), ("velocity", x[3:6]),
+                           ("quaternion", x[6:10]), ("body_rates", x[10:13])):
+            assert np.shares_memory(getattr(s, name), x)
+            assert np.array_equal(getattr(s, name), part)
+
+    @pytest.mark.parametrize("index, message", [
+        (1, "position must be finite"), (4, "velocity must be finite"),
+        (7, "quaternion must be finite"), (12, "body_rates must be finite"),
+    ])
+    def test_vector_names_the_non_finite_field(self, index, message):
+        for bad in (math.nan, math.inf):
+            x = hover_state((0.0, 0.0, 1.0)).as_vector()
+            x[index] = bad
+            with pytest.raises(ValueError, match=message):
+                VehicleState.from_vector(x)
+
+    def test_vector_checks_the_unit_norm(self):
+        x = hover_state((0.0, 0.0, 1.0)).as_vector()
+        x[6] = 1.0 + 1e-5
+        with pytest.raises(ValueError, match=r"quaternion norm\^2 = 1\.0000200"):
+            VehicleState.from_vector(x)
+        # Finite entries whose sum overflows are still a valid state.
+        x = hover_state((1.7e308, 1.7e308, 0.0)).as_vector()
+        assert np.array_equal(VehicleState.from_vector(x).position, x[0:3])
+
     def test_params_from_config(self):
         p = VehicleParams.from_config(default_config())
         assert p.mass == 0.75
@@ -331,6 +406,98 @@ class TestVehicleState:
             VehicleParams(mass=-1.0)
         with pytest.raises(ValueError):
             VehicleParams(dt=0.1)
+
+
+def _allocate_arrays(u: AerialInput, p: VehicleParams, strict: bool):
+    """The allocation formulas in array form: speeds, servo and channels."""
+    b0 = p.mass * u.c
+    b1 = u.torque[0] / p.arm
+    b2 = u.torque[1] / p.arm
+    t = 0.25 * np.array([b0 + b1 - b2, b0 - b1 - b2, b0 + b1 + b2, b0 - b1 + b2])
+    rear = t[2] + t[3]
+    tz = float(u.torque[2])
+    if abs(rear) * p.arm < 1e-9:
+        if abs(tz) > 1e-12:
+            raise SaturationError("no rear thrust", channels=["servo"])
+        servo = 0.0
+    else:
+        servo = tz / (p.arm * rear)
+    speeds = np.copysign(np.sqrt(np.abs(t) / p.k_f), t)
+    clipped = [f"rotor_{i + 1}" for i in np.flatnonzero(np.abs(speeds) > p.rotor_max)]
+    speeds = np.clip(speeds, -p.rotor_max, p.rotor_max)
+    if abs(servo) > p.servo_max:
+        clipped.append("servo")
+        servo = math.copysign(p.servo_max, servo)
+    if clipped and strict:
+        raise SaturationError("limits", channels=clipped)
+    return speeds, servo
+
+
+def _forward_mix_arrays(cmd: ActuatorCommand, p: VehicleParams):
+    """The forward mixing formulas in array form: c and the three torques."""
+    w = cmd.rotor_speeds
+    t = p.k_f * w * np.abs(w)
+    c = float(t.sum()) / p.mass
+    tau_x = p.arm * float(t[0] - t[1] + t[2] - t[3])
+    tau_y = p.arm * float(-t[0] - t[1] + t[2] + t[3])
+    tau_z = p.arm * cmd.servo * float(t[2] + t[3])
+    return np.array([c, tau_x, tau_y, tau_z])
+
+
+def _check_forward_mix(cmd: ActuatorCommand, p: VehicleParams) -> None:
+    expected = _forward_mix_arrays(cmd, p)
+    if expected[0] < 0.0:
+        # A net downward thrust (a rounding below zero too) is no AerialInput.
+        with pytest.raises(ValueError, match="c must be >= 0"):
+            forward_mix(cmd, p)
+        return
+    mixed = forward_mix(cmd, p)
+    assert _same_bits([mixed.c, *mixed.torque], expected)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _signed(lo, hi):
+    return st.one_of(st.sampled_from([0.0, -0.0]), _finite(lo, hi))
+
+
+_MIX_PARAMS = st.builds(VehicleParams, mass=_finite(0.2, 3.0), arm=_finite(0.05, 0.5),
+                        k_f=_finite(1e-6, 1e-4), rotor_max=_finite(300.0, 2000.0))
+
+
+class TestFloatMixing:
+    """The float ``allocate`` and ``forward_mix`` against their array forms."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(c=_signed(0.0, 100.0), tau=st.tuples(_signed(-5.0, 5.0), _signed(-5.0, 5.0),
+                                                _signed(-2.0, 2.0)),
+           p=_MIX_PARAMS, strict=st.booleans())
+    def test_allocate_and_forward_mix_match_bit_for_bit(self, c, tau, p, strict):
+        u = AerialInput(c=c, torque=np.array(tau))
+        try:
+            speeds, servo = _allocate_arrays(u, p, strict)
+        except SaturationError as exc:
+            with pytest.raises(SaturationError) as got:
+                allocate(u, p, strict)
+            assert got.value.channels == exc.channels
+            return
+        cmd = allocate(u, p, strict)
+        assert _same_bits(cmd.rotor_speeds, speeds)
+        assert _same_bits(cmd.servo, servo)
+        _check_forward_mix(cmd, p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(speeds=st.lists(_signed(-1500.0, 1500.0), min_size=4, max_size=4),
+           servo=_signed(-1.0, 1.0), p=_MIX_PARAMS)
+    def test_forward_mix_matches_on_any_command(self, speeds, servo, p):
+        _check_forward_mix(ActuatorCommand(rotor_speeds=np.array(speeds), servo=servo), p)
+
+    def test_all_negative_zero_rotors_give_positive_zero_thrust(self, params):
+        cmd = ActuatorCommand(rotor_speeds=np.array([-0.0] * 4), servo=0.0)
+        assert _same_bits(forward_mix(cmd, params).c, 0.0)
 
 
 class TestAllocation:

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclosim.config import PidChannelGains, PidConfig, default_config
+from cyclosim.config import GRAVITY, PidChannelGains, PidConfig, default_config
 from cyclosim.dynamics import VehicleParams, VehicleState, aerial_step, hover_state
+from cyclosim.geometry import quat_roll_pitch, quat_yaw, wrap_angle
 from cyclosim.pid import CascadePid, PidChannelState, attitude_loop, pid_step, position_loop
 
 G = 9.81
@@ -101,6 +104,16 @@ class TestPositionLoop:
         assert c == 0.0
 
 
+    def test_any_length_3_sequence(self):
+        cfg = PidConfig(x=PidChannelGains(2.0, 0.1, 0.5), z=PidChannelGains(1.0, 0.2, 0.3))
+        expected = position_loop(np.array([0.3, -0.2, 1.0]), 0.4, fresh_states(), cfg, 0.01)
+        for error in ([0.3, -0.2, 1.0], (0.3, -0.2, 1)):
+            assert position_loop(error, 0.4, fresh_states(), cfg, 0.01) == expected
+        for bad in ([0.3, -0.2], np.zeros((3, 1))):
+            with pytest.raises(ValueError, match="position_error must have shape"):
+                position_loop(bad, 0.0, fresh_states(), cfg, 0.01)
+
+
 class TestAttitudeLoop:
     def test_proportional_torque(self):
         cfg = PidConfig(
@@ -122,6 +135,15 @@ class TestAttitudeLoop:
         cfg = PidConfig(roll=PidChannelGains(100.0, 0.0, 0.0), torque_limit=2.0)
         torque, _ = attitude_loop(np.array([1.0, 0.0, 0.0]), fresh_states(), cfg, 0.01)
         assert torque[0] == 2.0
+
+    def test_any_length_3_sequence(self):
+        cfg = PidConfig(roll=PidChannelGains(100.0, 0.0, 0.0), torque_limit=2.0)
+        torque, states = attitude_loop((1.0, -0.01, 4.0), fresh_states(), cfg, 0.01)
+        assert isinstance(torque, tuple)
+        assert (torque, states) == attitude_loop(
+            np.array([1.0, -0.01, 4.0]), fresh_states(), cfg, 0.01)
+        with pytest.raises(ValueError, match="attitude_error must have shape"):
+            attitude_loop([1.0, 0.0, 0.0, 0.0], fresh_states(), cfg, 0.01)
 
 
 class TestClosedLoop:
@@ -186,3 +208,66 @@ class TestClosedLoop:
         ctrl.reset()
         again = ctrl.step(s, ref, 0.0, 0.01)
         assert again.c == pytest.approx(first.c)
+
+
+def _array_cascade(cfg: PidConfig, pos_states, att_states, x, ref, ref_yaw, dt):
+    """One cascade update in array form, the reference for the float path:
+    ``(c, torque, position states, attitude states)``."""
+    err = np.asarray(ref, dtype=float) - x[0:3]
+    yaw = quat_yaw(x[6:10])
+    accel = np.empty(3)
+    new_pos = []
+    for i, gains in enumerate((cfg.x, cfg.y, cfg.z)):
+        accel[i], st_i = pid_step(pos_states[i], gains, float(err[i]), dt, cfg.windup_limit)
+        new_pos.append(st_i)
+    c = GRAVITY + accel[2]
+    if c < 0.0 or c > 3.0 * GRAVITY:
+        c = max(0.0, min(3.0 * GRAVITY, c))
+    lim = cfg.tilt_limit
+    pitch_ref = max(-lim, min(lim, (accel[0] * math.cos(yaw) + accel[1] * math.sin(yaw)) / GRAVITY))
+    roll_ref = max(-lim, min(lim, (accel[0] * math.sin(yaw) - accel[1] * math.cos(yaw)) / GRAVITY))
+    roll, pitch = quat_roll_pitch(x[6:10])
+    att_err = np.array([roll_ref - roll, pitch_ref - pitch, ref_yaw - yaw])
+    att_err[2] = wrap_angle(float(att_err[2]))
+    torque = np.empty(3)
+    new_att = []
+    for i, gains in enumerate((cfg.roll, cfg.pitch, cfg.yaw)):
+        torque[i], st_i = pid_step(att_states[i], gains, float(att_err[i]), dt, cfg.windup_limit)
+        new_att.append(st_i)
+    if np.abs(torque).max() > cfg.torque_limit:
+        torque = np.clip(torque, -cfg.torque_limit, cfg.torque_limit)
+    return c, torque, tuple(new_pos), tuple(new_att)
+
+
+def _bits(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+class TestFloatCascade:
+    """``CascadePid.step`` in floats against the array form, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(
+            st.tuples(*[st.floats(-50.0, 50.0)] * 3),  # position
+            st.tuples(st.floats(0.3, 1.0), *[st.floats(-1.0, 1.0)] * 3),  # attitude
+            st.tuples(*[st.floats(-50.0, 50.0)] * 3),  # reference position
+            st.floats(-7.0, 7.0),  # reference yaw
+        ), min_size=1, max_size=4),
+    )
+    def test_matches_array_form(self, steps):
+        # Several updates in a row, so the integral and derivative memory
+        # is compared too; large errors clip thrust, tilt and torque.
+        cfg = default_config()
+        ctrl = CascadePid(cfg)
+        pos_states = att_states = (PidChannelState(),) * 3
+        for position, quat, ref, ref_yaw in steps:
+            x = hover_state(position).as_vector()
+            q = np.array(quat)
+            x[6:10] = q / math.sqrt(float(q @ q))
+            got = ctrl.step(VehicleState.from_vector(x), np.array(ref), ref_yaw, 0.01)
+            c, torque, pos_states, att_states = _array_cascade(
+                cfg.pid, pos_states, att_states, x, ref, ref_yaw, 0.01)
+            assert _bits([got.c, *got.torque]) == _bits([c, *torque])
+            assert ctrl._pos_states == pos_states
+            assert ctrl._att_states == att_states

@@ -238,6 +238,11 @@ class TestRunEndings:
         with pytest.raises(ValueError, match="time limit"):
             run(cfg, mini_mission(), controller="pid", time_limit=limit)
 
+    def test_time_limit_over_the_tick_cap_rejected(self, cfg):
+        # 1e300 s at the 0.01 s controller period; rejected before any tick.
+        with pytest.raises(ValueError, match=r"time limit 1e\+300 s is 1e\+302 ticks"):
+            run(cfg, mini_mission(), controller="pid", time_limit=1e300)
+
     def test_misaligned_controller_period_rejected(self, cfg, mission):
         bad = dataclasses.replace(
             cfg, sim=dataclasses.replace(cfg.sim, controller_period=0.0103)
