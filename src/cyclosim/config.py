@@ -209,6 +209,8 @@ def _validate(cfg: Config) -> Config:
     positive = [(key, getattr(cfg, key)) for key in _VEHICLE_KEYS] + [
         ("nmpc.period", cfg.nmpc.period),
         ("nmpc.tol", cfg.nmpc.tol),
+        ("nmpc.tilt_max", cfg.nmpc.tilt_max),
+        ("nmpc.tilt_weight", cfg.nmpc.tilt_weight),
         ("sim.controller_period", cfg.sim.controller_period),
         ("sim.time_limit", cfg.sim.time_limit),
     ]
@@ -231,8 +233,6 @@ def _validate(cfg: Config) -> Config:
     ):
         if value < 0.0:
             raise ConfigError(f"nmpc.{key} must be nonnegative, got {value!r}")
-    if cfg.nmpc.tilt_max <= 0.0 or cfg.nmpc.tilt_weight < 0.0:
-        raise ConfigError("nmpc tilt limit must be positive and its weight nonnegative")
     if cfg.nmpc.period > 0.05:
         raise ConfigError("nmpc.period must be <= 0.05 s (one integrator step)")
     if cfg.nmpc.accel_min >= cfg.nmpc.accel_max:

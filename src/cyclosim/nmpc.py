@@ -11,7 +11,9 @@ Pipeline per solve:
    control period, in plain floats (``_horizon_pass``); the same loop gives
    the states, the outputs (position and yaw after each step) with their
    wrapped errors, and the roll/pitch excess, and keeps the RK4 stage
-   attitudes and quaternion norms that step 3 needs;
+   attitudes and quaternion norms that step 3 needs; a line-search trial
+   stops flying once its running cost, a sum of non-negative terms, is
+   above its Armijo bound (it can no longer be accepted);
 2. objective = sum of Q-weighted squared output errors (yaw wrapped) plus
    R-weighted squared inputs, plus a quadratic penalty on roll/pitch beyond
    the tilt limit;
@@ -22,7 +24,9 @@ Pipeline per solve:
    hit), so no iterate is flown twice;
 4. search direction is a Gauss-Newton step built from forward sensitivities
    (the decision vector is small, so the normal system is dense and cheap);
-   a projected Armijo backtracking line search accepts it, falling back to
+   when it predicts a decrease ``-grad . d`` of at most
+   ``tol * max(|cost|, 1)`` the stage ends with no search; otherwise a
+   projected Armijo backtracking line search accepts it, falling back to
    the plain projected-gradient direction whenever the Gauss-Newton step
    fails to produce sufficient decrease;
 5. the tilt terms carry per-step multipliers updated between descent stages
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,7 +58,6 @@ from .dynamics import (
     STATE_DIM,
     AerialInput,
     VehicleParams,
-    VehicleState,
     _renormalized,
     _rk4_floats,
     aerial_step,
@@ -105,6 +109,8 @@ class NmpcSolution:
     converged : bool
         True if descent reached the cost-decrease tolerance or a stationary
         point, with the predicted tilt inside the limit plus slack.
+    evaluations, line_searches : int
+        Horizon passes begun (cut short or not) and line searches run.
     """
 
     u: np.ndarray
@@ -113,6 +119,8 @@ class NmpcSolution:
     cost: float
     iterations: int
     converged: bool
+    evaluations: int
+    line_searches: int
 
     @property
     def first_input(self) -> AerialInput:
@@ -219,7 +227,7 @@ class _Flight(NamedTuple):
 
 
 def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
-                  params: VehicleParams):
+                  params: VehicleParams, cut=None):
     """Fly the horizon once in plain floats.
 
     Steps the two halves of ``aerial_step``, :func:`_rk4_floats` and the
@@ -229,11 +237,16 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
     and pitch excess ``|angle| - tilt_max`` of every step.  One array is
     built at the end.
 
+    With ``cut = (limit, lam_r, lam_p, weight)`` the pass also sums the
+    stage value as it flies and returns None once the sum is above ``limit``
+    by more than a 1e-9 relative margin for rounding; the terms are all
+    non-negative, so the full :func:`_stage_value` would be above it too.
+
     Returns
     -------
-    (flight, errors, roll excess, pitch excess)
+    (flight, errors, roll excess, pitch excess) or None
         A :class:`_Flight`, a list of N error 4-tuples and two lists of
-        N floats.
+        N floats; None when the pass was cut.
 
     Raises
     ------
@@ -244,6 +257,12 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
     jx, jy, jz = params.inertia.tolist()
     h = cfg.period
     tilt = cfg.tilt_max
+    if cut is not None:
+        limit, lam_r, lam_p, weight = cut
+        bound = limit + 1e-9 * max(abs(limit), 1.0)
+        running = float(np.sum(u * u * cfg.r_diag))
+        q0, q1, q2, q3 = cfg.q_diag.tolist()
+        lams = zip(lam_r.tolist(), lam_p.tolist())
     x = np.asarray(x0, dtype=float).tolist()
     rows = [x]
     stages, thrusts, norms, yaws = [], [], [], []
@@ -265,6 +284,15 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
         errors.append((px - r0, py - r1, pz - r2, wrap_angle(yaw - r3)))
         g_roll.append(abs(roll) - tilt)
         g_pitch.append(abs(pitch) - tilt)
+        if cut is not None:
+            e0, e1, e2, e3 = errors[-1]
+            running += e0 * e0 * q0 + e1 * e1 * q1 + e2 * e2 * q2 + e3 * e3 * q3
+            for lam, g in zip(next(lams), (g_roll[-1], g_pitch[-1])):
+                s = lam / (2.0 * weight) + g
+                if s > 0.0:
+                    running += weight * s * s
+            if running > bound:
+                return None
     flight = _Flight(np.array(rows), yaws, stages, thrusts, norms)
     return flight, errors, g_roll, g_pitch
 
@@ -322,18 +350,22 @@ def tilt_penalty(states: np.ndarray, cfg: NmpcConfig) -> float:
     return cfg.tilt_weight * total
 
 
-def _cost_parts(x0, u, refs, cfg: NmpcConfig, params: VehicleParams):
+def _cost_parts(x0, u, refs, cfg: NmpcConfig, params: VehicleParams, cut=None):
     """(tracking cost, per-step roll excess, per-step pitch excess, flight).
 
     One :func:`_horizon_pass`.  The excess arrays are signed:
     ``|angle| - tilt_max`` per horizon step; the :class:`_Flight` is kept
     so the solver builds its Jacobians from it and never flies an accepted
-    iterate again.  Divergent or overflowing trajectories give
-    (inf, None, None, None) so the line search rejects them.
+    iterate again.  Divergent or overflowing trajectories, and passes
+    ended by ``cut`` (see :func:`_horizon_pass`), give
+    (inf, None, None, None) so the caller rejects them.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            flight, errors, g_roll, g_pitch = _horizon_pass(x0, u, refs, cfg, params)
+            passed = _horizon_pass(x0, u, refs, cfg, params, cut)
+            if passed is None:
+                return math.inf, None, None, None
+            flight, errors, g_roll, g_pitch = passed
             tracking = _weighted_cost(np.array(errors), u, cfg)
     except DivergenceError:
         return math.inf, None, None, None
@@ -347,12 +379,6 @@ def _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight) -> float:
     s_r = np.clip(lam_r / (2.0 * weight) + g_roll, 0.0, None)
     s_p = np.clip(lam_p / (2.0 * weight) + g_pitch, 0.0, None)
     return tracking + weight * float(s_r @ s_r + s_p @ s_p)
-
-
-def _plain_penalty_value(g_roll, g_pitch, weight) -> float:
-    over_r = np.clip(g_roll, 0.0, None)
-    over_p = np.clip(g_pitch, 0.0, None)
-    return weight * float(over_r @ over_r + over_p @ over_p)
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +639,16 @@ def _project(u: np.ndarray, cfg: NmpcConfig) -> np.ndarray:
     return out
 
 
-def _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight):
+def _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight,
+                 tally):
     """Projected Armijo backtracking along direction ``d``.
 
-    Returns (trial, stage cost, tracking, roll excess, pitch excess,
-    rollout) on acceptance, None when no step along the direction yields
-    sufficient decrease.
+    Each trial's pass is cut at its Armijo bound.  ``tally`` counts the
+    search and every pass it begins.  Returns (trial, stage cost,
+    tracking, roll excess, pitch excess, rollout) on acceptance, None when
+    no step along the direction yields sufficient decrease.
     """
+    tally["line_searches"] += 1
     alpha = 1.0
     gap_floor = 1e-15 * max(1.0, abs(cost))
     while alpha >= _ALPHA_FLOOR:
@@ -627,13 +656,12 @@ def _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight):
         gap = float(np.dot(grad.ravel(), (u - trial).ravel()))
         if gap <= gap_floor:
             return None
-        parts = _cost_parts(x0, trial, refs, cfg, params)
-        tracking, g_roll, g_pitch, _ = parts
-        if math.isfinite(tracking):
-            trial_cost = _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight)
-        else:
-            trial_cost = math.inf
-        if trial_cost <= cost - _ARMIJO_SIGMA * gap:
+        limit = cost - _ARMIJO_SIGMA * gap
+        tally["evaluations"] += 1
+        parts = _cost_parts(x0, trial, refs, cfg, params, (limit, lam_r, lam_p, weight))
+        trial_cost = (_stage_value(*parts[:3], lam_r, lam_p, weight)
+                      if math.isfinite(parts[0]) else math.inf)
+        if trial_cost <= limit:
             return (trial, trial_cost, *parts)
         alpha *= _BACKTRACK
     return None
@@ -681,6 +709,7 @@ def solve(
         u = warm_start
     u = _project(u, cfg)
 
+    tally = Counter(evaluations=1)
     warm_parts = _cost_parts(x0, u, refs, cfg, params)
     if not math.isfinite(warm_parts[0]):
         raise SolverFailureError(
@@ -689,9 +718,10 @@ def solve(
         )
     warm0 = u.copy()
     tracking, g_roll, g_pitch, flight = warm_parts
+    zeros = np.zeros(n)
 
     def _canonical(parts):
-        return parts[0] + _plain_penalty_value(parts[1], parts[2], cfg.tilt_weight)
+        return _stage_value(*parts[:3], zeros, zeros, cfg.tilt_weight)
 
     def _feasible(parts):
         return max(parts[1].max(), parts[2].max()) <= 0.5 * _TILT_SLACK
@@ -705,22 +735,26 @@ def solve(
     best_feas = _feasible(warm_parts)
 
     # A wild warm start (e.g. after a disturbance) can be worse than simply
-    # holding hover thrust; descend from whichever anchor is cheaper.
-    hover_u = hover_inputs(n)
-    hover_parts = _cost_parts(x0, hover_u, refs, cfg, params)
-    if math.isfinite(hover_parts[0]):
-        hover_canon = _canonical(hover_parts)
-        hover_feas = _feasible(hover_parts)
-        if (hover_feas and not best_feas) or (
-            hover_feas == best_feas and hover_canon < best_canon
-        ):
-            u = hover_u
-            tracking, g_roll, g_pitch, flight = hover_parts
-            best_u, best_parts = hover_u, hover_parts
-            best_canon, best_feas = hover_canon, hover_feas
+    # holding hover thrust; descend from whichever anchor is cheaper.  A
+    # cold start already flew the anchor.  Against a feasible warm start the
+    # anchor wins only below ``best_canon``, so its pass is cut there.
+    if warm_start is not None:
+        hover_u = _project(hover_inputs(n), cfg)
+        cut = (best_canon, zeros, zeros, cfg.tilt_weight) if best_feas else None
+        tally["evaluations"] += 1
+        hover_parts = _cost_parts(x0, hover_u, refs, cfg, params, cut)
+        if math.isfinite(hover_parts[0]):
+            hover_canon = _canonical(hover_parts)
+            hover_feas = _feasible(hover_parts)
+            if (hover_feas and not best_feas) or (
+                hover_feas == best_feas and hover_canon < best_canon
+            ):
+                u = hover_u
+                tracking, g_roll, g_pitch, flight = hover_parts
+                best_u, best_parts = hover_u, hover_parts
+                best_canon, best_feas = hover_canon, hover_feas
 
-    lam_r = np.zeros(n)
-    lam_p = np.zeros(n)
+    lam_r = lam_p = zeros
     weight = cfg.tilt_weight
     cost = _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight)
     prev_worst = math.inf
@@ -746,14 +780,16 @@ def solve(
         d = _gauss_newton_direction(
             states, a_steps, b_steps, grad, cfg, lam_r, lam_p, weight, damping, angles
         )
-        hit = _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight)
-        if hit is None:
-            damping = min(damping * 1e3, 1e3)
-            hit = _line_search(
-                x0, u, -grad, grad, cost, refs, cfg, params, lam_r, lam_p, weight
-            )
-        else:
-            damping = max(damping * 0.1, 1e-9)
+        # A negligible predicted decrease ends the stage with no search.
+        hit = None
+        if -float(np.dot(grad.ravel(), d.ravel())) > cfg.tol * max(abs(cost), 1.0):
+            args = (grad, cost, refs, cfg, params, lam_r, lam_p, weight, tally)
+            hit = _line_search(x0, u, d, *args)
+            if hit is None:
+                damping = min(damping * 1e3, 1e3)
+                hit = _line_search(x0, u, -grad, *args)
+            else:
+                damping = max(damping * 0.1, 1e-9)
         stage_solved = False
         if hit is None:
             stage_solved = True  # stationary for this stage
@@ -817,6 +853,7 @@ def solve(
             for k in range(1, 9):
                 s = k / 8.0
                 cand = (1.0 - s) * best_u + s * brake
+                tally["evaluations"] += 1
                 parts = _cost_parts(x0, cand, refs, cfg, params)
                 if math.isfinite(parts[0]) and _feasible(parts):
                     best_u, best_parts = cand, parts
@@ -833,6 +870,8 @@ def solve(
         cost=best_canon,
         iterations=iterations,
         converged=converged,
+        evaluations=tally["evaluations"],
+        line_searches=tally["line_searches"],
     )
 
 
@@ -854,10 +893,10 @@ class NmpcController:
         self._warm = None
         self.last_solution = None
 
-    def step(self, state: VehicleState, refs: np.ndarray) -> AerialInput:
-        """One receding-horizon update; returns the input to apply now."""
+    def step(self, x: np.ndarray, refs: np.ndarray) -> AerialInput:
+        """One receding-horizon update from the 13-vector ``x``: the input to apply now."""
         try:
-            sol = solve(state.as_vector(), refs, self._warm, self._cfg, self._params)
+            sol = solve(x, refs, self._warm, self._cfg, self._params)
         except SolverFailureError as exc:
             self.failures += 1
             self.last_solution = None

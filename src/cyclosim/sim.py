@@ -402,17 +402,17 @@ class _Runner:
             self.aerial_u = AerialInput(c=0.0, torque=np.zeros(3))
             self.cost, self.iters = 0.0, 0
             return
-        state = VehicleState.from_vector(self.x13)
         if self.nmpc is not None:
             if k % self.nmpc_every == 0 or self.force_solve:
                 refs = self.gen.preview(t, self.cfg.nmpc.horizon + 1,
                                         self.cfg.nmpc.period)
-                self.aerial_u = self.nmpc.step(state, refs)
+                self.aerial_u = self.nmpc.step(self.x13, refs)
                 sol = self.nmpc.last_solution
                 self.cost = float(sol.cost) if sol is not None else 0.0
                 self.iters = int(sol.iterations) if sol is not None else 0
                 self.force_solve = False
         else:
+            state = VehicleState.from_vector(self.x13)
             self.aerial_u = self.pid.step(state, ref[:3], ref[3], self.tick)
             self.cost, self.iters = 0.0, 0
 

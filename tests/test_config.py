@@ -102,6 +102,14 @@ class TestRejections:
         with pytest.raises(ConfigError, match=r"sim\.time_limit: must be finite"):
             load_config(write("sim:\n  time_limit: .inf\n"))
 
+    @pytest.mark.parametrize("key", ["tilt_max", "tilt_weight"])
+    @pytest.mark.parametrize("value", ["0.0", "-1.0"])
+    def test_tilt_keys_strictly_positive(self, write, key, value):
+        # A zero tilt weight made every stage value 0/0 = NaN, so the
+        # solver never left its warm start and still reported convergence.
+        with pytest.raises(ConfigError, match=rf"nmpc\.{key} must be positive"):
+            load_config(write(f"nmpc:\n  {key}: {value}\n"))
+
     def test_root_must_be_mapping(self, write):
         with pytest.raises(ConfigError, match="config root must be a mapping"):
             load_config(write("- 1\n- 2\n"))

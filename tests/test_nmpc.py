@@ -5,11 +5,15 @@ for the rollout, a brute-force python double loop for the cost, hand-built
 attitude quaternions for the tilt penalty, and the exact effort gradient
 2*R*u on a tracking-free objective.  Solver contracts (exact box, tilt
 adherence, warm-start monotonicity, determinism) are checked on seeded
-random instances.
+random instances.  The trial cut is checked against the same pass, line
+search or solve with no acceptance limit, and the work counts against
+counting wrappers.
 """
 
 import dataclasses
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -241,6 +245,189 @@ class TestHorizonPass:
             expected.cost, expected.iterations, expected.converged)
 
 
+def _same_parts(got, expected):
+    """Two results of ``_cost_parts`` (or the tails of two line-search
+    hits) agree bit for bit."""
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    assert np.array_equal(got[2], expected[2])
+    assert np.array_equal(got[3].states, expected[3].states)
+    assert got[3][1:] == expected[3][1:]
+
+
+_CUT_PARTS = nmpc._cost_parts
+
+
+def _never_cut(x0, u, refs, cfg, params, cut=None):
+    """``_cost_parts`` with every acceptance limit raised to infinity."""
+    return _CUT_PARTS(x0, u, refs, cfg, params, cut and (math.inf, *cut[1:]))
+
+
+@st.composite
+def _stage_cases(draw):
+    """A horizon case with tilt multipliers and a penalty weight."""
+    x0, u, refs, period = draw(_horizon_cases())
+    n = u.shape[0]
+    lam_r, lam_p = (np.array(draw(st.lists(_finite(0.0, 1e3), min_size=n, max_size=n)))
+                    for _ in range(2))
+    weight = draw(st.sampled_from([1e-3, 1.0, 1e4, 1e7, 1e10]))
+    return x0, u, refs, period, lam_r, lam_p, weight
+
+
+class TestTrialCut:
+    """A pass given an acceptance limit stops once its stage value is
+    certainly above it, and changes nothing at or below it.  Oracle: the
+    same pass, search or solve with every limit at infinity."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_stage_cases(), data=st.data())
+    def test_cut_only_above_the_limit(self, case, data, ncfg, params):
+        x0, u, refs, period, lam_r, lam_p, weight = case
+        cfg = dataclasses.replace(ncfg, period=period)
+        full = nmpc._cost_parts(x0, u, refs, cfg, params)
+        if math.isfinite(full[0]):
+            value = nmpc._stage_value(*full[:3], lam_r, lam_p, weight)
+            limits = [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf),
+                      0.5 * value, (1.0 - 1e-6) * value, 2.0 * value, 0.0, -1.0]
+        else:
+            value = math.inf
+            limits = [0.0, -1.0, 1e300]
+        limit = data.draw(st.sampled_from(limits))
+        got = nmpc._cost_parts(x0, u, refs, cfg, params, (limit, lam_r, lam_p, weight))
+        if got[3] is None:
+            assert got[0] == math.inf
+            assert value > limit
+        else:
+            _same_parts(got, full)
+        # Above the limit by more than the margin, the pass is always cut.
+        if value > limit + 2e-9 * max(abs(limit), 1.0):
+            assert got[3] is None
+
+    def test_cut_stops_the_flight(self, ncfg, params):
+        x0, refs = random_instance(np.random.default_rng(11), ncfg)
+        u = hover_inputs(ncfg.horizon)
+        cut = (-1.0, np.zeros(ncfg.horizon), np.zeros(ncfg.horizon), 1e4)
+        assert nmpc._horizon_pass(x0, u, refs, ncfg, params) is not None
+        # No stage value is below -1: the first step already settles it.
+        assert nmpc._horizon_pass(x0, u, refs, ncfg, params, cut) is None
+        assert nmpc._cost_parts(x0, u, refs, ncfg, params, cut) == (math.inf, None, None, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_stage_cases(), kind=st.sampled_from(["gauss_newton", "gradient", "random"]),
+           noise=st.lists(_finite(-1.0, 1.0), min_size=32, max_size=32), data=st.data())
+    def test_line_search_same_with_and_without_the_cut(self, case, kind, noise, data,
+                                                        ncfg, params):
+        x0, u, refs, period, lam_r, lam_p, weight = case
+        cfg = dataclasses.replace(ncfg, period=period)
+        n = u.shape[0]
+        tracking, g_roll, g_pitch, flight = nmpc._cost_parts(x0, u, refs, cfg, params)
+        if flight is None:
+            return
+        a_steps, b_steps = nmpc._step_jacobians(flight, cfg.period, params)
+        sweep = (flight.states, a_steps, b_steps)
+        grad = nmpc._adjoint_gradient(*sweep, u, refs, cfg, lam_r, lam_p, weight)
+        if kind == "gauss_newton":
+            d = nmpc._gauss_newton_direction(*sweep, grad, cfg, lam_r, lam_p, weight, 1e-9)
+        elif kind == "gradient":
+            d = -grad
+        else:
+            d = np.array(noise[: 4 * n]).reshape(n, 4)
+        costs = [nmpc._stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight)]
+        # Also put the first trial on its Armijo bound, where a cut that is
+        # a little too tight would reject it.
+        trial = nmpc._project(u + d, cfg)
+        first = nmpc._cost_parts(x0, trial, refs, cfg, params)
+        if math.isfinite(first[0]):
+            gap = float(np.dot(grad.ravel(), (u - trial).ravel()))
+            edge = nmpc._stage_value(*first[:3], lam_r, lam_p, weight) + nmpc._ARMIJO_SIGMA * gap
+            costs += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        cost = data.draw(st.sampled_from(costs))
+        args = (x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight)
+        cut_tally, full_tally = Counter(), Counter()
+        # Inputs near 1e160 can overflow the gap to inf, a bound no trial meets.
+        with np.errstate(over="ignore"):
+            got = nmpc._line_search(*args, cut_tally)
+            with mock.patch.object(nmpc, "_cost_parts", _never_cut):
+                expected = nmpc._line_search(*args, full_tally)
+        assert cut_tally == full_tally
+        if expected is None:
+            assert got is None
+            return
+        assert np.array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
+        _same_parts(got[2:], expected[2:])
+
+    def _solve_both(self, x0, refs, warm, ncfg, params):
+        got = solve(x0, refs, warm, ncfg, params)
+        with mock.patch.object(nmpc, "_cost_parts", _never_cut):
+            expected = solve(x0, refs, warm, ncfg, params)
+        assert np.array_equal(got.u, expected.u)
+        assert np.array_equal(got.states, expected.states)
+        fields = ("cost", "iterations", "converged", "evaluations", "line_searches")
+        assert [getattr(got, f) for f in fields] == [getattr(expected, f) for f in fields]
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_same_with_and_without_the_cut(self, ncfg, params, seed):
+        # Cold and warm solves, and a wild warm start the hover anchor beats.
+        x0, refs = random_instance(np.random.default_rng(seed), ncfg)
+        cold = self._solve_both(x0, refs, None, ncfg, params)
+        shifted = np.vstack([cold.u[1:], cold.u[-1:]])
+        self._solve_both(cold.states[1], refs, shifted, ncfg, params)
+        wild = np.random.default_rng(seed).uniform(-3.0, 3.0, (ncfg.horizon, 4))
+        self._solve_both(x0, refs, wild, ncfg, params)
+
+    def test_anchor_beats_a_feasible_warm_start_under_its_cut(self, ncfg, params):
+        # The warm start is tilt-feasible, so the anchor pass is cut at the
+        # warm start's cost; hover costs less (37.5 against 57.3), so it
+        # must not be cut, and the solve descends from it.
+        x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
+        refs = hold_refs([0.0, 0.0, 1.5, 0.0], ncfg.horizon)
+        warm = np.tile([-1.0, 0.0, 0.0, 0.0], (ncfg.horizon, 1))
+        zeros = np.zeros(ncfg.horizon)
+        canon = [nmpc._stage_value(*nmpc._cost_parts(x0, v, refs, ncfg, params)[:3],
+                                   zeros, zeros, ncfg.tilt_weight)
+                 for v in (hover_inputs(ncfg.horizon), warm)]
+        assert 0.5 * canon[1] < canon[0] < canon[1]
+        sol = self._solve_both(x0, refs, warm, ncfg, params)
+        assert sol.cost < canon[0]
+
+
+class TestSolverCounts:
+    """``evaluations`` and ``line_searches`` are the passes and searches a
+    solve made.  Oracle: counting wrappers around the two functions."""
+
+    def test_counts_match_the_calls(self, ncfg, params, monkeypatch):
+        calls = Counter()
+        hover_passes = []
+
+        def counted(name):
+            inner = getattr(nmpc, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                if name == "_cost_parts":
+                    hover_passes.append(np.array_equal(args[1], hover_inputs(ncfg.horizon)))
+                return inner(*args)
+            return wrapper
+
+        for name in ("_cost_parts", "_line_search"):
+            monkeypatch.setattr(nmpc, name, counted(name))
+        x0, refs = random_instance(np.random.default_rng(4), ncfg)
+        cold = solve(x0, refs, None, ncfg, params)
+        # A cold start flies the hover anchor once, as its warm start.
+        assert hover_passes[0] and sum(hover_passes) == 1
+        assert (cold.evaluations, cold.line_searches) == (calls["_cost_parts"],
+                                                          calls["_line_search"])
+        assert cold.line_searches >= 1
+        calls.clear()
+        hover_passes.clear()
+        warm = solve(cold.states[1], refs, np.vstack([cold.u[1:], cold.u[-1:]]), ncfg, params)
+        assert sum(hover_passes) == 1
+        assert (warm.evaluations, warm.line_searches) == (calls["_cost_parts"],
+                                                          calls["_line_search"])
+
+
 class TestEvaluateCost:
     def test_single_step_unit_weights(self):
         # One step, identity weights, unit x error and zero input: J = 1.
@@ -374,6 +561,28 @@ class TestSolve:
         assert sol.first_input.c == pytest.approx(G, abs=1e-12)
         assert np.all(sol.first_input.torque == 0.0)
 
+    def test_hover_fixed_point_ends_without_a_search(self, ncfg, params):
+        # Zero gradient, so the Gauss-Newton model predicts no decrease: one
+        # iteration, one pass (the cold start flies the hover anchor once)
+        # and no line search.
+        x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
+        refs = hold_refs([0.0, 0.0, 1.0, 0.0], ncfg.horizon)
+        sol = solve(x0, refs, None, ncfg, params)
+        assert sol.converged
+        assert (sol.iterations, sol.evaluations, sol.line_searches) == (1, 1, 0)
+
+    @pytest.mark.parametrize("box", [(1.0, 15.0), (-5.0, -1.0)])
+    def test_box_exact_when_hover_lies_outside_it(self, ncfg, params, box):
+        # The hover anchor is projected like any warm start, so a box that
+        # excludes zero deviation still holds.
+        cfg = dataclasses.replace(ncfg, accel_min=box[0], accel_max=box[1])
+        x0 = hover_state((0.0, 0.0, 5.0)).as_vector()
+        refs = hold_refs([0.0, 0.0, 4.0, 0.0], cfg.horizon)
+        for warm in (None, np.tile([3.0, 0.0, 0.0, 0.0], (cfg.horizon, 1))):
+            sol = solve(x0, refs, warm, cfg, params)
+            assert np.all(sol.u[:, 0] >= box[0])
+            assert np.all(sol.u[:, 0] <= box[1])
+
     def test_z_step_converges(self, ncfg, params):
         x0 = hover_state((0.0, 0.0, 0.0)).as_vector()
         refs = hold_refs([0.0, 0.0, 1.0, 0.0], ncfg.horizon)
@@ -466,43 +675,43 @@ class TestSolve:
 class TestNmpcController:
     def test_hover_hold_within_tolerance(self, cfg, ncfg):
         ctl = NmpcController(cfg)
-        st = hover_state((0.0, 0.0, 0.0))
+        x = hover_state((0.0, 0.0, 0.0)).as_vector()
         refs = hold_refs([0.0, 0.0, 0.0, 0.0], ncfg.horizon)
         for _ in range(100):
-            out = ctl.step(st, refs)
+            out = ctl.step(x, refs)
             assert abs(out.c - G) <= 1e-3
             assert np.abs(out.torque).max() <= 1e-3
 
     def test_consecutive_identical_states_fewer_iterations(self, cfg, ncfg):
         ctl = NmpcController(cfg)
-        st = hover_state((0.0, 0.0, 0.0))
+        x = hover_state((0.0, 0.0, 0.0)).as_vector()
         refs = hold_refs([2.0, 0.0, 1.0, 0.3], ncfg.horizon)
-        ctl.step(st, refs)
+        ctl.step(x, refs)
         first = ctl.last_solution.iterations
-        ctl.step(st, refs)
+        ctl.step(x, refs)
         second = ctl.last_solution.iterations
         assert second < first
 
     def test_failure_fallback_is_hover(self, cfg, ncfg):
         ctl = NmpcController(cfg)
-        st = hover_state((0.0, 0.0, 1.0))
+        x = hover_state((0.0, 0.0, 1.0)).as_vector()
         refs = hold_refs([0.0, 0.0, 1.0, 0.0], ncfg.horizon)
         ctl._warm = np.full((ncfg.horizon, 4), 1e8)
-        out = ctl.step(st, refs)
+        out = ctl.step(x, refs)
         assert out.c == G
         assert np.all(out.torque == 0.0)
         assert ctl.failures == 1
         assert ctl.last_solution is None
         # The next step starts cold and recovers.
-        out = ctl.step(st, refs)
+        out = ctl.step(x, refs)
         assert ctl.failures == 1
         assert ctl.last_solution is not None
 
     def test_reset_clears_memory(self, cfg, ncfg):
         ctl = NmpcController(cfg)
-        st = hover_state((0.0, 0.0, 0.0))
+        x = hover_state((0.0, 0.0, 0.0)).as_vector()
         refs = hold_refs([0.0, 0.0, 1.0, 0.0], ncfg.horizon)
-        ctl.step(st, refs)
+        ctl.step(x, refs)
         assert ctl.last_solution is not None
         ctl.reset()
         assert ctl.last_solution is None
