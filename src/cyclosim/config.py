@@ -41,6 +41,7 @@ __all__ = [
     "Config",
     "default_config",
     "load_config",
+    "tick_ratios",
     "ENV_CONFIG_VAR",
 ]
 
@@ -247,7 +248,23 @@ def _validate(cfg: Config) -> Config:
     if ticks > MAX_TICKS:
         raise ConfigError(f"sim.time_limit over sim.controller_period is {ticks:.3g}"
                           f" ticks, above the cap of {MAX_TICKS}")
+    tick_ratios(cfg)
     return cfg
+
+
+def tick_ratios(cfg: Config) -> tuple[int, int]:
+    """``(substeps, nmpc_every)``: plant steps per controller tick and ticks
+    per solver period.  A ConfigError names the key whose ratio is not a
+    whole number of at least one (within 1e-12 s)."""
+    tick = cfg.sim.controller_period
+    substeps = round(tick / cfg.dt)
+    if abs(substeps * cfg.dt - tick) > 1e-12 or substeps < 1:
+        raise ConfigError(f"sim.controller_period must be a multiple of dt, got {tick!r}")
+    nmpc_every = round(cfg.nmpc.period / tick)
+    if abs(nmpc_every * tick - cfg.nmpc.period) > 1e-12 or nmpc_every < 1:
+        raise ConfigError("nmpc.period must be a multiple of sim.controller_period,"
+                          f" got {cfg.nmpc.period!r}")
+    return substeps, nmpc_every
 
 
 def load_config(path: str | os.PathLike | None = None) -> Config:

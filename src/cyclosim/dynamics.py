@@ -92,21 +92,19 @@ class VehicleParams:
         Rotor speed limit, rad/s.
     servo_max : float
         Servo tilt travel, rad.
-    dt : float
-        Plant integration step, s.
+
+    The defaults are those of :class:`~cyclosim.config.Config`.
     """
 
-    mass: float = 0.75
-    inertia: np.ndarray = field(
-        default_factory=lambda: np.array([8.0e-3, 8.0e-3, 1.2e-2])
-    )
-    track_width: float = 0.40
-    wheelbase: float = 0.40
-    k_f: float = 1.0e-5
-    arm: float = 0.20
-    rotor_max: float = 1200.0
-    servo_max: float = math.pi / 4.0
-    dt: float = 1.0e-3
+    mass: float = Config.mass
+    inertia: np.ndarray = field(default_factory=lambda: np.array(
+        [Config.inertia_xx, Config.inertia_yy, Config.inertia_zz]))
+    track_width: float = Config.track_width
+    wheelbase: float = Config.wheelbase
+    k_f: float = Config.k_f
+    arm: float = Config.arm
+    rotor_max: float = Config.rotor_max
+    servo_max: float = Config.servo_max
 
     def __post_init__(self):
         inertia = np.asarray(self.inertia, dtype=float)
@@ -119,8 +117,6 @@ class VehicleParams:
                 raise ValueError(f"{name} must be a positive finite number")
         if not (np.isfinite(inertia).all() and (inertia > 0.0).all()):
             raise ValueError("inertia entries must be positive and finite")
-        if self.dt > 0.05:
-            raise ValueError("dt must lie in (0, 0.05]")
 
     @classmethod
     def from_config(cls, cfg: Config) -> "VehicleParams":

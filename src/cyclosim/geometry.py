@@ -300,10 +300,7 @@ def quat_to_euler(q: np.ndarray) -> EulerAngles:
         )
         pitch = math.copysign(0.5 * math.pi, s)
         return EulerAngles(0.0, pitch, math.atan2(-m01, m11))
-    roll = math.atan2(2.0 * (qw * qx + qy * qz), 1.0 - 2.0 * (qx * qx + qy * qy))
-    pitch = math.asin(s)
-    yaw = math.atan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
-    return EulerAngles(roll, pitch, yaw)
+    return EulerAngles(*quat_roll_pitch(q), quat_yaw(q))
 
 
 def quat_yaw(q: np.ndarray) -> float:

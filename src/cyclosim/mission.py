@@ -228,8 +228,10 @@ def load_mission(path) -> Mission:
     unknown = set(raw) - {"start", "segments"}
     if unknown:
         raise MissionError(f"unknown mission keys: {sorted(unknown)}")
-    records = raw.get("segments") or []
-    if not isinstance(records, list):
+    records = raw.get("segments")
+    if records is None:
+        records = []
+    elif not isinstance(records, list):
         raise MissionError("mission 'segments' must be a list")
     segments = []
     for i, rec in enumerate(records):

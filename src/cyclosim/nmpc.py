@@ -19,9 +19,10 @@ Pipeline per solve:
    the tilt limit;
 3. exact objective gradients come from a reverse (adjoint) sweep using
    analytic Jacobians of the RK4 step, including the quaternion
-   renormalization projector; they are built from the stored flight of
-   the current iterate (the warm start, the hover anchor or a line-search
-   hit), so no iterate is flown twice;
+   renormalization projector; they are built from the one ``_Flight``
+   record of the current iterate (the warm start, the hover anchor or a
+   line-search hit), which carries its inputs, cost, tilt excess and
+   stored flight, so no iterate is flown twice;
 4. search direction is a Gauss-Newton step built from forward sensitivities
    (the decision vector is small, so the normal system is dense and cheap);
    when it predicts a decrease ``-grad . d`` of at most
@@ -146,71 +147,26 @@ def _check_refs(refs: np.ndarray, horizon: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Attitude extraction helpers (value plus gradient wrt the quaternion,
-# from the quaternion as four floats)
-# ---------------------------------------------------------------------------
-
-
-def _yaw_of(q) -> tuple[float, tuple]:
-    qw, qx, qy, qz = q
-    a = 2.0 * (qw * qz + qx * qy)
-    b = 1.0 - 2.0 * (qy * qy + qz * qz)
-    yaw = math.atan2(a, b)
-    denom = a * a + b * b
-    grad = (
-        b * (2.0 * qz) / denom,
-        b * (2.0 * qy) / denom,
-        (b * (2.0 * qx) - a * (-4.0 * qy)) / denom,
-        (b * (2.0 * qw) - a * (-4.0 * qz)) / denom,
-    )
-    return yaw, grad
-
-
-def _roll_of(q) -> tuple[float, tuple]:
-    qw, qx, qy, qz = q
-    a = 2.0 * (qw * qx + qy * qz)
-    b = 1.0 - 2.0 * (qx * qx + qy * qy)
-    roll = math.atan2(a, b)
-    denom = a * a + b * b
-    grad = (
-        b * (2.0 * qx) / denom,
-        (b * (2.0 * qw) - a * (-4.0 * qx)) / denom,
-        (b * (2.0 * qz) - a * (-4.0 * qy)) / denom,
-        b * (2.0 * qy) / denom,
-    )
-    return roll, grad
-
-
-def _pitch_of(q) -> tuple[float, tuple]:
-    qw, qx, qy, qz = q
-    s = 2.0 * (qw * qy - qz * qx)
-    s_c = max(-1.0, min(1.0, s))
-    pitch = math.asin(s_c)
-    root = math.sqrt(max(1.0 - s_c * s_c, 1e-12))
-    grad = (
-        (2.0 * qy) / root,
-        (-2.0 * qz) / root,
-        (2.0 * qw) / root,
-        (-2.0 * qx) / root,
-    )
-    return pitch, grad
-
-
-# ---------------------------------------------------------------------------
 # Prediction and objective
 # ---------------------------------------------------------------------------
 
 
 class _Flight(NamedTuple):
-    """One flown horizon, kept whole so no iterate is flown twice.
+    """One evaluated input sequence, kept whole so no iterate is flown twice.
 
-    ``states`` is the (N+1, 13) trajectory and ``yaws`` the yaw after each
-    step.  ``stages`` holds the four RK4 stage attitudes of every step,
-    ``thrusts`` each step's collective thrust and ``norms`` each step's
-    quaternion norm before renormalization: what :func:`_step_jacobians`
-    needs besides the states.
+    ``u`` is the (N, 4) input sequence, ``tracking`` its tracking-plus-effort
+    cost and ``g_roll``, ``g_pitch`` its signed per-step excess
+    ``|angle| - tilt_max``.  ``states`` is the (N+1, 13) trajectory and
+    ``yaws`` the yaw after each step.  ``stages`` holds the four RK4 stage
+    attitudes of every step, ``thrusts`` each step's collective thrust and
+    ``norms`` each step's quaternion norm before renormalization: what
+    :func:`_step_jacobians` needs besides the states.
     """
 
+    u: np.ndarray
+    tracking: float
+    g_roll: np.ndarray
+    g_pitch: np.ndarray
     states: np.ndarray
     yaws: list
     stages: list
@@ -225,6 +181,11 @@ class _Flight(NamedTuple):
         outputs[:, 3] = self.yaws
         return outputs
 
+    @property
+    def worst(self) -> float:
+        """The largest roll or pitch excess over the horizon."""
+        return float(max(self.g_roll.max(), self.g_pitch.max()))
+
 
 def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
                   params: VehicleParams, cut=None):
@@ -233,9 +194,9 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
     Steps the two halves of ``aerial_step``, :func:`_rk4_floats` and the
     quaternion renormalization, under the deviation inputs ``u``, so the
     states are bit for bit those of ``aerial_step``.  The same loop forms
-    the output errors against ``refs`` (yaw wrapped) and the signed roll
-    and pitch excess ``|angle| - tilt_max`` of every step.  One array is
-    built at the end.
+    the output errors against ``refs`` (yaw wrapped), which give the
+    tracking cost, and the signed roll and pitch excess of every step.
+    The arrays are built at the end.
 
     With ``cut = (limit, lam_r, lam_p, weight)`` the pass also sums the
     stage value as it flies and returns None once the sum is above ``limit``
@@ -244,9 +205,8 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
 
     Returns
     -------
-    (flight, errors, roll excess, pitch excess) or None
-        A :class:`_Flight`, a list of N error 4-tuples and two lists of
-        N floats; None when the pass was cut.
+    _Flight or None
+        None when the pass was cut.
 
     Raises
     ------
@@ -293,8 +253,8 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
                     running += weight * s * s
             if running > bound:
                 return None
-    flight = _Flight(np.array(rows), yaws, stages, thrusts, norms)
-    return flight, errors, g_roll, g_pitch
+    return _Flight(u, _weighted_cost(np.array(errors), u, cfg), np.array(g_roll),
+                   np.array(g_pitch), np.array(rows), yaws, stages, thrusts, norms)
 
 
 def rollout(
@@ -309,7 +269,7 @@ def rollout(
         holds (x, y, z, yaw) after each step.
     """
     u = np.asarray(u, dtype=float)
-    flight = _horizon_pass(x0, u, np.zeros((u.shape[0], 4)), cfg, params)[0]
+    flight = _horizon_pass(x0, u, np.zeros((u.shape[0], 4)), cfg, params)
     return flight.states, flight.outputs
 
 
@@ -351,34 +311,25 @@ def tilt_penalty(states: np.ndarray, cfg: NmpcConfig) -> float:
 
 
 def _cost_parts(x0, u, refs, cfg: NmpcConfig, params: VehicleParams, cut=None):
-    """(tracking cost, per-step roll excess, per-step pitch excess, flight).
+    """The :class:`_Flight` of one :func:`_horizon_pass`, or None.
 
-    One :func:`_horizon_pass`.  The excess arrays are signed:
-    ``|angle| - tilt_max`` per horizon step; the :class:`_Flight` is kept
-    so the solver builds its Jacobians from it and never flies an accepted
-    iterate again.  Divergent or overflowing trajectories, and passes
-    ended by ``cut`` (see :func:`_horizon_pass`), give
-    (inf, None, None, None) so the caller rejects them.
+    The record is kept so the solver builds its Jacobians from it and never
+    flies an accepted iterate again.  Divergent or overflowing trajectories,
+    and passes ended by ``cut``, give None so the caller rejects them.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            passed = _horizon_pass(x0, u, refs, cfg, params, cut)
-            if passed is None:
-                return math.inf, None, None, None
-            flight, errors, g_roll, g_pitch = passed
-            tracking = _weighted_cost(np.array(errors), u, cfg)
+            flight = _horizon_pass(x0, u, refs, cfg, params, cut)
     except DivergenceError:
-        return math.inf, None, None, None
-    if not math.isfinite(tracking):
-        return math.inf, None, None, None
-    return tracking, np.array(g_roll), np.array(g_pitch), flight
+        return None
+    return flight if flight is not None and math.isfinite(flight.tracking) else None
 
 
-def _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight) -> float:
+def _stage_value(flight: _Flight, lam_r, lam_p, weight) -> float:
     """Augmented objective for one multiplier stage (constants dropped)."""
-    s_r = np.clip(lam_r / (2.0 * weight) + g_roll, 0.0, None)
-    s_p = np.clip(lam_p / (2.0 * weight) + g_pitch, 0.0, None)
-    return tracking + weight * float(s_r @ s_r + s_p @ s_p)
+    s_r = np.clip(lam_r / (2.0 * weight) + flight.g_roll, 0.0, None)
+    s_p = np.clip(lam_p / (2.0 * weight) + flight.g_pitch, 0.0, None)
+    return flight.tracking + weight * float(s_r @ s_r + s_p @ s_p)
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +428,35 @@ def _step_jacobians(flight: _Flight, h: float, params: VehicleParams):
 def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: VehicleParams):
     """Rollout that also returns the per-step state and input Jacobians:
     ``(states, A, B)``."""
-    flight = _horizon_pass(x0, u, np.zeros((u.shape[0], 4)), cfg, params)[0]
+    flight = _horizon_pass(x0, u, np.zeros((u.shape[0], 4)), cfg, params)
     return (flight.states, *_step_jacobians(flight, cfg.period, params))
 
 
 def _attitudes(states: np.ndarray) -> list:
     """``(yaw, roll, pitch)`` of every state after the first, each a value
-    with its quaternion gradient: formed once per iterate for both the
-    adjoint gradient and the Gauss-Newton direction."""
-    return [(_yaw_of(q), _roll_of(q), _pitch_of(q))
-            for q in states[1:, QUAT_SLICE].tolist()]
+    with its gradient wrt the quaternion: formed once per iterate for both
+    the adjoint gradient and the Gauss-Newton direction."""
+    out = []
+    for qw, qx, qy, qz in states[1:, QUAT_SLICE].tolist():
+        a = 2.0 * (qw * qz + qx * qy)
+        b = 1.0 - 2.0 * (qy * qy + qz * qz)
+        den = a * a + b * b
+        yaw = (math.atan2(a, b), (b * (2.0 * qz) / den, b * (2.0 * qy) / den,
+                                  (b * (2.0 * qx) - a * (-4.0 * qy)) / den,
+                                  (b * (2.0 * qw) - a * (-4.0 * qz)) / den))
+        a = 2.0 * (qw * qx + qy * qz)
+        b = 1.0 - 2.0 * (qx * qx + qy * qy)
+        den = a * a + b * b
+        roll = (math.atan2(a, b), (b * (2.0 * qx) / den,
+                                   (b * (2.0 * qw) - a * (-4.0 * qx)) / den,
+                                   (b * (2.0 * qz) - a * (-4.0 * qy)) / den,
+                                   b * (2.0 * qy) / den))
+        s = max(-1.0, min(1.0, 2.0 * (qw * qy - qz * qx)))
+        root = math.sqrt(max(1.0 - s * s, 1e-12))
+        pitch = (math.asin(s), ((2.0 * qy) / root, (-2.0 * qz) / root,
+                                (2.0 * qw) / root, (-2.0 * qx) / root))
+        out.append((yaw, roll, pitch))
+    return out
 
 
 def _state_cost_gradient(x, ref, cfg: NmpcConfig, lam_r, lam_p, weight,
@@ -577,9 +547,7 @@ def _braking_inputs(
     u = np.zeros((n, 4))
     x = np.asarray(x0, dtype=float)
     for j in range(n):
-        q = x[QUAT_SLICE].tolist()
-        roll, _ = _roll_of(q)
-        pitch, _ = _pitch_of(q)
+        roll, pitch = quat_roll_pitch(x[QUAT_SLICE])
         wx, wy, wz = x[10:13]
         u[j, 1] = -jx * (kp * roll + kd * wx)
         u[j, 2] = -jy * (kp * pitch + kd * wy)
@@ -644,9 +612,9 @@ def _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight,
     """Projected Armijo backtracking along direction ``d``.
 
     Each trial's pass is cut at its Armijo bound.  ``tally`` counts the
-    search and every pass it begins.  Returns (trial, stage cost,
-    tracking, roll excess, pitch excess, rollout) on acceptance, None when
-    no step along the direction yields sufficient decrease.
+    search and every pass it begins.  Returns (trial :class:`_Flight`,
+    stage cost) on acceptance, None when no step along the direction
+    yields sufficient decrease.
     """
     tally["line_searches"] += 1
     alpha = 1.0
@@ -658,11 +626,11 @@ def _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight,
             return None
         limit = cost - _ARMIJO_SIGMA * gap
         tally["evaluations"] += 1
-        parts = _cost_parts(x0, trial, refs, cfg, params, (limit, lam_r, lam_p, weight))
-        trial_cost = (_stage_value(*parts[:3], lam_r, lam_p, weight)
-                      if math.isfinite(parts[0]) else math.inf)
-        if trial_cost <= limit:
-            return (trial, trial_cost, *parts)
+        flight = _cost_parts(x0, trial, refs, cfg, params, (limit, lam_r, lam_p, weight))
+        if flight is not None:
+            trial_cost = _stage_value(flight, lam_r, lam_p, weight)
+            if trial_cost <= limit:
+                return flight, trial_cost
         alpha *= _BACKTRACK
     return None
 
@@ -700,63 +668,46 @@ def solve(
         raise ValueError(f"x0 must have shape ({STATE_DIM},)")
     n = cfg.horizon
     refs = _check_refs(refs, n)
-    if warm_start is None:
-        u = hover_inputs(n)
-    else:
+    hover_u = _project(hover_inputs(n), cfg)
+    if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.shape != (n, 4):
             raise ValueError(f"warm start must have shape ({n}, 4)")
-        u = warm_start
-    u = _project(u, cfg)
 
     tally = Counter(evaluations=1)
-    warm_parts = _cost_parts(x0, u, refs, cfg, params)
-    if not math.isfinite(warm_parts[0]):
-        raise SolverFailureError(
-            "objective is not evaluable at the warm start",
-            diagnostics={"tracking_cost": warm_parts[0]},
-        )
-    warm0 = u.copy()
-    tracking, g_roll, g_pitch, flight = warm_parts
+    warm = _cost_parts(x0, hover_u if warm_start is None else _project(warm_start, cfg),
+                       refs, cfg, params)
+    if warm is None:
+        raise SolverFailureError("objective is not evaluable at the warm start",
+                                 diagnostics={"tracking_cost": math.inf})
     zeros = np.zeros(n)
 
-    def _canonical(parts):
-        return _stage_value(*parts[:3], zeros, zeros, cfg.tilt_weight)
+    def rank(flight):
+        # Tilt feasibility first, then the plain-penalty cost at the
+        # configured weight: the lower rank is the better iterate.
+        return (flight.worst > 0.5 * _TILT_SLACK,
+                _stage_value(flight, zeros, zeros, cfg.tilt_weight))
 
-    def _feasible(parts):
-        return max(parts[1].max(), parts[2].max()) <= 0.5 * _TILT_SLACK
-
-    # Best iterate seen so far, preferring tilt feasibility and then the
-    # plain-penalty cost at the configured weight.  The warm start seeds it,
-    # so the returned cost never exceeds the warm-start cost.
-    best_u = warm0
-    best_parts = warm_parts
-    best_canon = _canonical(warm_parts)
-    best_feas = _feasible(warm_parts)
+    # The best iterate seen so far; the warm start seeds it, so the returned
+    # cost never exceeds the warm-start cost.
+    current = best = warm
+    best_rank = rank(warm)
 
     # A wild warm start (e.g. after a disturbance) can be worse than simply
     # holding hover thrust; descend from whichever anchor is cheaper.  A
     # cold start already flew the anchor.  Against a feasible warm start the
-    # anchor wins only below ``best_canon``, so its pass is cut there.
+    # anchor wins only below its cost, so its pass is cut there.
     if warm_start is not None:
-        hover_u = _project(hover_inputs(n), cfg)
-        cut = (best_canon, zeros, zeros, cfg.tilt_weight) if best_feas else None
+        cut = None if best_rank[0] else (best_rank[1], zeros, zeros, cfg.tilt_weight)
         tally["evaluations"] += 1
-        hover_parts = _cost_parts(x0, hover_u, refs, cfg, params, cut)
-        if math.isfinite(hover_parts[0]):
-            hover_canon = _canonical(hover_parts)
-            hover_feas = _feasible(hover_parts)
-            if (hover_feas and not best_feas) or (
-                hover_feas == best_feas and hover_canon < best_canon
-            ):
-                u = hover_u
-                tracking, g_roll, g_pitch, flight = hover_parts
-                best_u, best_parts = hover_u, hover_parts
-                best_canon, best_feas = hover_canon, hover_feas
+        hover = _cost_parts(x0, hover_u, refs, cfg, params, cut)
+        if hover is not None and (hover_rank := rank(hover)) < best_rank:
+            current = best = hover
+            best_rank = hover_rank
 
     lam_r = lam_p = zeros
     weight = cfg.tilt_weight
-    cost = _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight)
+    cost = _stage_value(current, lam_r, lam_p, weight)
     prev_worst = math.inf
 
     iterations = 0
@@ -771,11 +722,11 @@ def solve(
         iterations += 1
         stage_iters += 1
         # The current iterate was flown by the evaluation that chose it.
-        states = flight.states
+        states = current.states
         angles = _attitudes(states)
-        a_steps, b_steps = _step_jacobians(flight, cfg.period, params)
+        a_steps, b_steps = _step_jacobians(current, cfg.period, params)
         grad = _adjoint_gradient(
-            states, a_steps, b_steps, u, refs, cfg, lam_r, lam_p, weight, angles
+            states, a_steps, b_steps, current.u, refs, cfg, lam_r, lam_p, weight, angles
         )
         d = _gauss_newton_direction(
             states, a_steps, b_steps, grad, cfg, lam_r, lam_p, weight, damping, angles
@@ -784,27 +735,22 @@ def solve(
         hit = None
         if -float(np.dot(grad.ravel(), d.ravel())) > cfg.tol * max(abs(cost), 1.0):
             args = (grad, cost, refs, cfg, params, lam_r, lam_p, weight, tally)
-            hit = _line_search(x0, u, d, *args)
+            hit = _line_search(x0, current.u, d, *args)
             if hit is None:
                 damping = min(damping * 1e3, 1e3)
-                hit = _line_search(x0, u, -grad, *args)
+                hit = _line_search(x0, current.u, -grad, *args)
             else:
                 damping = max(damping * 0.1, 1e-9)
-        stage_solved = False
-        if hit is None:
-            stage_solved = True  # stationary for this stage
-        else:
-            trial, trial_cost, tracking, g_roll, g_pitch, flight = hit
+        # With no hit the iterate is stationary for this stage.
+        stage_solved = hit is None
+        if hit is not None:
+            current, trial_cost = hit
             decrease = cost - trial_cost
-            u, cost = trial, trial_cost
-            parts = hit[2:]
-            canon = _canonical(parts)
-            feas = _feasible(parts)
-            if (feas and not best_feas) or (feas == best_feas and canon < best_canon):
-                best_u, best_parts, best_canon, best_feas = u, parts, canon, feas
-            if decrease <= cfg.tol * max(abs(cost), 1.0):
-                stage_solved = True
-        worst = float(max(g_roll.max(), g_pitch.max()))
+            cost = trial_cost
+            if (hit_rank := rank(current)) < best_rank:
+                best, best_rank = current, hit_rank
+            stage_solved = decrease <= cfg.tol * max(abs(cost), 1.0)
+        worst = current.worst
         # A stage is stalled when it has spent its allotment out of bounds
         # and progress has slowed to a creep (the kink-zigzag signature);
         # healthy descent is left alone.
@@ -824,8 +770,8 @@ def solve(
             # Clean stage solution with the tilt still out of bounds:
             # update the multipliers, escalating the weight only when the
             # violation fails to halve between stages.
-            lam_r = np.clip(lam_r + 2.0 * weight * g_roll, 0.0, None)
-            lam_p = np.clip(lam_p + 2.0 * weight * g_pitch, 0.0, None)
+            lam_r = np.clip(lam_r + 2.0 * weight * current.g_roll, 0.0, None)
+            lam_p = np.clip(lam_p + 2.0 * weight * current.g_pitch, 0.0, None)
             if worst > 0.5 * prev_worst:
                 weight = min(weight * _WEIGHT_STEP, _WEIGHT_CAP)
             prev_worst = worst
@@ -835,16 +781,12 @@ def solve(
             # the multiplier estimates would be garbage; sharpen the
             # penalty instead.
             weight = min(weight * _WEIGHT_STEP, _WEIGHT_CAP)
-        cost = _stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight)
-        warm_cost = _stage_value(
-            warm_parts[0], warm_parts[1], warm_parts[2], lam_r, lam_p, weight
-        )
+        cost = _stage_value(current, lam_r, lam_p, weight)
+        warm_cost = _stage_value(warm, lam_r, lam_p, weight)
         if warm_cost < cost:
-            u = warm0.copy()
-            tracking, g_roll, g_pitch, flight = warm_parts
-            cost = warm_cost
+            current, cost = warm, warm_cost
 
-    if not best_feas:
+    if best_rank[0]:
         # Budget exhausted without a tilt-feasible iterate.  Blend the best
         # iterate toward a pure attitude-braking sequence and keep the
         # blend closest to it that brings the prediction inside the limit.
@@ -852,22 +794,19 @@ def solve(
             brake = _project(_braking_inputs(x0, cfg, params), cfg)
             for k in range(1, 9):
                 s = k / 8.0
-                cand = (1.0 - s) * best_u + s * brake
                 tally["evaluations"] += 1
-                parts = _cost_parts(x0, cand, refs, cfg, params)
-                if math.isfinite(parts[0]) and _feasible(parts):
-                    best_u, best_parts = cand, parts
-                    best_canon, best_feas = _canonical(parts), True
+                blend = _cost_parts(x0, (1.0 - s) * best.u + s * brake, refs, cfg, params)
+                if blend is not None and blend.worst <= 0.5 * _TILT_SLACK:
+                    best, best_rank = blend, rank(blend)
                     break
         except DivergenceError:
             pass
 
-    flight = best_parts[3]
     return NmpcSolution(
-        u=best_u,
-        states=flight.states,
-        outputs=flight.outputs,
-        cost=best_canon,
+        u=best.u,
+        states=best.states,
+        outputs=best.outputs,
+        cost=best_rank[1],
         iterations=iterations,
         converged=converged,
         evaluations=tally["evaluations"],

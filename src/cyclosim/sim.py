@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_TICKS, Config
+from .config import MAX_TICKS, Config, tick_ratios
 from .dynamics import (
     AerialInput,
     AquaticInput,
@@ -46,7 +46,7 @@ from .dynamics import (
     forward_mix,
     step_rk4,  # noqa: F401  unused; perfbench's tracer looks it up (test_tracer_names)
 )
-from .errors import ConfigError, DivergenceError, MissionError
+from .errors import DivergenceError, MissionError
 from .fsm import (
     EventKind,
     Medium,
@@ -238,23 +238,14 @@ def _drive_aquatic(pose: np.ndarray, ref: np.ndarray, cruise: float) -> AquaticI
 class _Runner:
     """Mutable loop state for one run; ``run`` drives it tick by tick."""
 
-    def __init__(self, config: Config, mission: Mission, controller: str,
-                 time_limit: float):
+    def __init__(self, config: Config, mission: Mission, controller: str):
         self.plan = mission_plan(mission)
         self.cfg = config
         self.mission = mission
-        self.controller = controller
         self.params = VehicleParams.from_config(config)
         scfg = config.sim
         self.tick = scfg.controller_period
-        self.substeps = round(self.tick / config.dt)
-        if abs(self.substeps * config.dt - self.tick) > 1e-12 or self.substeps < 1:
-            raise ConfigError("controller period must be a multiple of dt")
-        self.nmpc_every = round(config.nmpc.period / self.tick)
-        if abs(self.nmpc_every * self.tick - config.nmpc.period) > 1e-12 \
-                or self.nmpc_every < 1:
-            raise ConfigError("solver period must be a multiple of the controller period")
-        self.time_limit = time_limit
+        self.substeps, self.nmpc_every = tick_ratios(config)
 
         self.mode = initial_state()
         self.pose = np.array([mission.start[0], mission.start[1], 0.0])
@@ -285,12 +276,12 @@ class _Runner:
     # -- state access -------------------------------------------------
 
     def position(self) -> np.ndarray:
-        if self.mode.medium is Medium.AERIAL and self.x13 is not None:
+        if self.mode.medium is Medium.AERIAL:
             return self.x13[0:3]
         return np.array([self.pose[0], self.pose[1], 0.0])
 
     def speed(self) -> float:
-        if self.mode.medium is Medium.AERIAL and self.x13 is not None:
+        if self.mode.medium is Medium.AERIAL:
             return float(np.linalg.norm(self.x13[3:6]))
         return abs(_planar_rates(self.surface_u, self.params)[0])
 
@@ -545,11 +536,13 @@ def run(config: Config, mission: Mission, controller: str = "pid",
         finite and positive or asks for more than ``MAX_TICKS`` ticks.
     MissionError
         If the mission cannot be realized by the transition table.
+    ConfigError
+        If a period is not a whole multiple of the next (``tick_ratios``).
     """
     if controller not in ("pid", "nmpc"):
         raise ValueError(f"unknown controller '{controller}'")
     limit = _time_limit(config, time_limit)
-    runner = _Runner(config, mission, controller, limit)
+    runner = _Runner(config, mission, controller)
 
     completed = False
     time_limit_hit = False
@@ -629,8 +622,7 @@ def compute_metrics(log: RunLog, mission: Mission) -> TrackingMetrics:
             arrival_time=float(times[-1]),
             duration=float(times[-1] - times[0]),
         ))
-    total = float(log.t[-1]) if len(log) else 0.0
-    return TrackingMetrics(segments=tuple(per_segment), total_time=total)
+    return TrackingMetrics(segments=tuple(per_segment), total_time=float(log.t[-1]))
 
 
 def _fmt(value) -> str:

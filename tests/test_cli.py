@@ -62,6 +62,14 @@ class TestValidateFsm:
         out = capsys.readouterr().out
         assert "terrestrial/static" in out
 
+    @pytest.mark.parametrize("value", ["0", "{}"])
+    def test_non_list_segments_is_parse_error(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"segments: {value}\n")
+        assert main(["validate-fsm", "--mission", str(path)]) == 3
+        _, last = _last_line(capsys)
+        assert last == "error: mission 'segments' must be a list"
+
     def test_band_violation_names_segment(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(
@@ -126,6 +134,22 @@ class TestSimulate:
         assert log.exists() and metrics.exists()
         header = log.read_text().splitlines()[0]
         assert header.startswith("t,medium,substate,px")
+
+    @pytest.mark.parametrize("text, key", [
+        ("sim:\n  controller_period: 0.0103\n", "sim.controller_period"),
+        ("nmpc:\n  period: 0.045\n", "nmpc.period"),
+    ])
+    def test_off_multiple_period_is_parse_error_before_any_output(
+            self, mini_path, tmp_path, capsys, text, key):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["simulate", "--mission", str(mini_path), "--config", str(config_path),
+                     "--out", str(out)])
+        assert code == 3
+        _, last = _last_line(capsys)
+        assert last.startswith(f"error: {key} must be a multiple")
+        assert not out.exists()
 
     def test_missing_mission_names_path(self, tmp_path, capsys):
         code = main([

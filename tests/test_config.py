@@ -180,3 +180,26 @@ class TestWorkCaps:
         assert 10 * base.sim.controller_period / base.dt <= config.MAX_SUBSTEPS
         assert 10 * base.nmpc.horizon <= config.MAX_HORIZON
         assert 10 * base.nmpc.max_iters <= config.MAX_ITERS
+
+
+class TestTickRatios:
+    """The plant steps a whole number of times per controller tick, and the
+    solver runs every whole number of ticks; a config off either ratio is
+    rejected when it is loaded, naming the key."""
+
+    def test_defaults(self):
+        assert config.tick_ratios(default_config()) == (10, 5)
+
+    @pytest.mark.parametrize("text", ["sim:\n  controller_period: 0.0103\n",
+                                      "dt: 0.003\n"])
+    def test_controller_period_off_a_multiple_of_dt(self, write, text):
+        with pytest.raises(ConfigError, match=r"sim\.controller_period must be a multiple"
+                                              r" of dt"):
+            load_config(write(text))
+
+    @pytest.mark.parametrize("text", ["nmpc:\n  period: 0.045\n",
+                                      "nmpc:\n  period: 0.005\n"])
+    def test_nmpc_period_off_a_multiple_of_the_tick(self, write, text):
+        with pytest.raises(ConfigError, match=r"nmpc\.period must be a multiple of"
+                                              r" sim\.controller_period"):
+            load_config(write(text))

@@ -404,8 +404,6 @@ class TestVehicleState:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             VehicleParams(mass=-1.0)
-        with pytest.raises(ValueError):
-            VehicleParams(dt=0.1)
 
 
 def _allocate_arrays(u: AerialInput, p: VehicleParams, strict: bool):

@@ -326,6 +326,20 @@ class TestMissionFiles:
                            match="segment 1: land segment targets must lie on the surface"):
             load_mission(path)
 
+    @pytest.mark.parametrize("value", ["0", "{}", "false", "''", "7"])
+    def test_segments_must_be_a_list(self, tmp_path, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"segments: {value}\n")
+        with pytest.raises(MissionError, match="mission 'segments' must be a list"):
+            load_mission(path)
+
+    @pytest.mark.parametrize("text", ["segments: null\n", "segments: []\n",
+                                      "start: [0, 0, 0]\n"])
+    def test_null_or_missing_segments_mean_an_empty_route(self, tmp_path, text):
+        path = tmp_path / "empty.yaml"
+        path.write_text(text)
+        assert len(load_mission(path)) == 0
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("segments: []\nspeed: 9\n")

@@ -198,14 +198,14 @@ class TestHorizonPass:
         x0, u, refs, period = case
         cfg = dataclasses.replace(ncfg, period=period)
         expected = _oracle(x0, u, refs, cfg, params)
-        tracking, g_roll, g_pitch, flight = nmpc._cost_parts(x0, u, refs, cfg, params)
+        flight = nmpc._cost_parts(x0, u, refs, cfg, params)
         if expected is None:
-            assert tracking == math.inf and flight is None
+            assert flight is None
             return
         states, outputs, expected_tracking, excess = expected
-        assert tracking == expected_tracking
-        assert np.array_equal(g_roll, excess[:, 0])
-        assert np.array_equal(g_pitch, excess[:, 1])
+        assert flight.tracking == expected_tracking
+        assert np.array_equal(flight.g_roll, excess[:, 0])
+        assert np.array_equal(flight.g_pitch, excess[:, 1])
         assert np.array_equal(flight.states, states)
         assert np.array_equal(flight.outputs, outputs)
         got_states, got_outputs = rollout(x0, u, cfg, params)
@@ -246,13 +246,15 @@ class TestHorizonPass:
 
 
 def _same_parts(got, expected):
-    """Two results of ``_cost_parts`` (or the tails of two line-search
-    hits) agree bit for bit."""
-    assert got[0] == expected[0]
-    assert np.array_equal(got[1], expected[1])
-    assert np.array_equal(got[2], expected[2])
-    assert np.array_equal(got[3].states, expected[3].states)
-    assert got[3][1:] == expected[3][1:]
+    """Two records of ``_cost_parts`` (or of two line-search hits) agree
+    bit for bit."""
+    assert np.array_equal(got.u, expected.u)
+    assert got.tracking == expected.tracking
+    assert np.array_equal(got.g_roll, expected.g_roll)
+    assert np.array_equal(got.g_pitch, expected.g_pitch)
+    assert np.array_equal(got.states, expected.states)
+    assert (got.yaws, got.stages, got.thrusts, got.norms) == (
+        expected.yaws, expected.stages, expected.thrusts, expected.norms)
 
 
 _CUT_PARTS = nmpc._cost_parts
@@ -285,8 +287,8 @@ class TestTrialCut:
         x0, u, refs, period, lam_r, lam_p, weight = case
         cfg = dataclasses.replace(ncfg, period=period)
         full = nmpc._cost_parts(x0, u, refs, cfg, params)
-        if math.isfinite(full[0]):
-            value = nmpc._stage_value(*full[:3], lam_r, lam_p, weight)
+        if full is not None:
+            value = nmpc._stage_value(full, lam_r, lam_p, weight)
             limits = [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf),
                       0.5 * value, (1.0 - 1e-6) * value, 2.0 * value, 0.0, -1.0]
         else:
@@ -294,14 +296,13 @@ class TestTrialCut:
             limits = [0.0, -1.0, 1e300]
         limit = data.draw(st.sampled_from(limits))
         got = nmpc._cost_parts(x0, u, refs, cfg, params, (limit, lam_r, lam_p, weight))
-        if got[3] is None:
-            assert got[0] == math.inf
+        if got is None:
             assert value > limit
         else:
             _same_parts(got, full)
         # Above the limit by more than the margin, the pass is always cut.
         if value > limit + 2e-9 * max(abs(limit), 1.0):
-            assert got[3] is None
+            assert got is None
 
     def test_cut_stops_the_flight(self, ncfg, params):
         x0, refs = random_instance(np.random.default_rng(11), ncfg)
@@ -310,7 +311,7 @@ class TestTrialCut:
         assert nmpc._horizon_pass(x0, u, refs, ncfg, params) is not None
         # No stage value is below -1: the first step already settles it.
         assert nmpc._horizon_pass(x0, u, refs, ncfg, params, cut) is None
-        assert nmpc._cost_parts(x0, u, refs, ncfg, params, cut) == (math.inf, None, None, None)
+        assert nmpc._cost_parts(x0, u, refs, ncfg, params, cut) is None
 
     @settings(max_examples=100, deadline=None)
     @given(case=_stage_cases(), kind=st.sampled_from(["gauss_newton", "gradient", "random"]),
@@ -320,7 +321,7 @@ class TestTrialCut:
         x0, u, refs, period, lam_r, lam_p, weight = case
         cfg = dataclasses.replace(ncfg, period=period)
         n = u.shape[0]
-        tracking, g_roll, g_pitch, flight = nmpc._cost_parts(x0, u, refs, cfg, params)
+        flight = nmpc._cost_parts(x0, u, refs, cfg, params)
         if flight is None:
             return
         a_steps, b_steps = nmpc._step_jacobians(flight, cfg.period, params)
@@ -332,14 +333,14 @@ class TestTrialCut:
             d = -grad
         else:
             d = np.array(noise[: 4 * n]).reshape(n, 4)
-        costs = [nmpc._stage_value(tracking, g_roll, g_pitch, lam_r, lam_p, weight)]
+        costs = [nmpc._stage_value(flight, lam_r, lam_p, weight)]
         # Also put the first trial on its Armijo bound, where a cut that is
         # a little too tight would reject it.
         trial = nmpc._project(u + d, cfg)
         first = nmpc._cost_parts(x0, trial, refs, cfg, params)
-        if math.isfinite(first[0]):
+        if first is not None:
             gap = float(np.dot(grad.ravel(), (u - trial).ravel()))
-            edge = nmpc._stage_value(*first[:3], lam_r, lam_p, weight) + nmpc._ARMIJO_SIGMA * gap
+            edge = nmpc._stage_value(first, lam_r, lam_p, weight) + nmpc._ARMIJO_SIGMA * gap
             costs += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
         cost = data.draw(st.sampled_from(costs))
         args = (x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight)
@@ -353,9 +354,8 @@ class TestTrialCut:
         if expected is None:
             assert got is None
             return
-        assert np.array_equal(got[0], expected[0])
         assert got[1] == expected[1]
-        _same_parts(got[2:], expected[2:])
+        _same_parts(got[0], expected[0])
 
     def _solve_both(self, x0, refs, warm, ncfg, params):
         got = solve(x0, refs, warm, ncfg, params)
@@ -385,12 +385,76 @@ class TestTrialCut:
         refs = hold_refs([0.0, 0.0, 1.5, 0.0], ncfg.horizon)
         warm = np.tile([-1.0, 0.0, 0.0, 0.0], (ncfg.horizon, 1))
         zeros = np.zeros(ncfg.horizon)
-        canon = [nmpc._stage_value(*nmpc._cost_parts(x0, v, refs, ncfg, params)[:3],
+        canon = [nmpc._stage_value(nmpc._cost_parts(x0, v, refs, ncfg, params),
                                    zeros, zeros, ncfg.tilt_weight)
                  for v in (hover_inputs(ncfg.horizon), warm)]
         assert 0.5 * canon[1] < canon[0] < canon[1]
         sol = self._solve_both(x0, refs, warm, ncfg, params)
         assert sol.cost < canon[0]
+
+
+def _diverging_braking(*args):
+    raise DivergenceError("braking sequence diverged")
+
+
+class TestBrakingFallback:
+    """A solve that runs out of budget with the tilt out of bounds blends
+    its best iterate toward an attitude-braking sequence.  Oracle: the
+    blends rebuilt from the best infeasible iterate and rolled out."""
+
+    @staticmethod
+    def _rolled_case(ncfg):
+        # At rest 5 m up, rolled 0.8 rad: one iteration cannot level it.
+        cfg = dataclasses.replace(ncfg, max_iters=1)
+        x0 = hover_state((0.0, 0.0, 5.0)).as_vector()
+        x0[QUAT_SLICE] = euler_to_quat(EulerAngles(0.8, 0.0, 0.0))
+        return x0, hold_refs([0.0, 0.0, 5.0, 0.0], cfg.horizon), cfg
+
+    def test_first_feasible_blend_is_returned(self, ncfg, params):
+        x0, refs, cfg = self._rolled_case(ncfg)
+        braking = nmpc._braking_inputs
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return braking(*args)
+
+        with mock.patch.object(nmpc, "_braking_inputs", counted):
+            sol = solve(x0, refs, None, cfg, params)
+        assert len(calls) == 1
+        assert not sol.converged
+        assert worst_tilt(sol.states) < cfg.tilt_max
+        with mock.patch.object(nmpc, "_braking_inputs", _diverging_braking):
+            stuck = solve(x0, refs, None, cfg, params)
+        brake = nmpc._project(braking(x0, cfg, params), cfg)
+        for k in range(1, 9):
+            blend = (1.0 - k / 8.0) * stuck.u + (k / 8.0) * brake
+            states, outputs = rollout(x0, blend, cfg, params)
+            if worst_tilt(states) - cfg.tilt_max <= 0.5 * nmpc._TILT_SLACK:
+                break
+        else:
+            pytest.fail("no blend is inside the limit")
+        assert np.array_equal(sol.u, blend)
+        assert np.array_equal(sol.states, states)
+        assert np.array_equal(sol.outputs, outputs)
+        assert sol.cost == pytest.approx(canonical_cost(x0, blend, refs, cfg, params),
+                                         rel=1e-12)
+        assert sol.evaluations == stuck.evaluations + k
+
+    def test_best_infeasible_iterate_when_braking_diverges(self, ncfg, params):
+        x0, refs, cfg = self._rolled_case(ncfg)
+        with mock.patch.object(nmpc, "_braking_inputs", _diverging_braking):
+            sol = solve(x0, refs, None, cfg, params)
+        assert not sol.converged
+        assert worst_tilt(sol.states) > cfg.tilt_max + nmpc._TILT_SLACK
+        states, outputs = rollout(x0, sol.u, cfg, params)
+        assert np.array_equal(sol.states, states)
+        assert np.array_equal(sol.outputs, outputs)
+        assert sol.cost == pytest.approx(canonical_cost(x0, sol.u, refs, cfg, params),
+                                         rel=1e-12)
+        # The one line-search hit beats the (as infeasible) hover start.
+        hover = canonical_cost(x0, hover_inputs(cfg.horizon), refs, cfg, params)
+        assert sol.line_searches == 1 and sol.cost < hover
 
 
 class TestSolverCounts:

@@ -152,7 +152,7 @@ class TestClosedLoop:
         p = VehicleParams.from_config(cfg)
         ctrl = CascadePid(cfg)
         x = hover_state((0.0, 0.0, 0.0)).as_vector()
-        n_sub = round(cfg.sim.controller_period / p.dt)
+        n_sub = round(cfg.sim.controller_period / cfg.dt)
         t = 0.0
         ts, zs = [], []
         while t < duration:
@@ -160,8 +160,8 @@ class TestClosedLoop:
             u = ctrl.step(s, np.asarray(ref, dtype=float), yaw_ref, cfg.sim.controller_period)
             u_vec = u.as_vector()
             for _ in range(n_sub):
-                x = aerial_step(x, u_vec, p, p.dt)
-                t += p.dt
+                x = aerial_step(x, u_vec, p, cfg.dt)
+                t += cfg.dt
             ts.append(t)
             zs.append(x[2])
         return np.array(ts), np.array(zs), x
@@ -192,7 +192,7 @@ class TestClosedLoop:
             s = VehicleState.from_vector(x)
             u = ctrl.step(s, np.array([0.0, 0.0, 1.0]), math.pi / 2, 0.01).as_vector()
             for _ in range(10):
-                x = aerial_step(x, u, p, p.dt)
+                x = aerial_step(x, u, p, cfg.dt)
         yaw = 2.0 * math.atan2(x[9], x[6])
         assert abs(yaw - math.pi / 2) < 0.01
         assert np.abs(x[0:2]).max() < 0.05
