@@ -148,7 +148,7 @@ class VehicleState:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        n = float(self.quaternion @ self.quaternion)
+        n = math.hypot(*self.quaternion.tolist()) ** 2
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"quaternion norm^2 = {n!r}, expected 1")
 
@@ -166,7 +166,7 @@ class VehicleState:
         q = x[QUAT_SLICE]
         # One pass (a finite sum means finite entries); a vector that fails
         # gets the field-by-field constructor's error.
-        if not math.isfinite(sum(x.tolist())) or abs(float(q @ q) - 1.0) > 1e-6:
+        if not math.isfinite(sum(x.tolist())) or abs(math.hypot(*q.tolist()) ** 2 - 1.0) > 1e-6:
             return cls(x[0:3], x[3:6], q, x[10:13])
         state = object.__new__(cls)
         state.__dict__.update(position=x[0:3], velocity=x[3:6], quaternion=q,
@@ -395,7 +395,7 @@ def step_rk4(model, state: np.ndarray, u, dt: float, quat_slice: slice | None = 
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if quat_slice is not None:
         q = out[quat_slice]
-        n = math.sqrt(float(q @ q))
+        n = math.hypot(*q.tolist())
         if n < 1e-12 or not math.isfinite(n):
             raise DivergenceError("quaternion collapsed during integration", state=out)
         out[quat_slice] = q / n
@@ -536,12 +536,12 @@ def _renormalized(vals) -> tuple[list, float]:
     """An aerial RK4 end state with its quaternion renormalized, and the norm.
 
     ``vals`` is the 13-float end state of :func:`_rk4_floats`; the state
-    comes back as a list.  Raises :class:`DivergenceError` on a collapsed
-    or non-finite quaternion norm or on any non-finite entry.
+    comes back as a list.  The norm is ``math.hypot``, as in :func:`step_rk4`.
+    Raises :class:`DivergenceError` on a collapsed or non-finite norm or on
+    any non-finite entry.
     """
-    # The norm stays a numpy dot: its rounding differs from a Python sum.
-    q = np.array(vals[6:10])
-    n = math.sqrt(float(q @ q))
+    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = vals
+    n = math.hypot(qw, qx, qy, qz)
     if n < 1e-12 or not math.isfinite(n):
         raise DivergenceError("quaternion collapsed during integration",
                               state=np.array(vals))
@@ -550,7 +550,6 @@ def _renormalized(vals) -> tuple[list, float]:
     if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
         raise DivergenceError("integration produced a non-finite state",
                               state=np.array(vals))
-    px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = vals
     return [px, py, pz, vx, vy, vz, qw / n, qx / n, qy / n, qz / n, wx, wy, wz], n
 
 

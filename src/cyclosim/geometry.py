@@ -199,7 +199,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
         raise ValueError("quaternion must have shape (4,)")
     if not np.isfinite(q).all():
         raise ValueError("quaternion must be finite")
-    n = math.sqrt(float(q @ q))
+    n = math.hypot(*q.tolist())
     if n < 1e-12:
         raise ValueError("cannot normalize a zero-norm quaternion")
     return q / n

@@ -496,7 +496,7 @@ class ReferenceGenerator:
             points = [(p0, target, cruise)]
         legs = []
         for a, b, speed in points:
-            length = float(np.linalg.norm(b - a))
+            length = math.dist(a.tolist(), b.tolist())
             if length > 0.0:
                 legs.append((a, b, length, length / speed))
         self._legs = legs

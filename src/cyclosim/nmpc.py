@@ -17,14 +17,14 @@ Pipeline per solve:
 2. objective = sum of Q-weighted squared output errors (yaw wrapped) plus
    R-weighted squared inputs, plus a quadratic penalty on roll/pitch beyond
    the tilt limit;
-3. exact objective gradients come from a reverse (adjoint) sweep using
-   analytic Jacobians of the RK4 step, including the quaternion
-   renormalization projector; they are built from the one ``_Flight``
-   record of the current iterate (the warm start, the hover anchor or a
-   line-search hit), which carries its inputs, cost, tilt excess and
-   stored flight, so no iterate is flown twice;
-4. search direction is a Gauss-Newton step built from forward sensitivities
-   (the decision vector is small, so the normal system is dense and cheap);
+3. analytic Jacobians of the RK4 step, with the quaternion renormalization
+   projector, come from the one ``_Flight`` record of the current iterate
+   (the warm start, the hover anchor or a line-search hit), so no iterate
+   is flown twice; one forward recursion chains them into the sensitivity
+   stack ``S_j = dx_{j+1}/du``, and the exact gradient is one product over
+   it, ``2 R u + sum_j S_j^T g_j``;
+4. search direction is a Gauss-Newton step whose residual Jacobian is
+   gathered from the same stack (the normal system is dense and cheap);
    when it predicts a decrease ``-grad . d`` of at most
    ``tol * max(|cost|, 1)`` the stage ends with no search; otherwise a
    projected Armijo backtracking line search accepts it, falling back to
@@ -432,79 +432,83 @@ def _forward_pass(x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: Vehicl
     return (flight.states, *_step_jacobians(flight, cfg.period, params))
 
 
-def _attitudes(states: np.ndarray) -> list:
-    """``(yaw, roll, pitch)`` of every state after the first, each a value
-    with its gradient wrt the quaternion: formed once per iterate for both
-    the adjoint gradient and the Gauss-Newton direction."""
-    out = []
+def _attitudes(states: np.ndarray):
+    """The yaw, roll and pitch of every state after the first, as an (N, 3)
+    array, and their gradients wrt the quaternion, as an (N, 3, 4) array:
+    formed once per iterate for both the gradient and the Gauss-Newton
+    direction."""
+    values, grads = [], []
     for qw, qx, qy, qz in states[1:, QUAT_SLICE].tolist():
         a = 2.0 * (qw * qz + qx * qy)
         b = 1.0 - 2.0 * (qy * qy + qz * qz)
         den = a * a + b * b
-        yaw = (math.atan2(a, b), (b * (2.0 * qz) / den, b * (2.0 * qy) / den,
-                                  (b * (2.0 * qx) - a * (-4.0 * qy)) / den,
-                                  (b * (2.0 * qw) - a * (-4.0 * qz)) / den))
+        values.append(math.atan2(a, b))
+        grads += (b * (2.0 * qz) / den, b * (2.0 * qy) / den,
+                  (b * (2.0 * qx) - a * (-4.0 * qy)) / den,
+                  (b * (2.0 * qw) - a * (-4.0 * qz)) / den)
         a = 2.0 * (qw * qx + qy * qz)
         b = 1.0 - 2.0 * (qx * qx + qy * qy)
         den = a * a + b * b
-        roll = (math.atan2(a, b), (b * (2.0 * qx) / den,
-                                   (b * (2.0 * qw) - a * (-4.0 * qx)) / den,
-                                   (b * (2.0 * qz) - a * (-4.0 * qy)) / den,
-                                   b * (2.0 * qy) / den))
+        values.append(math.atan2(a, b))
+        grads += (b * (2.0 * qx) / den, (b * (2.0 * qw) - a * (-4.0 * qx)) / den,
+                  (b * (2.0 * qz) - a * (-4.0 * qy)) / den, b * (2.0 * qy) / den)
         s = max(-1.0, min(1.0, 2.0 * (qw * qy - qz * qx)))
         root = math.sqrt(max(1.0 - s * s, 1e-12))
-        pitch = (math.asin(s), ((2.0 * qy) / root, (-2.0 * qz) / root,
-                                (2.0 * qw) / root, (-2.0 * qx) / root))
-        out.append((yaw, roll, pitch))
-    return out
+        values.append(math.asin(s))
+        grads += ((2.0 * qy) / root, (-2.0 * qz) / root,
+                  (2.0 * qw) / root, (-2.0 * qx) / root)
+    return np.array(values).reshape(-1, 3), np.array(grads).reshape(-1, 3, 4)
 
 
-def _state_cost_gradient(x, ref, cfg: NmpcConfig, lam_r, lam_p, weight,
-                         angles) -> np.ndarray:
-    """Gradient wrt the state of the tracking term plus the (augmented)
-    tilt penalty for one horizon step; ``x`` and ``ref`` are float lists and
-    ``angles`` the step's entry of :func:`_attitudes`."""
-    (yaw, dyaw), roll, pitch = angles
-    k = 2.0 * cfg.q_yaw * wrap_angle(yaw - ref[3])
-    g_q = [0.0 + k * d for d in dyaw]
-    if weight > 0.0:
-        for lam, (angle, d_angle) in ((lam_r, roll), (lam_p, pitch)):
-            s = lam / (2.0 * weight) + abs(angle) - cfg.tilt_max
-            if s > 0.0:
-                k = 2.0 * weight * s * math.copysign(1.0, angle)
-                g_q = [g + k * d for g, d in zip(g_q, d_angle)]
-    return np.array([
-        2.0 * cfg.q_x * (x[0] - ref[0]),
-        2.0 * cfg.q_y * (x[1] - ref[1]),
-        2.0 * cfg.q_z * (x[2] - ref[2]),
-        0.0, 0.0, 0.0, *g_q, 0.0, 0.0, 0.0,
-    ])
+def _sensitivities(a_steps, b_steps) -> np.ndarray:
+    """The (N, 13, 4N) forward-sensitivity stack ``S_j = dx_{j+1}/du``:
+    ``S_j = A_j S_{j-1}`` plus ``B_j`` in the columns of input j; the
+    columns of later inputs stay zero and are not multiplied."""
+    n = len(b_steps)
+    stack = np.zeros((n, STATE_DIM, 4 * n))
+    for j in range(n):
+        if j:
+            np.matmul(a_steps[j], stack[j - 1, :, : 4 * j], out=stack[j, :, : 4 * j])
+        stack[j, :, 4 * j : 4 * j + 4] = b_steps[j]
+    return stack
+
+
+def _tilt_slack(values, lam_r, lam_p, weight, cfg: NmpcConfig) -> np.ndarray:
+    """(N, 2) augmented roll and pitch slack ``lam / (2 w) + |angle| -
+    tilt_max``; each tilt term acts where its slack is positive."""
+    return np.column_stack((lam_r, lam_p)) / (2.0 * weight) + np.abs(values[:, 1:]) - cfg.tilt_max
 
 
 def _adjoint_gradient(
     states, a_steps, b_steps, u, refs, cfg: NmpcConfig, lam_r, lam_p, weight,
-    angles=None,
+    angles=None, stack=None,
 ) -> np.ndarray:
-    """Reverse-mode gradient of the stage objective wrt all inputs.
+    """Gradient of the stage objective wrt all inputs.
 
-    The costates run backwards one step at a time; their input terms
-    ``B_j^T lam`` are then formed for the whole horizon at once.  ``angles``
-    is :func:`_attitudes` of ``states``, formed here if not given.
+    ``2 R u + sum_j S_j^T g_j``, one product over the sensitivity stack,
+    where ``g_j`` is the gradient of step j's tracking and (augmented) tilt
+    terms wrt ``x_{j+1}``; all ``g_j`` are formed at once.  ``angles`` is
+    :func:`_attitudes` of ``states`` and ``stack`` is :func:`_sensitivities`
+    of the Jacobians, each formed here if not given.
     """
     n = u.shape[0]
-    xs, rs = states.tolist(), refs.tolist()
-    lr, lp = lam_r.tolist(), lam_p.tolist()
     if angles is None:
         angles = _attitudes(states)
-    lams = np.empty((n, STATE_DIM, 1))
-    lam = np.zeros(STATE_DIM)
-    for j in range(n, 0, -1):
-        lam = lam + _state_cost_gradient(
-            xs[j], rs[j - 1], cfg, lr[j - 1], lp[j - 1], weight, angles[j - 1]
-        )
-        lams[j - 1, :, 0] = lam
-        lam = a_steps[j - 1].T @ lam
-    return 2.0 * cfg.r_diag * u + (b_steps.transpose(0, 2, 1) @ lams)[:, :, 0]
+    if stack is None:
+        stack = _sensitivities(a_steps, b_steps)
+    values, grads = angles
+    # Coefficients of the yaw, roll and pitch gradients in each g_j.
+    coef = np.zeros((n, 3))
+    coef[:, 0] = [2.0 * cfg.q_yaw * wrap_angle(e) for e in (values[:, 0] - refs[:, 3]).tolist()]
+    if weight > 0.0:
+        slack = _tilt_slack(values, lam_r, lam_p, weight, cfg)
+        sign = np.copysign(1.0, values[:, 1:])
+        coef[:, 1:] = np.where(slack > 0.0, 2.0 * weight * slack * sign, 0.0)
+    g = np.zeros((n, STATE_DIM))
+    g[:, :3] = 2.0 * cfg.q_diag[:3] * (states[1:, :3] - refs[:, :3])
+    g[:, QUAT_SLICE] = (coef[:, None, :] @ grads)[:, 0]
+    flat = g.reshape(n * STATE_DIM) @ stack.reshape(n * STATE_DIM, 4 * n)
+    return 2.0 * cfg.r_diag * u + flat.reshape(n, 4)
 
 
 def cost_gradient(
@@ -512,8 +516,8 @@ def cost_gradient(
 ) -> np.ndarray:
     """Exact gradient of ``evaluate_cost`` composed with ``rollout``.
 
-    Reverse-mode sweep: forward rollout storing per-step Jacobians, then an
-    adjoint recursion backwards through the horizon.  Covers the tracking
+    A forward pass storing per-step Jacobians, chained into the sensitivity
+    stack, then one product over the horizon.  Covers the tracking
     and effort terms; the solver adds its tilt-penalty contribution
     internally.
 
@@ -559,41 +563,35 @@ def _braking_inputs(
 
 def _gauss_newton_direction(
     states, a_steps, b_steps, grad, cfg: NmpcConfig, lam_r, lam_p, weight, damping,
-    angles=None,
+    angles=None, stack=None,
 ) -> np.ndarray:
     """Gauss-Newton step for the stacked decision vector.
 
-    Forward sensitivities give the Jacobian of every output (and of the
-    active or near-active tilt angles) wrt all inputs; the effort curvature
-    keeps the normal matrix positive definite.  ``angles`` is
-    :func:`_attitudes` of ``states``, formed here if not given.
+    The residual Jacobian ``J`` gathers, from the sensitivity stack, the
+    rows of every output (position, and yaw through the quaternion) and of
+    the tilt angles whose penalty acts, exactly where the penalty gradient
+    acts, so the quadratic model stays consistent with the objective.  With
+    the row weights ``W`` the normal matrix is ``diag(2R) + damping I +
+    2 J^T W J``; the effort curvature keeps it positive definite.
+    ``angles`` and ``stack`` are formed here if not given.
     """
     if angles is None:
         angles = _attitudes(states)
-    n = grad.shape[0]
-    m = 4 * n
-    h_mat = np.diag(2.0 * np.tile(cfg.r_diag, n))
-    q_diag = cfg.q_diag
-    sens = np.zeros((STATE_DIM, m))
-    for j in range(n):
-        sens = a_steps[j] @ sens
-        sens[:, 4 * j : 4 * j + 4] += b_steps[j]
-        (_, dyaw), roll, pitch = angles[j]
-        rows = np.empty((4, m))
-        rows[0] = sens[0]
-        rows[1] = sens[1]
-        rows[2] = sens[2]
-        rows[3] = np.array(dyaw) @ sens[QUAT_SLICE, :]
-        h_mat += 2.0 * (rows.T * q_diag) @ rows
-        if weight > 0.0:
-            # Curvature rows exactly where the penalty gradient acts, so the
-            # quadratic model stays consistent with the objective.
-            for lam, (angle, d_angle) in ((lam_r[j], roll), (lam_p[j], pitch)):
-                if lam / (2.0 * weight) + abs(angle) - cfg.tilt_max > 0.0:
-                    row = np.array(d_angle) @ sens[QUAT_SLICE, :]
-                    h_mat += (2.0 * weight) * np.outer(row, row)
-    step = np.linalg.solve(h_mat + damping * np.eye(m), -grad.reshape(m))
-    return step.reshape(n, 4)
+    if stack is None:
+        stack = _sensitivities(a_steps, b_steps)
+    n, m = grad.shape[0], grad.size
+    values, grads = angles
+    # Rows per step: x, y, z, yaw, roll, pitch.
+    rows = np.concatenate((stack[:, :3], grads @ stack[:, QUAT_SLICE]), axis=1)
+    w = np.zeros((n, 6))
+    w[:, :4] = cfg.q_diag
+    if weight > 0.0:
+        w[:, 4:] = np.where(_tilt_slack(values, lam_r, lam_p, weight, cfg) > 0.0, weight, 0.0)
+    keep = w.reshape(6 * n) > 0.0
+    j_mat = rows.reshape(6 * n, m)[keep]
+    h_mat = (2.0 * w.reshape(6 * n)[keep] * j_mat.T) @ j_mat
+    h_mat[np.diag_indices(m)] += 2.0 * np.tile(cfg.r_diag, n) + damping
+    return np.linalg.solve(h_mat, -grad.reshape(m)).reshape(n, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +658,9 @@ def solve(
     Raises
     ------
     SolverFailureError
-        If the objective is not evaluable (divergent or non-finite) at the
-        projected warm start.
+        If the objective is not evaluable at the projected warm start; its
+        ``diagnostics`` hold the pass's ``divergence`` message, or the
+        non-finite ``tracking_cost`` of a pass that flew.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (STATE_DIM,):
@@ -675,11 +674,15 @@ def solve(
             raise ValueError(f"warm start must have shape ({n}, 4)")
 
     tally = Counter(evaluations=1)
-    warm = _cost_parts(x0, hover_u if warm_start is None else _project(warm_start, cfg),
-                       refs, cfg, params)
+    warm_u = hover_u if warm_start is None else _project(warm_start, cfg)
+    warm = _cost_parts(x0, warm_u, refs, cfg, params)
     if warm is None:
-        raise SolverFailureError("objective is not evaluable at the warm start",
-                                 diagnostics={"tracking_cost": math.inf})
+        try:  # Fly it again to say why: a divergence or a non-finite cost.
+            with np.errstate(over="ignore", invalid="ignore"):
+                why = {"tracking_cost": _horizon_pass(x0, warm_u, refs, cfg, params).tracking}
+        except DivergenceError as exc:
+            why = {"divergence": str(exc)}
+        raise SolverFailureError("objective is not evaluable at the warm start", why)
     zeros = np.zeros(n)
 
     def rank(flight):
@@ -721,16 +724,13 @@ def solve(
     while iterations < cfg.max_iters:
         iterations += 1
         stage_iters += 1
-        # The current iterate was flown by the evaluation that chose it.
-        states = current.states
-        angles = _attitudes(states)
+        # The current iterate was flown by the evaluation that chose it; one
+        # sensitivity stack feeds both the gradient and the direction.
         a_steps, b_steps = _step_jacobians(current, cfg.period, params)
-        grad = _adjoint_gradient(
-            states, a_steps, b_steps, current.u, refs, cfg, lam_r, lam_p, weight, angles
-        )
-        d = _gauss_newton_direction(
-            states, a_steps, b_steps, grad, cfg, lam_r, lam_p, weight, damping, angles
-        )
+        shared = (_attitudes(current.states), _sensitivities(a_steps, b_steps))
+        sweep = (current.states, a_steps, b_steps)
+        grad = _adjoint_gradient(*sweep, current.u, refs, cfg, lam_r, lam_p, weight, *shared)
+        d = _gauss_newton_direction(*sweep, grad, cfg, lam_r, lam_p, weight, damping, *shared)
         # A negligible predicted decrease ends the stage with no search.
         hit = None
         if -float(np.dot(grad.ravel(), d.ravel())) > cfg.tol * max(abs(cost), 1.0):

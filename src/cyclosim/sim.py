@@ -275,14 +275,14 @@ class _Runner:
 
     # -- state access -------------------------------------------------
 
-    def position(self) -> np.ndarray:
+    def position(self) -> list:
         if self.mode.medium is Medium.AERIAL:
-            return self.x13[0:3]
-        return np.array([self.pose[0], self.pose[1], 0.0])
+            return self.x13[0:3].tolist()
+        return [*self.pose[0:2].tolist(), 0.0]
 
     def speed(self) -> float:
         if self.mode.medium is Medium.AERIAL:
-            return float(np.linalg.norm(self.x13[3:6]))
+            return math.hypot(*self.x13[3:6].tolist())
         return abs(_planar_rates(self.surface_u, self.params)[0])
 
     # -- mode transitions ----------------------------------------------
@@ -324,9 +324,9 @@ class _Runner:
 
     def segment_complete(self, t: float) -> bool:
         seg = self.mission.segments[self.seg_idx]
-        target = seg.target
+        target = seg.target.tolist()
         pos = self.position()
-        dist = float(np.linalg.norm(pos - target))
+        dist = math.dist(pos, target)
         radius = self.cfg.sim.arrival_radius
         if self.seg_idx == len(self.mission.segments) - 1:
             return dist < radius

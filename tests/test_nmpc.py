@@ -7,7 +7,9 @@ attitude quaternions for the tilt penalty, and the exact effort gradient
 adherence, warm-start monotonicity, determinism) are checked on seeded
 random instances.  The trial cut is checked against the same pass, line
 search or solve with no acceptance limit, and the work counts against
-counting wrappers.
+counting wrappers.  The sensitivity stack's gradient is checked against
+central differences and a backward costate recursion, and its direction
+against a normal matrix built step by step.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclosim import nmpc
@@ -614,6 +616,129 @@ class TestCostGradient:
         assert np.all(grad == 0.0)
 
 
+@st.composite
+def _smooth_stage_cases(draw):
+    """A moderate 1-8 step horizon with tilt multipliers and a weight.
+
+    ``active`` cases have a tight tilt limit and positive multipliers, so
+    tilt terms act; ``inactive`` ones a loose limit and zero multipliers."""
+    n = draw(st.integers(1, 8))
+    euler = EulerAngles(*draw(st.lists(_finite(-0.5, 0.5), min_size=3, max_size=3)))
+    x0 = np.array([
+        *draw(st.lists(_finite(-2.0, 2.0), min_size=3, max_size=3)),
+        *draw(st.lists(_finite(-1.0, 1.0), min_size=3, max_size=3)),
+        *euler_to_quat(euler),
+        *draw(st.lists(_finite(-0.5, 0.5), min_size=3, max_size=3)),
+    ])
+    u = np.array(draw(st.lists(_finite(-1.0, 1.0), min_size=4 * n, max_size=4 * n)))
+    u = u.reshape(n, 4) * [3.0, 0.05, 0.05, 0.05]
+    refs = np.array(draw(st.lists(_finite(-3.0, 3.0), min_size=4 * n, max_size=4 * n)))
+    tilt = draw(st.sampled_from(["active", "inactive"]))
+    if tilt == "active":
+        tilt_max = draw(_finite(0.01, 0.2))
+        lam_r, lam_p = (np.array(draw(st.lists(_finite(0.0, 5.0), min_size=n, max_size=n)))
+                        for _ in range(2))
+    else:
+        tilt_max, lam_r, lam_p = 1.2, np.zeros(n), np.zeros(n)
+    weight = draw(st.sampled_from([1.0, 10.0, 100.0]))
+    return x0, u, refs.reshape(n, 4), tilt, tilt_max, lam_r, lam_p, weight
+
+
+class TestSensitivityStack:
+    """One forward-sensitivity stack feeds the gradient and the
+    Gauss-Newton matrix.  Oracles: central differences of the stage value,
+    a backward costate recursion, and a normal matrix built step by step
+    from the forward recursion, each written out here."""
+
+    @staticmethod
+    def _setup(case, ncfg, params):
+        x0, u, refs, tilt, tilt_max, lam_r, lam_p, weight = case
+        cfg = dataclasses.replace(ncfg, tilt_max=tilt_max)
+        flight = nmpc._horizon_pass(x0, u, refs, cfg, params)
+        values, _ = nmpc._attitudes(flight.states)
+        slack = np.column_stack((lam_r, lam_p)) / (2.0 * weight) + np.abs(values[:, 1:]) - tilt_max
+        assume((slack > 0.0).any() if tilt == "active" else (slack < 0.0).all())
+        a_steps, b_steps = nmpc._step_jacobians(flight, cfg.period, params)
+        grad = nmpc._adjoint_gradient(flight.states, a_steps, b_steps, u, refs, cfg,
+                                      lam_r, lam_p, weight)
+        return cfg, flight, values, slack, a_steps, b_steps, grad
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_smooth_stage_cases())
+    def test_gradient_matches_central_differences(self, case, ncfg, params):
+        x0, u, refs, _, _, lam_r, lam_p, weight = case
+        cfg, _, values, slack, _, _, grad = self._setup(case, ncfg, params)
+        # Stay off the kinks: the yaw wrap, |angle| at zero and the tilt
+        # penalty's switch, none of which a difference quotient can cross.
+        yaw_err = [wrap_angle(e) for e in values[:, 0] - refs[:, 3]]
+        assume(max(map(abs, yaw_err)) < 3.0 and np.abs(values[:, 1:]).min() > 1e-4)
+        assume(np.abs(slack).min() > 1e-4)
+
+        def value(v):
+            return nmpc._stage_value(nmpc._horizon_pass(x0, v, refs, cfg, params),
+                                     lam_r, lam_p, weight)
+
+        eps = 1e-6
+        g_fd = np.empty_like(grad)
+        for j, k in np.ndindex(*u.shape):
+            step = np.zeros_like(u)
+            step[j, k] = eps
+            g_fd[j, k] = (value(u + step) - value(u - step)) / (2.0 * eps)
+        scale = max(1.0, float(np.abs(g_fd).max()))
+        assert np.abs(grad - g_fd).max() <= 1e-5 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_smooth_stage_cases())
+    def test_gradient_matches_a_backward_costate_recursion(self, case, ncfg, params):
+        _, u, refs, _, _, lam_r, lam_p, weight = case
+        cfg, flight, values, _, a_steps, b_steps, grad = self._setup(case, ncfg, params)
+        _, d_angles = nmpc._attitudes(flight.states)
+        # lam_j = g_j + A_j^T lam_{j+1}, backwards; the input gradient of
+        # step j is B_j^T lam_j.
+        expected = np.empty_like(u)
+        lam = np.zeros(13)
+        for j in reversed(range(u.shape[0])):
+            x = flight.states[j + 1]
+            g = np.zeros(13)
+            g[:3] = 2.0 * cfg.q_diag[:3] * (x[:3] - refs[j, :3])
+            yaw_err = wrap_angle(values[j, 0] - refs[j, 3])
+            g[QUAT_SLICE] = 2.0 * cfg.q_yaw * yaw_err * d_angles[j, 0]
+            for k, lam_k in ((1, lam_r[j]), (2, lam_p[j])):
+                s = lam_k / (2.0 * weight) + abs(values[j, k]) - cfg.tilt_max
+                if s > 0.0:
+                    sign = math.copysign(1.0, values[j, k])
+                    g[QUAT_SLICE] += 2.0 * weight * s * sign * d_angles[j, k]
+            lam = lam + g
+            expected[j] = 2.0 * cfg.r_diag * u[j] + b_steps[j].T @ lam
+            lam = a_steps[j].T @ lam
+        assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_smooth_stage_cases(), damping=st.sampled_from([1e-9, 1e-3, 1.0]))
+    def test_direction_solves_the_normal_equations(self, case, damping, ncfg, params):
+        _, u, _, _, _, lam_r, lam_p, weight = case
+        cfg, flight, _, slack, a_steps, b_steps, grad = self._setup(case, ncfg, params)
+        d = nmpc._gauss_newton_direction(flight.states, a_steps, b_steps, grad, cfg,
+                                         lam_r, lam_p, weight, damping)
+        _, d_angles = nmpc._attitudes(flight.states)
+        n, m = u.shape[0], u.size
+        h_mat = np.diag(2.0 * np.tile(cfg.r_diag, n)) + damping * np.eye(m)
+        sens = np.zeros((13, m))
+        for j in range(n):
+            sens = a_steps[j] @ sens
+            sens[:, 4 * j : 4 * j + 4] += b_steps[j]
+            for i, q in enumerate(cfg.q_diag[:3]):
+                h_mat += 2.0 * q * np.outer(sens[i], sens[i])
+            yaw_row = d_angles[j, 0] @ sens[QUAT_SLICE]
+            h_mat += 2.0 * cfg.q_yaw * np.outer(yaw_row, yaw_row)
+            for k in (1, 2):
+                if slack[j, k - 1] > 0.0:
+                    row = d_angles[j, k] @ sens[QUAT_SLICE]
+                    h_mat += 2.0 * weight * np.outer(row, row)
+        residual = h_mat @ d.reshape(m) + grad.reshape(m)
+        assert np.abs(residual).max() <= 1e-9 * np.abs(grad).max()
+
+
 class TestSolve:
     def test_hover_fixed_point(self, ncfg, params):
         x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
@@ -720,8 +845,22 @@ class TestSolve:
     def test_divergent_warm_start_raises(self, ncfg, params):
         x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
         refs = hold_refs([0.0, 0.0, 1.0, 0.0], ncfg.horizon)
-        with pytest.raises(SolverFailureError):
-            solve(x0, refs, np.full((ncfg.horizon, 4), 1e8), ncfg, params)
+        warm = np.full((ncfg.horizon, 4), 1e8)
+        with pytest.raises(SolverFailureError) as failed:
+            solve(x0, refs, warm, ncfg, params)
+        # The diagnostics name the divergence of the warm start's pass.
+        with pytest.raises(DivergenceError) as diverged, np.errstate(over="ignore",
+                                                                      invalid="ignore"):
+            nmpc._horizon_pass(x0, nmpc._project(warm, ncfg), refs, ncfg, params)
+        assert failed.value.diagnostics == {"divergence": str(diverged.value)}
+
+    def test_non_finite_cost_reports_its_value(self, ncfg, params):
+        # The hover start flies, but its squared 1e200 m errors overflow.
+        x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
+        refs = hold_refs([1e200, 0.0, 1.0, 0.0], ncfg.horizon)
+        with pytest.raises(SolverFailureError) as failed:
+            solve(x0, refs, None, ncfg, params)
+        assert failed.value.diagnostics == {"tracking_cost": math.inf}
 
     def test_rejects_bad_shapes(self, ncfg, params):
         refs = hold_refs([0.0, 0.0, 1.0, 0.0], ncfg.horizon)
