@@ -25,11 +25,14 @@ Pipeline per solve:
    it, ``2 R u + sum_j S_j^T g_j``;
 4. search direction is a Gauss-Newton step whose residual Jacobian is
    gathered from the same stack (the normal system is dense and cheap);
-   when it predicts a decrease ``-grad . d`` of at most
-   ``tol * max(|cost|, 1)`` the stage ends with no search; otherwise a
-   projected Armijo backtracking line search accepts it, falling back to
-   the plain projected-gradient direction whenever the Gauss-Newton step
-   fails to produce sufficient decrease;
+   the step sees the tilt limit: the inactive tilt terms it would activate
+   join its model, and it is solved again until that set repeats (a
+   primal-dual active-set step), so a full step seldom tilts past the limit
+   for the line search to halve back; when it predicts a decrease
+   ``-grad . d`` of at most ``tol * max(|cost|, 1)`` the stage ends with no
+   search; otherwise a projected Armijo backtracking line search accepts
+   it, falling back to the plain projected-gradient direction whenever the
+   Gauss-Newton step fails to produce sufficient decrease;
 5. the tilt terms carry per-step multipliers updated between descent stages
    (an augmented form of the same quadratic penalty), plus a safeguarded
    weight escalation, so the returned trajectory honors the tilt bound to
@@ -87,6 +90,9 @@ _ALPHA_FLOOR = 1e-10
 _TILT_SLACK = 1e-3
 _WEIGHT_STEP = 10.0
 _WEIGHT_CAP = 1e10
+# Re-solves per horizon step the Gauss-Newton step may spend settling which
+# inactive tilt terms it activates, before it falls back to the plain step.
+_ACTIVE_SET_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,8 @@ def _check_refs(refs: np.ndarray, horizon: int) -> np.ndarray:
     refs = np.asarray(refs, dtype=float)
     if refs.ndim != 2 or refs.shape[1] != 4:
         raise ValueError("references must have shape (n, 4): (x, y, z, yaw)")
+    if refs.shape[0] == 0:
+        raise ValueError("references need at least one row")
     if not np.isfinite(refs).all():
         raise ValueError("references must be finite")
     if refs.shape[0] < horizon:
@@ -573,7 +581,15 @@ def _gauss_newton_direction(
     acts, so the quadratic model stays consistent with the objective.  With
     the row weights ``W`` the normal matrix is ``diag(2R) + damping I +
     2 J^T W J``; the effort curvature keeps it positive definite.
-    ``angles`` and ``stack`` are formed here if not given.
+
+    The step then sees the tilt limit (a primal-dual active-set, or
+    semismooth Newton, step on the one-sided penalty): each inactive tilt
+    term whose linearized slack ``slack + sign(angle) J_tilt d`` is positive
+    at the step joins the model as ``w (slack + sign J_tilt d)^2``, and the
+    step is solved again until the set of added terms repeats.  If it has
+    not settled after ``_ACTIVE_SET_PASSES`` re-solves per horizon step, the
+    plain step is returned.  ``angles`` and ``stack`` are formed here if
+    not given.
     """
     if angles is None:
         angles = _attitudes(states)
@@ -586,12 +602,31 @@ def _gauss_newton_direction(
     w = np.zeros((n, 6))
     w[:, :4] = cfg.q_diag
     if weight > 0.0:
-        w[:, 4:] = np.where(_tilt_slack(values, lam_r, lam_p, weight, cfg) > 0.0, weight, 0.0)
+        slack = _tilt_slack(values, lam_r, lam_p, weight, cfg)
+        w[:, 4:] = np.where(slack > 0.0, weight, 0.0)
     keep = w.reshape(6 * n) > 0.0
     j_mat = rows.reshape(6 * n, m)[keep]
     h_mat = (2.0 * w.reshape(6 * n)[keep] * j_mat.T) @ j_mat
     h_mat[np.diag_indices(m)] += 2.0 * np.tile(cfg.r_diag, n) + damping
-    return np.linalg.solve(h_mat, -grad.reshape(m)).reshape(n, 4)
+    rhs = -grad.reshape(m)
+    plain = np.linalg.solve(h_mat, rhs)
+    if weight <= 0.0:
+        return plain.reshape(n, 4)
+    # Roll and pitch rows, one per tilt term, signed so that J_tilt d is
+    # the change of the term's slack.
+    slack = slack.reshape(2 * n)
+    j_tilt = np.copysign(1.0, values[:, 1:]).reshape(2 * n, 1) * rows[:, 4:].reshape(2 * n, m)
+    inactive = slack <= 0.0
+    added = np.zeros(2 * n, dtype=bool)
+    d, passes = plain, 0
+    while not np.array_equal(predicted := inactive & (slack + j_tilt @ d > 0.0), added):
+        passes += 1
+        if passes > _ACTIVE_SET_PASSES * n:
+            return plain.reshape(n, 4)
+        added = predicted
+        j_add = 2.0 * weight * j_tilt[added]
+        d = np.linalg.solve(h_mat + j_add.T @ j_tilt[added], rhs - slack[added] @ j_add)
+    return d.reshape(n, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +862,8 @@ class NmpcController:
         self._warm: np.ndarray | None = None
         self.last_solution: NmpcSolution | None = None
         self.failures = 0
+        # Running sums over the solves that returned.
+        self.iterations = self.converged = self.evaluations = self.line_searches = 0
 
     def reset(self) -> None:
         self._warm = None
@@ -843,6 +880,10 @@ class NmpcController:
             log.warning("solver failure (%s); falling back to hover input", exc)
             return AerialInput(c=GRAVITY, torque=np.zeros(3))
         self.last_solution = sol
+        self.iterations += sol.iterations
+        self.converged += sol.converged
+        self.evaluations += sol.evaluations
+        self.line_searches += sol.line_searches
         # Shift by one period, duplicating the final input.
         self._warm = np.vstack([sol.u[1:], sol.u[-1:]])
         return sol.first_input

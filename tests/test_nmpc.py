@@ -9,7 +9,8 @@ random instances.  The trial cut is checked against the same pass, line
 search or solve with no acceptance limit, and the work counts against
 counting wrappers.  The sensitivity stack's gradient is checked against
 central differences and a backward costate recursion, and its direction
-against a normal matrix built step by step.
+against a normal matrix built step by step, with the tilt terms the step
+activates added by an active-set iteration written out in the test.
 """
 
 import dataclasses
@@ -717,12 +718,15 @@ class TestSensitivityStack:
     @given(case=_smooth_stage_cases(), damping=st.sampled_from([1e-9, 1e-3, 1.0]))
     def test_direction_solves_the_normal_equations(self, case, damping, ncfg, params):
         _, u, _, _, _, lam_r, lam_p, weight = case
-        cfg, flight, _, slack, a_steps, b_steps, grad = self._setup(case, ncfg, params)
+        cfg, flight, values, slack, a_steps, b_steps, grad = self._setup(case, ncfg, params)
         d = nmpc._gauss_newton_direction(flight.states, a_steps, b_steps, grad, cfg,
-                                         lam_r, lam_p, weight, damping)
+                                         lam_r, lam_p, weight, damping).reshape(-1)
         _, d_angles = nmpc._attitudes(flight.states)
         n, m = u.shape[0], u.size
         h_mat = np.diag(2.0 * np.tile(cfg.r_diag, n)) + damping * np.eye(m)
+        # Roll and pitch rows of each step, signed so that row . d is the
+        # linearized change of the term's slack.
+        tilt_rows = np.empty((n, 2, m))
         sens = np.zeros((13, m))
         for j in range(n):
             sens = a_steps[j] @ sens
@@ -732,11 +736,43 @@ class TestSensitivityStack:
             yaw_row = d_angles[j, 0] @ sens[QUAT_SLICE]
             h_mat += 2.0 * cfg.q_yaw * np.outer(yaw_row, yaw_row)
             for k in (1, 2):
+                row = d_angles[j, k] @ sens[QUAT_SLICE]
+                tilt_rows[j, k - 1] = math.copysign(1.0, values[j, k]) * row
                 if slack[j, k - 1] > 0.0:
-                    row = d_angles[j, k] @ sens[QUAT_SLICE]
                     h_mat += 2.0 * weight * np.outer(row, row)
-        residual = h_mat @ d.reshape(m) + grad.reshape(m)
-        assert np.abs(residual).max() <= 1e-9 * np.abs(grad).max()
+
+        def normal_equations(added):
+            # Each added term joins the model as w (slack + row . d)^2.
+            h, rhs = h_mat.copy(), -grad.reshape(m)
+            for j, k in zip(*np.nonzero(added)):
+                h += 2.0 * weight * np.outer(tilt_rows[j, k], tilt_rows[j, k])
+                rhs -= 2.0 * weight * slack[j, k] * tilt_rows[j, k]
+            return h, rhs
+
+        def activated(step):
+            # Inactive terms whose linearized slack is positive at the step.
+            return (slack <= 0.0) & (slack + tilt_rows @ step > 0.0)
+
+        # The active-set iteration, written out: add the terms the step
+        # would activate and solve again until the set repeats, giving up
+        # for the plain step after two passes per horizon step.
+        added = np.zeros((n, 2), dtype=bool)
+        step = np.linalg.solve(*normal_equations(added))
+        for _ in range(2 * n):
+            if np.array_equal(activated(step), added):
+                break
+            added = activated(step)
+            step = np.linalg.solve(*normal_equations(added))
+        settled = np.array_equal(activated(step), added)
+        if settled:
+            # The returned step is self-consistent: it solves the model of
+            # exactly the terms it activates.
+            assert np.array_equal(activated(d), added)
+        else:
+            added[:] = False
+        h, rhs = normal_equations(added)
+        residual = h @ d - rhs
+        assert np.abs(residual).max() <= 1e-9 * np.abs(rhs).max()
 
 
 class TestSolve:
@@ -781,6 +817,16 @@ class TestSolve:
         assert abs(sol.outputs[-1, 2] - 1.0) < 0.15
         hover_cost = canonical_cost(x0, hover_inputs(ncfg.horizon), refs, ncfg, params)
         assert sol.cost < hover_cost
+
+    def test_cold_lateral_and_yaw_step_converges(self, ncfg, params):
+        # The plain Gauss-Newton step from hover tilts far past the limit;
+        # with the terms it would activate in its model the solve settles
+        # within its budget.
+        x0 = hover_state((0.0, 0.0, 0.0)).as_vector()
+        refs = hold_refs([2.0, 0.0, 1.0, 0.3], ncfg.horizon)
+        sol = solve(x0, refs, None, ncfg, params)
+        assert sol.converged
+        assert worst_tilt(sol.states) <= ncfg.tilt_max + 1e-3
 
     def test_warm_start_fewer_iterations(self, ncfg, params):
         x0 = hover_state((0.0, 0.0, 0.0)).as_vector()
@@ -874,6 +920,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(x0, np.full((ncfg.horizon, 4), np.nan), None, ncfg, params)
 
+    def test_rejects_empty_references(self, ncfg, params):
+        # Padding holds the last row, so there must be one.
+        x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
+        u = hover_inputs(ncfg.horizon)
+        with pytest.raises(ValueError, match="at least one row"):
+            solve(x0, np.zeros((0, 4)), None, ncfg, params)
+        with pytest.raises(ValueError, match="at least one row"):
+            cost_gradient(x0, u, np.zeros((0, 4)), ncfg, params)
+
 
 class TestNmpcController:
     def test_hover_hold_within_tolerance(self, cfg, ncfg):
@@ -891,9 +946,27 @@ class TestNmpcController:
         refs = hold_refs([2.0, 0.0, 1.0, 0.3], ncfg.horizon)
         ctl.step(x, refs)
         first = ctl.last_solution.iterations
-        ctl.step(x, refs)
+        # The warm start is shifted by one period, so the next solve starts
+        # from the state the first one predicted one period on.
+        ctl.step(ctl.last_solution.states[1], refs)
         second = ctl.last_solution.iterations
         assert second < first
+
+    def test_sums_match_the_solves(self, cfg, ncfg):
+        ctl = NmpcController(cfg)
+        x = hover_state((0.0, 0.0, 0.0)).as_vector()
+        refs = hold_refs([2.0, 0.0, 1.0, 0.3], ncfg.horizon)
+        solutions = []
+        for _ in range(4):
+            ctl.step(x, refs)
+            solutions.append(ctl.last_solution)
+            x = ctl.last_solution.states[1]
+        # A failed solve adds to the failures only.
+        ctl._warm = np.full((ncfg.horizon, 4), 1e8)
+        ctl.step(x, refs)
+        assert ctl.failures == 1
+        for name in ("iterations", "converged", "evaluations", "line_searches"):
+            assert getattr(ctl, name) == sum(getattr(s, name) for s in solutions)
 
     def test_failure_fallback_is_hover(self, cfg, ncfg):
         ctl = NmpcController(cfg)
