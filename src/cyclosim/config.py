@@ -207,17 +207,19 @@ def _merge_section(name: str, base, data: dict):
 
 
 def _validate(cfg: Config) -> Config:
-    positive = [(key, getattr(cfg, key)) for key in _VEHICLE_KEYS] + [
-        ("nmpc.period", cfg.nmpc.period),
-        ("nmpc.tol", cfg.nmpc.tol),
-        ("nmpc.tilt_max", cfg.nmpc.tilt_max),
-        ("nmpc.tilt_weight", cfg.nmpc.tilt_weight),
-        ("sim.controller_period", cfg.sim.controller_period),
-        ("sim.time_limit", cfg.sim.time_limit),
-    ]
+    positive = [(key, getattr(cfg, key)) for key in _VEHICLE_KEYS]
+    for section, keys in (
+        ("nmpc", ("period", "tol", "tilt_max", "tilt_weight")),
+        ("pid", ("windup_limit", "tilt_limit", "torque_limit")),
+        ("sim", ("controller_period", "time_limit", "cruise_ground", "cruise_air",
+                 "cruise_water", "land_speed", "arrival_radius", "yaw_slew")),
+    ):
+        positive += [(f"{section}.{key}", getattr(getattr(cfg, section), key)) for key in keys]
     for name, value in positive:
         if value <= 0.0:
             raise ConfigError(f"{name} must be positive, got {value!r}")
+    if cfg.sim.hover_hold < 0.0:
+        raise ConfigError(f"sim.hover_hold must be at least 0, got {cfg.sim.hover_hold!r}")
     if cfg.dt > 0.05:
         raise ConfigError(f"dt must be <= 0.05 s, got {cfg.dt!r}")
     for key, value, low, cap in (("horizon", cfg.nmpc.horizon, 2, MAX_HORIZON),

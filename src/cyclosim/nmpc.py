@@ -33,11 +33,16 @@ Pipeline per solve:
    search; otherwise a projected Armijo backtracking line search accepts
    it, falling back to the plain projected-gradient direction whenever the
    Gauss-Newton step fails to produce sufficient decrease;
-5. the tilt terms carry per-step multipliers updated between descent stages
-   (an augmented form of the same quadratic penalty), plus a safeguarded
-   weight escalation, so the returned trajectory honors the tilt bound to
-   tight tolerance without an enormous fixed weight.  The first stage uses
-   zero multipliers, which is exactly the plain penalty.
+5. the tilt terms carry per-step multipliers (an augmented form of the same
+   quadratic penalty), so the returned trajectory honors the tilt bound to
+   tight tolerance without an enormous fixed weight.  A descent stage ends
+   when it is solved, or when it has spent its allotment of iterations with
+   the tilt out of bounds.  Where it ends out of bounds, one update follows,
+   never both: the multipliers, if the worst excess at least halved since
+   the last stage end (always at the first), else a tenfold weight (the
+   textbook augmented-Lagrangian loop, Nocedal & Wright, *Numerical
+   Optimization*, 2nd ed., Alg. 17.4).  The first stage uses zero
+   multipliers, which is exactly the plain penalty.
 
 Only accepted (strictly decreasing) steps update the iterate within each
 stage, and each stage re-anchors against the projected warm start, so on
@@ -750,72 +755,52 @@ def solve(
 
     iterations = 0
     converged = False
-    damping = 1e-9
-    # Cap the iterations any one multiplier stage may spend, so a stage that
-    # zigzags on the penalty kink hands over to the multiplier update
-    # instead of exhausting the whole budget.
+    # Cap the iterations any one multiplier stage may spend out of bounds,
+    # so a stage that zigzags on the penalty kink hands over to the stage
+    # end instead of exhausting the whole budget.
     stage_allotment = max(2, cfg.max_iters // 6)
     stage_iters = 0
     while iterations < cfg.max_iters:
         iterations += 1
         stage_iters += 1
         # The current iterate was flown by the evaluation that chose it; one
-        # sensitivity stack feeds both the gradient and the direction.
+        # sensitivity stack feeds both the gradient and the direction, whose
+        # damping is a fixed 1e-9.
         a_steps, b_steps = _step_jacobians(current, cfg.period, params)
         shared = (_attitudes(current.states), _sensitivities(a_steps, b_steps))
         sweep = (current.states, a_steps, b_steps)
         grad = _adjoint_gradient(*sweep, current.u, refs, cfg, lam_r, lam_p, weight, *shared)
-        d = _gauss_newton_direction(*sweep, grad, cfg, lam_r, lam_p, weight, damping, *shared)
-        # A negligible predicted decrease ends the stage with no search.
-        hit = None
+        d = _gauss_newton_direction(*sweep, grad, cfg, lam_r, lam_p, weight, 1e-9, *shared)
+        # A negligible predicted decrease ends the stage with no search, and
+        # so does a search that finds no decrease along either direction.
+        stage_solved = True
         if -float(np.dot(grad.ravel(), d.ravel())) > cfg.tol * max(abs(cost), 1.0):
             args = (grad, cost, refs, cfg, params, lam_r, lam_p, weight, tally)
-            hit = _line_search(x0, current.u, d, *args)
-            if hit is None:
-                damping = min(damping * 1e3, 1e3)
-                hit = _line_search(x0, current.u, -grad, *args)
-            else:
-                damping = max(damping * 0.1, 1e-9)
-        # With no hit the iterate is stationary for this stage.
-        stage_solved = hit is None
-        if hit is not None:
-            current, trial_cost = hit
-            decrease = cost - trial_cost
-            cost = trial_cost
-            if (hit_rank := rank(current)) < best_rank:
-                best, best_rank = current, hit_rank
-            stage_solved = decrease <= cfg.tol * max(abs(cost), 1.0)
+            hit = _line_search(x0, current.u, d, *args) or _line_search(
+                x0, current.u, -grad, *args)
+            if hit is not None:
+                current, trial_cost = hit
+                stage_solved = cost - trial_cost <= cfg.tol * max(abs(trial_cost), 1.0)
+                cost = trial_cost
+                if (hit_rank := rank(current)) < best_rank:
+                    best, best_rank = current, hit_rank
         worst = current.worst
-        # A stage is stalled when it has spent its allotment out of bounds
-        # and progress has slowed to a creep (the kink-zigzag signature);
-        # healthy descent is left alone.
-        stalled = (
-            stage_iters >= stage_allotment
-            and worst > 0.5 * _TILT_SLACK
-            and hit is not None
-            and decrease <= 1e-2 * max(abs(cost), 1.0)
-        )
-        if not (stage_solved or stalled):
+        if not (stage_solved or (stage_iters >= stage_allotment
+                                 and worst > 0.5 * _TILT_SLACK)):
             continue
-        stage_iters = 0
         if stage_solved and worst <= 0.5 * _TILT_SLACK:
             converged = True
             break
-        if stage_solved:
-            # Clean stage solution with the tilt still out of bounds:
-            # update the multipliers, escalating the weight only when the
-            # violation fails to halve between stages.
+        # The stage ended with the tilt out of bounds: update the
+        # multipliers if the violation at least halved since the last stage
+        # end (always at the first), else sharpen the penalty; never both.
+        stage_iters = 0
+        if worst <= 0.5 * prev_worst:
             lam_r = np.clip(lam_r + 2.0 * weight * current.g_roll, 0.0, None)
             lam_p = np.clip(lam_p + 2.0 * weight * current.g_pitch, 0.0, None)
-            if worst > 0.5 * prev_worst:
-                weight = min(weight * _WEIGHT_STEP, _WEIGHT_CAP)
-            prev_worst = worst
         else:
-            # The stage spent its allotment zigzagging on the penalty kink
-            # while out of bounds.  The iterate is not a stage solution, so
-            # the multiplier estimates would be garbage; sharpen the
-            # penalty instead.
             weight = min(weight * _WEIGHT_STEP, _WEIGHT_CAP)
+        prev_worst = worst
         cost = _stage_value(current, lam_r, lam_p, weight)
         warm_cost = _stage_value(warm, lam_r, lam_p, weight)
         if warm_cost < cost:

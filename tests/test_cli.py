@@ -151,6 +151,18 @@ class TestSimulate:
         assert last.startswith(f"error: {key} must be a multiple")
         assert not out.exists()
 
+    def test_zero_cruise_speed_is_parse_error_before_any_output(self, tmp_path, capsys):
+        # It used to end in a ZeroDivisionError traceback once the first
+        # leg was planned.
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("sim: {cruise_air: 0}\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(config_path), "--out", str(out)])
+        assert code == 3
+        _, last = _last_line(capsys)
+        assert last == "error: sim.cruise_air must be positive, got 0.0"
+        assert not out.exists()
+
     def test_missing_mission_names_path(self, tmp_path, capsys):
         code = main([
             "simulate", "--mission", str(tmp_path / "nope.yaml"),

@@ -110,6 +110,24 @@ class TestRejections:
         with pytest.raises(ConfigError, match=rf"nmpc\.{key} must be positive"):
             load_config(write(f"nmpc:\n  {key}: {value}\n"))
 
+    @pytest.mark.parametrize("section, key", [
+        ("sim", "cruise_ground"), ("sim", "cruise_air"), ("sim", "cruise_water"),
+        ("sim", "land_speed"), ("sim", "arrival_radius"), ("sim", "yaw_slew"),
+        ("pid", "windup_limit"), ("pid", "tilt_limit"), ("pid", "torque_limit"),
+    ])
+    @pytest.mark.parametrize("value", ["0.0", "-1.0"])
+    def test_speeds_and_limits_strictly_positive(self, write, section, key, value):
+        # A zero speed divided by zero when a leg was planned, a negative
+        # one planned legs of negative duration, a zero arrival radius can
+        # never be reached, and a negative pid limit inverts its clamp.
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be positive"):
+            load_config(write(f"{section}:\n  {key}: {value}\n"))
+
+    def test_hover_hold_not_negative(self, write):
+        with pytest.raises(ConfigError, match=r"sim\.hover_hold must be at least 0"):
+            load_config(write("sim:\n  hover_hold: -1.0\n"))
+        assert load_config(write("sim:\n  hover_hold: 0.0\n")).sim.hover_hold == 0.0
+
     def test_root_must_be_mapping(self, write):
         with pytest.raises(ConfigError, match="config root must be a mapping"):
             load_config(write("- 1\n- 2\n"))

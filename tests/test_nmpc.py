@@ -14,8 +14,10 @@ activates added by an active-set iteration written out in the test.
 """
 
 import dataclasses
+import importlib.util
 import math
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -493,6 +495,79 @@ class TestSolverCounts:
         assert sum(hover_passes) == 1
         assert (warm.evaluations, warm.line_searches) == (calls["_cost_parts"],
                                                           calls["_line_search"])
+
+
+_CORPUS = Path(__file__).resolve().parents[1] / "tools" / "solver_corpus.py"
+
+
+class TestStageEnd:
+    """Where a stage ends with the tilt out of bounds, the solve either
+    updates the multipliers, if the worst excess at least halved since the
+    last stage end (always at the first), or raises the weight tenfold;
+    never both.  Oracle: the ``(lam_r, lam_p, weight)`` each line search
+    gets, and the worst excess of the iterate each stage ended at, flown
+    again by ``rollout``."""
+
+    def test_one_update_per_stage_end(self, ncfg, params):
+        # At rest, a goal 4.5 m away under a 0.2 rad tilt limit: the plain
+        # penalty tilts past the limit, so several stages end out of bounds.
+        cfg = dataclasses.replace(ncfg, tilt_max=0.2)
+        x0 = hover_state((0.0, 0.0, 5.0)).as_vector()
+        refs = hold_refs([4.0, 2.0, 5.0, 0.0], cfg.horizon)
+        searches = []
+        line_search = nmpc._line_search
+
+        def recorded(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight, tally):
+            hit = line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p,
+                              weight, tally)
+            searches.append((u, lam_r.copy(), lam_p.copy(), weight, hit))
+            return hit
+
+        with mock.patch.object(nmpc, "_line_search", recorded):
+            sol = solve(x0, refs, None, cfg, params)
+        # Group the searches by stage; a stage ends at its last hit, or where
+        # it began if no search hit.
+        stages = []
+        for u, lam_r, lam_p, weight, hit in searches:
+            if not stages or stages[-1]["weight"] != weight or not (
+                    np.array_equal(stages[-1]["lam_r"], lam_r)
+                    and np.array_equal(stages[-1]["lam_p"], lam_p)):
+                stages.append({"lam_r": lam_r, "lam_p": lam_p, "weight": weight, "end": u})
+            if hit is not None:
+                stages[-1]["end"] = hit[0].u
+        kinds = []
+        prev_worst = math.inf
+        for stage, after in zip(stages, stages[1:]):
+            worst = worst_tilt(rollout(x0, stage["end"], cfg, params)[0]) - cfg.tilt_max
+            assert worst > 0.5 * nmpc._TILT_SLACK
+            moved = not (np.array_equal(stage["lam_r"], after["lam_r"])
+                         and np.array_equal(stage["lam_p"], after["lam_p"]))
+            if moved:
+                assert after["weight"] == stage["weight"]
+                assert worst <= 0.5 * prev_worst
+                kinds.append("multipliers")
+            else:
+                assert after["weight"] == stage["weight"] * nmpc._WEIGHT_STEP
+                assert worst > 0.5 * prev_worst
+                kinds.append("weight")
+            prev_worst = worst
+        assert kinds[0] == "multipliers"
+        assert len(kinds) >= 3 and "weight" in kinds
+        assert sol.converged
+
+    def test_corpus_instance_22_converges(self, ncfg, params):
+        # A cold start, tilted and spinning; the rule that also raised the
+        # weight on every stalled stage ended here unconverged after 50
+        # iterations at cost 6,088.8.
+        spec = importlib.util.spec_from_file_location("solver_corpus", _CORPUS)
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+        x0, refs, warm = list(corpus.instances(23, ncfg.horizon))[22]
+        assert warm is None
+        sol = solve(x0, refs, warm, ncfg, params)
+        assert sol.converged and sol.iterations < ncfg.max_iters
+        assert worst_tilt(sol.states) <= ncfg.tilt_max + nmpc._TILT_SLACK
+        assert sol.cost < 5_800.0
 
 
 class TestEvaluateCost:
