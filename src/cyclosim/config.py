@@ -96,8 +96,9 @@ class NmpcConfig:
     # Box on the thrust acceleration channel c - g, m/s^2.
     accel_min: float = -5.0
     accel_max: float = 15.0
-    # Roll/pitch soft limit, rad, enforced by a quadratic penalty.
+    # Roll/pitch limit, rad, a linearized constraint of each solver step.
     tilt_max: float = math.pi / 6.0
+    # Prices tilt past the limit in the reported cost and the iterate rank.
     tilt_weight: float = 1.0e4
     max_iters: int = 50
     tol: float = 1.0e-6

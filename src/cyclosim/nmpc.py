@@ -12,47 +12,38 @@ Pipeline per solve:
    the states, the outputs (position and yaw after each step) with their
    wrapped errors, and the roll/pitch excess, and keeps the RK4 stage
    attitudes and quaternion norms that step 3 needs; a line-search trial
-   stops flying once its running cost, a sum of non-negative terms, is
+   stops flying once its running merit, a sum of non-negative terms, is
    above its Armijo bound (it can no longer be accepted);
 2. objective = sum of Q-weighted squared output errors (yaw wrapped) plus
-   R-weighted squared inputs, plus a quadratic penalty on roll/pitch beyond
-   the tilt limit;
+   R-weighted squared inputs, subject to roll and pitch within the tilt
+   limit;
 3. analytic Jacobians of the RK4 step, with the quaternion renormalization
    projector, come from the one ``_Flight`` record of the current iterate
    (the warm start, the hover anchor or a line-search hit), so no iterate
    is flown twice; one forward recursion chains them into the sensitivity
    stack ``S_j = dx_{j+1}/du``, and the exact gradient is one product over
    it, ``2 R u + sum_j S_j^T g_j``;
-4. search direction is a Gauss-Newton step whose residual Jacobian is
-   gathered from the same stack (the normal system is dense and cheap);
-   the step sees the tilt limit: the inactive tilt terms it would activate
-   join its model, and it is solved again until that set repeats (a
-   primal-dual active-set step), so a full step seldom tilts past the limit
-   for the line search to halve back; when it predicts a decrease
-   ``-grad . d`` of at most ``tol * max(|cost|, 1)`` the stage ends with no
-   search; otherwise a projected Armijo backtracking line search accepts
-   it, falling back to the plain projected-gradient direction whenever the
-   Gauss-Newton step fails to produce sufficient decrease;
-5. the tilt terms carry per-step multipliers (an augmented form of the same
-   quadratic penalty), so the returned trajectory honors the tilt bound to
-   tight tolerance without an enormous fixed weight.  A descent stage ends
-   when it is solved, or when it has spent its allotment of iterations with
-   the tilt out of bounds.  Where it ends out of bounds, one update follows,
-   never both: the multipliers, if the worst excess at least halved since
-   the last stage end (always at the first), else a tenfold weight (the
-   textbook augmented-Lagrangian loop, Nocedal & Wright, *Numerical
-   Optimization*, 2nd ed., Alg. 17.4).  The first stage uses zero
-   multipliers, which is exactly the plain penalty.
+4. the search direction is an SQP step (Nocedal & Wright, *Numerical
+   Optimization*, 2nd ed., §16.5 and ch. 18): a Gauss-Newton QP on the
+   tracking rows of the same stack, with each roll/pitch term a linearized
+   constraint, solved by a primal-dual active-set loop;
+5. a projected Armijo line search accepts steps on one l1 merit, tracking
+   plus ``nu`` times the summed tilt excess, where ``nu`` is twice the
+   largest QP multiplier so far in the solve; a full step rejected past
+   the tilt limit first gets one second-order correction.  The solve stops
+   when the model decrease of the full step, or the decrease of an
+   accepted step, is at most ``tol * max(|merit|, 1)``, and has converged
+   if the tilt is then within half of ``_TILT_SLACK``.
 
-Only accepted (strictly decreasing) steps update the iterate within each
-stage, and each stage re-anchors against the projected warm start, so on
-tilt-inactive problems the returned cost never exceeds the objective at the
-projected warm start.  The reported cost is always measured with the plain
-penalty at the configured weight.
+The returned iterate is the best seen: tilt-feasible first, then the lower
+cost with the plain quadratic tilt penalty at ``tilt_weight``, which is
+also the reported cost.  The projected warm start seeds it, so on
+tilt-inactive problems the returned cost never exceeds the warm start's.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
@@ -93,10 +84,8 @@ _ALPHA_FLOOR = 1e-10
 # The solver drives the predicted tilt within half of this slack; callers
 # can rely on adherence within the full slack.
 _TILT_SLACK = 1e-3
-_WEIGHT_STEP = 10.0
-_WEIGHT_CAP = 1e10
-# Re-solves per horizon step the Gauss-Newton step may spend settling which
-# inactive tilt terms it activates, before it falls back to the plain step.
+# Passes per horizon step the primal-dual active-set loop of the SQP step
+# may spend moving every misplaced row at once, before it moves one a pass.
 _ACTIVE_SET_PASSES = 2
 
 
@@ -116,11 +105,10 @@ class NmpcSolution:
         Objective at the returned inputs with the plain penalty at the
         configured weight (tracking + effort + tilt penalty).
     iterations : int
-        Outer iterations performed (one gradient evaluation each), summed
-        over all multiplier stages.
+        Outer iterations performed (one gradient and one SQP step each).
     converged : bool
-        True if descent reached the cost-decrease tolerance or a stationary
-        point, with the predicted tilt inside the limit plus slack.
+        True if the solve stopped on its decrease tolerance with the
+        predicted tilt inside the limit plus slack.
     evaluations, line_searches : int
         Horizon passes begun (cut short or not) and line searches run.
     """
@@ -211,31 +199,21 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
     tracking cost, and the signed roll and pitch excess of every step.
     The arrays are built at the end.
 
-    With ``cut = (limit, lam_r, lam_p, weight)`` the pass also sums the
-    stage value as it flies and returns None once the sum is above ``limit``
-    by more than a 1e-9 relative margin for rounding; the terms are all
-    non-negative, so the full :func:`_stage_value` would be above it too.
-
-    Returns
-    -------
-    _Flight or None
-        None when the pass was cut.
-
-    Raises
-    ------
-    DivergenceError
-        Where ``aerial_step`` would: a collapsed or non-finite quaternion
-        norm, or a non-finite state.
+    With ``cut = (limit, nu)`` the pass also sums the merit as it flies and
+    returns None once the sum is above ``limit`` by more than a 1e-9
+    relative margin for rounding; the terms are all non-negative, so the
+    full :func:`_merit` would be above it too.  Otherwise it returns the
+    :class:`_Flight`.  Raises ``DivergenceError`` where ``aerial_step``
+    would: a collapsed or non-finite quaternion norm, or a non-finite state.
     """
     jx, jy, jz = params.inertia.tolist()
     h = cfg.period
     tilt = cfg.tilt_max
     if cut is not None:
-        limit, lam_r, lam_p, weight = cut
+        limit, nu = cut
         bound = limit + 1e-9 * max(abs(limit), 1.0)
         running = float(np.sum(u * u * cfg.r_diag))
         q0, q1, q2, q3 = cfg.q_diag.tolist()
-        lams = zip(lam_r.tolist(), lam_p.tolist())
     x = np.asarray(x0, dtype=float).tolist()
     rows = [x]
     stages, thrusts, norms, yaws = [], [], [], []
@@ -259,11 +237,8 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
         g_pitch.append(abs(pitch) - tilt)
         if cut is not None:
             e0, e1, e2, e3 = errors[-1]
-            running += e0 * e0 * q0 + e1 * e1 * q1 + e2 * e2 * q2 + e3 * e3 * q3
-            for lam, g in zip(next(lams), (g_roll[-1], g_pitch[-1])):
-                s = lam / (2.0 * weight) + g
-                if s > 0.0:
-                    running += weight * s * s
+            running += (e0 * e0 * q0 + e1 * e1 * q1 + e2 * e2 * q2 + e3 * e3 * q3
+                        + nu * (max(g_roll[-1], 0.0) + max(g_pitch[-1], 0.0)))
             if running > bound:
                 return None
     return _Flight(u, _weighted_cost(np.array(errors), u, cfg), np.array(g_roll),
@@ -273,14 +248,8 @@ def _horizon_pass(x0, u: np.ndarray, refs: np.ndarray, cfg: NmpcConfig,
 def rollout(
     x0: np.ndarray, u: np.ndarray, cfg: NmpcConfig, params: VehicleParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the horizon under the deviation inputs ``u``.
-
-    Returns
-    -------
-    (states, outputs)
-        ``states`` has shape (N+1, 13); ``outputs`` has shape (N, 4) and
-        holds (x, y, z, yaw) after each step.
-    """
+    """Simulate the horizon under the deviation inputs ``u``: the (N+1, 13)
+    states and the (N, 4) outputs, (x, y, z, yaw) after each step."""
     u = np.asarray(u, dtype=float)
     flight = _horizon_pass(x0, u, np.zeros((u.shape[0], 4)), cfg, params)
     return flight.states, flight.outputs
@@ -338,10 +307,17 @@ def _cost_parts(x0, u, refs, cfg: NmpcConfig, params: VehicleParams, cut=None):
     return flight if flight is not None and math.isfinite(flight.tracking) else None
 
 
-def _stage_value(flight: _Flight, lam_r, lam_p, weight) -> float:
-    """Augmented objective for one multiplier stage (constants dropped)."""
-    s_r = np.clip(lam_r / (2.0 * weight) + flight.g_roll, 0.0, None)
-    s_p = np.clip(lam_p / (2.0 * weight) + flight.g_pitch, 0.0, None)
+def _merit(flight: _Flight, nu: float) -> float:
+    """The l1 merit: tracking plus ``nu`` times the summed tilt excess."""
+    excess = np.maximum(flight.g_roll, 0.0).sum() + np.maximum(flight.g_pitch, 0.0).sum()
+    return flight.tracking + nu * float(excess)
+
+
+def _penalty_cost(flight: _Flight, weight: float) -> float:
+    """Tracking plus ``weight`` times the summed squared tilt excess: the
+    reported cost, and the rank of iterates equally (in)feasible."""
+    s_r = np.maximum(flight.g_roll, 0.0)
+    s_p = np.maximum(flight.g_pitch, 0.0)
     return flight.tracking + weight * float(s_r @ s_r + s_p @ s_p)
 
 
@@ -486,23 +462,29 @@ def _sensitivities(a_steps, b_steps) -> np.ndarray:
     return stack
 
 
-def _tilt_slack(values, lam_r, lam_p, weight, cfg: NmpcConfig) -> np.ndarray:
-    """(N, 2) augmented roll and pitch slack ``lam / (2 w) + |angle| -
-    tilt_max``; each tilt term acts where its slack is positive."""
-    return np.column_stack((lam_r, lam_p)) / (2.0 * weight) + np.abs(values[:, 1:]) - cfg.tilt_max
+def _tilt_rows(angles, stack, cfg: NmpcConfig):
+    """The linearized tilt limit of an iterate: the (2N,) slack ``s =
+    |angle| - tilt_max`` of each roll and pitch term, step by step, and the
+    (2N, 4N) rows ``a = sign(angle) J_angle``, so a step ``d`` moves each
+    slack by ``a . d``."""
+    values, grads = angles
+    signed = np.copysign(1.0, values[:, 1:, None]) * grads[:, 1:]
+    rows = signed @ stack[:, QUAT_SLICE]
+    return (np.abs(values[:, 1:]) - cfg.tilt_max).reshape(-1), rows.reshape(-1, rows.shape[2])
 
 
 def _adjoint_gradient(
-    states, a_steps, b_steps, u, refs, cfg: NmpcConfig, lam_r, lam_p, weight,
+    states, a_steps, b_steps, u, refs, cfg: NmpcConfig, lam_r=None, lam_p=None, weight=None,
     angles=None, stack=None,
 ) -> np.ndarray:
-    """Gradient of the stage objective wrt all inputs.
+    """Gradient of the tracking-plus-effort cost wrt all inputs.
 
     ``2 R u + sum_j S_j^T g_j``, one product over the sensitivity stack,
-    where ``g_j`` is the gradient of step j's tracking and (augmented) tilt
-    terms wrt ``x_{j+1}``; all ``g_j`` are formed at once.  ``angles`` is
+    where ``g_j`` is the gradient of step j's tracking terms wrt
+    ``x_{j+1}``; all ``g_j`` are formed at once.  ``angles`` is
     :func:`_attitudes` of ``states`` and ``stack`` is :func:`_sensitivities`
-    of the Jacobians, each formed here if not given.
+    of the Jacobians, each formed here if not given.  ``lam_r``, ``lam_p``
+    and ``weight`` are unread; ``perfbench/kernels.py`` passes them.
     """
     n = u.shape[0]
     if angles is None:
@@ -510,16 +492,10 @@ def _adjoint_gradient(
     if stack is None:
         stack = _sensitivities(a_steps, b_steps)
     values, grads = angles
-    # Coefficients of the yaw, roll and pitch gradients in each g_j.
-    coef = np.zeros((n, 3))
-    coef[:, 0] = [2.0 * cfg.q_yaw * wrap_angle(e) for e in (values[:, 0] - refs[:, 3]).tolist()]
-    if weight > 0.0:
-        slack = _tilt_slack(values, lam_r, lam_p, weight, cfg)
-        sign = np.copysign(1.0, values[:, 1:])
-        coef[:, 1:] = np.where(slack > 0.0, 2.0 * weight * slack * sign, 0.0)
+    yaw_coef = [2.0 * cfg.q_yaw * wrap_angle(e) for e in (values[:, 0] - refs[:, 3]).tolist()]
     g = np.zeros((n, STATE_DIM))
     g[:, :3] = 2.0 * cfg.q_diag[:3] * (states[1:, :3] - refs[:, :3])
-    g[:, QUAT_SLICE] = (coef[:, None, :] @ grads)[:, 0]
+    g[:, QUAT_SLICE] = np.array(yaw_coef)[:, None] * grads[:, 0]
     flat = g.reshape(n * STATE_DIM) @ stack.reshape(n * STATE_DIM, 4 * n)
     return 2.0 * cfg.r_diag * u + flat.reshape(n, 4)
 
@@ -530,22 +506,12 @@ def cost_gradient(
     """Exact gradient of ``evaluate_cost`` composed with ``rollout``.
 
     A forward pass storing per-step Jacobians, chained into the sensitivity
-    stack, then one product over the horizon.  Covers the tracking
-    and effort terms; the solver adds its tilt-penalty contribution
-    internally.
-
-    Returns
-    -------
-    ndarray, shape (N, 4)
+    stack, then one product over the horizon: an (N, 4) array.  The solver
+    treats the tilt limit as a constraint of each step, not as a cost.
     """
     u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    refs = _check_refs(refs, n)
-    states, a_steps, b_steps = _forward_pass(x0, u, cfg, params)
-    zeros = np.zeros(n)
-    return _adjoint_gradient(
-        states, a_steps, b_steps, u, refs, cfg, zeros, zeros, weight=0.0
-    )
+    refs = _check_refs(refs, u.shape[0])
+    return _adjoint_gradient(*_forward_pass(x0, u, cfg, params), u, refs, cfg)
 
 
 def _braking_inputs(
@@ -555,7 +521,7 @@ def _braking_inputs(
 
     A critically damped attitude regulator on roll and pitch (plus body-rate
     damping on yaw), simulated step by step; used as a feasibility anchor
-    when descent runs out of budget with the tilt still out of bounds.
+    when a solve ends with no tilt-feasible iterate.
     """
     kp = 400.0
     kd = 40.0
@@ -576,62 +542,59 @@ def _braking_inputs(
 
 def _gauss_newton_direction(
     states, a_steps, b_steps, grad, cfg: NmpcConfig, lam_r, lam_p, weight, damping,
-    angles=None, stack=None,
-) -> np.ndarray:
-    """Gauss-Newton step for the stacked decision vector.
+    angles=None, stack=None, tilt=None,
+):
+    """SQP step: the Gauss-Newton QP with the tilt limit as constraints.
 
-    The residual Jacobian ``J`` gathers, from the sensitivity stack, the
-    rows of every output (position, and yaw through the quaternion) and of
-    the tilt angles whose penalty acts, exactly where the penalty gradient
-    acts, so the quadratic model stays consistent with the objective.  With
-    the row weights ``W`` the normal matrix is ``diag(2R) + damping I +
-    2 J^T W J``; the effort curvature keeps it positive definite.
+    ``H = diag(2R) + damping I + 2 J^T W J`` from the output rows ``J``
+    (position, and yaw through the quaternion) of the sensitivity stack and
+    the Q weights ``W``; one constraint ``s_i + a_i . d <= 0`` per roll and
+    pitch term (:func:`_tilt_rows`, or ``tilt``).  One solve gives ``H^-1
+    [grad, A^T]`` and ``S = A H^-1 A^T``.  The primal-dual active-set loop
+    starts with the rows the plain step ``d0 = -H^-1 grad`` violates; each
+    pass takes the working rows W as equalities, ``mu_W = S_WW^-1 (s_W +
+    A_W d0)`` and ``d = d0 - H^-1 A_W^T mu_W``, and moves every misplaced
+    row: out of W at ``mu <= 0``, into it where ``d`` violates the row.
+    That can cycle, so after ``_ACTIVE_SET_PASSES`` passes per horizon step
+    a pass moves only the first misplaced row (Murty's least-index rule,
+    finite for the positive definite ``S``; K. G. Murty, Opsearch 11, 1974),
+    for at most ``2 N^2`` passes.  A singular system gives no step.
 
-    The step then sees the tilt limit (a primal-dual active-set, or
-    semismooth Newton, step on the one-sided penalty): each inactive tilt
-    term whose linearized slack ``slack + sign(angle) J_tilt d`` is positive
-    at the step joins the model as ``w (slack + sign J_tilt d)^2``, and the
-    step is solved again until the set of added terms repeats.  If it has
-    not settled after ``_ACTIVE_SET_PASSES`` re-solves per horizon step, the
-    plain step is returned.  ``angles`` and ``stack`` are formed here if
-    not given.
+    Returns ``(d, mu)``, the (N, 4) step and (2N,) multipliers.  ``lam_r``,
+    ``lam_p`` and ``weight`` are unread; ``perfbench/kernels.py`` passes
+    them.  ``angles``, ``stack`` and ``tilt`` are formed here if not given.
     """
     if angles is None:
         angles = _attitudes(states)
     if stack is None:
         stack = _sensitivities(a_steps, b_steps)
+    slack, a_mat = _tilt_rows(angles, stack, cfg) if tilt is None else tilt
     n, m = grad.shape[0], grad.size
-    values, grads = angles
-    # Rows per step: x, y, z, yaw, roll, pitch.
-    rows = np.concatenate((stack[:, :3], grads @ stack[:, QUAT_SLICE]), axis=1)
-    w = np.zeros((n, 6))
-    w[:, :4] = cfg.q_diag
-    if weight > 0.0:
-        slack = _tilt_slack(values, lam_r, lam_p, weight, cfg)
-        w[:, 4:] = np.where(slack > 0.0, weight, 0.0)
-    keep = w.reshape(6 * n) > 0.0
-    j_mat = rows.reshape(6 * n, m)[keep]
-    h_mat = (2.0 * w.reshape(6 * n)[keep] * j_mat.T) @ j_mat
+    # Rows per step: x, y, z, yaw.
+    rows = np.concatenate((stack[:, :3], angles[1][:, :1] @ stack[:, QUAT_SLICE]), axis=1)
+    j_mat = rows.reshape(4 * n, m)
+    h_mat = (2.0 * np.tile(cfg.q_diag, n) * j_mat.T) @ j_mat
     h_mat[np.diag_indices(m)] += 2.0 * np.tile(cfg.r_diag, n) + damping
-    rhs = -grad.reshape(m)
-    plain = np.linalg.solve(h_mat, rhs)
-    if weight <= 0.0:
-        return plain.reshape(n, 4)
-    # Roll and pitch rows, one per tilt term, signed so that J_tilt d is
-    # the change of the term's slack.
-    slack = slack.reshape(2 * n)
-    j_tilt = np.copysign(1.0, values[:, 1:]).reshape(2 * n, 1) * rows[:, 4:].reshape(2 * n, m)
-    inactive = slack <= 0.0
-    added = np.zeros(2 * n, dtype=bool)
-    d, passes = plain, 0
-    while not np.array_equal(predicted := inactive & (slack + j_tilt @ d > 0.0), added):
-        passes += 1
-        if passes > _ACTIVE_SET_PASSES * n:
-            return plain.reshape(n, 4)
-        added = predicted
-        j_add = 2.0 * weight * j_tilt[added]
-        d = np.linalg.solve(h_mat + j_add.T @ j_tilt[added], rhs - slack[added] @ j_add)
-    return d.reshape(n, 4)
+    try:
+        solved = np.linalg.solve(h_mat, np.column_stack((-grad.reshape(m), a_mat.T)))
+        d0, h_inv_at = solved[:, 0], solved[:, 1:]
+        schur = a_mat @ h_inv_at
+        # Each row's linearized slack at d0; at d it is this less S mu.
+        at_plain = slack + a_mat @ d0
+        working = at_plain > 0.0
+        for passes in range((_ACTIVE_SET_PASSES + 2 * n) * n):
+            mu = np.zeros_like(slack)
+            if working.any():
+                mu[working] = np.linalg.solve(schur[working][:, working], at_plain[working])
+            flip = np.where(working, mu <= 0.0, at_plain - schur @ mu > 0.0)
+            if not flip.any():
+                break
+            if passes >= _ACTIVE_SET_PASSES * n:
+                flip[np.flatnonzero(flip)[0] + 1 :] = False
+            working ^= flip
+    except np.linalg.LinAlgError:  # An overflowed H or dependent working rows.
+        return np.zeros_like(grad), np.zeros_like(slack)
+    return (d0 - h_inv_at @ mu).reshape(n, 4), mu
 
 
 # ---------------------------------------------------------------------------
@@ -645,30 +608,46 @@ def _project(u: np.ndarray, cfg: NmpcConfig) -> np.ndarray:
     return out
 
 
-def _line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight,
-                 tally):
-    """Projected Armijo backtracking along direction ``d``.
+def _model_decrease(u, trial, grad, tilt, nu: float) -> float:
+    """The merit's linear model decrease ``-grad . D + nu (sum s+ - sum (s +
+    A D)+)`` from ``u`` to ``trial = u + D``, with ``tilt = (s, A)``."""
+    step = (trial - u).reshape(-1)
+    slack, a_mat = tilt
+    excess = np.maximum(slack, 0.0).sum() - np.maximum(slack + a_mat @ step, 0.0).sum()
+    return nu * float(excess) - float(grad.reshape(-1) @ step)
 
-    Each trial's pass is cut at its Armijo bound.  ``tally`` counts the
-    search and every pass it begins.  Returns (trial :class:`_Flight`,
-    stage cost) on acceptance, None when no step along the direction
-    yields sufficient decrease.
+
+def _line_search(x0, u, d, grad, cost, refs, cfg, params, tilt, nu, tally, qp):
+    """Projected Armijo backtracking along the SQP step ``d`` on the merit.
+
+    A trial is accepted at a merit of at most ``cost - sigma * decrease``,
+    with :func:`_model_decrease` to it; passes after the first are cut at
+    that bound.  A full step rejected past the tilt limit is corrected once
+    before the search halves it (Nocedal & Wright, §18.3): the step's QP
+    ``qp`` is solved again with each row's slack at the full step less the
+    step's linear part.  ``tally`` counts the search and every pass.
+    Returns (trial :class:`_Flight`, merit), or None if no trial is accepted.
     """
     tally["line_searches"] += 1
     alpha = 1.0
     gap_floor = 1e-15 * max(1.0, abs(cost))
     while alpha >= _ALPHA_FLOOR:
         trial = _project(u + alpha * d, cfg)
-        gap = float(np.dot(grad.ravel(), (u - trial).ravel()))
-        if gap <= gap_floor:
+        gap = _model_decrease(u, trial, grad, tilt, nu)
+        if not gap > gap_floor:
             return None
         limit = cost - _ARMIJO_SIGMA * gap
         tally["evaluations"] += 1
-        flight = _cost_parts(x0, trial, refs, cfg, params, (limit, lam_r, lam_p, weight))
-        if flight is not None:
-            trial_cost = _stage_value(flight, lam_r, lam_p, weight)
-            if trial_cost <= limit:
-                return flight, trial_cost
+        first = alpha == 1.0
+        flight = _cost_parts(x0, trial, refs, cfg, params, None if first else (limit, nu))
+        if first and flight is not None and _merit(flight, nu) > limit and flight.worst > 0.0:
+            true = np.column_stack((flight.g_roll, flight.g_pitch)).reshape(-1)
+            corrected, _ = qp((true - tilt[1] @ (trial - u).reshape(-1), tilt[1]))
+            trial = _project(u + corrected, cfg)
+            tally["evaluations"] += 1
+            flight = _cost_parts(x0, trial, refs, cfg, params, (limit, nu))
+        if flight is not None and (trial_cost := _merit(flight, nu)) <= limit:
+            return flight, trial_cost
         alpha *= _BACKTRACK
     return None
 
@@ -723,13 +702,11 @@ def solve(
         except DivergenceError as exc:
             why = {"divergence": str(exc)}
         raise SolverFailureError("objective is not evaluable at the warm start", why)
-    zeros = np.zeros(n)
 
     def rank(flight):
         # Tilt feasibility first, then the plain-penalty cost at the
         # configured weight: the lower rank is the better iterate.
-        return (flight.worst > 0.5 * _TILT_SLACK,
-                _stage_value(flight, zeros, zeros, cfg.tilt_weight))
+        return (flight.worst > 0.5 * _TILT_SLACK, _penalty_cost(flight, cfg.tilt_weight))
 
     # The best iterate seen so far; the warm start seeds it, so the returned
     # cost never exceeds the warm-start cost.
@@ -739,77 +716,53 @@ def solve(
     # A wild warm start (e.g. after a disturbance) can be worse than simply
     # holding hover thrust; descend from whichever anchor is cheaper.  A
     # cold start already flew the anchor.  Against a feasible warm start the
-    # anchor wins only below its cost, so its pass is cut there.
+    # anchor wins only below its cost, so its pass is cut there; the
+    # tracking alone (nu = 0) bounds that cost from below.
     if warm_start is not None:
-        cut = None if best_rank[0] else (best_rank[1], zeros, zeros, cfg.tilt_weight)
+        cut = None if best_rank[0] else (best_rank[1], 0.0)
         tally["evaluations"] += 1
         hover = _cost_parts(x0, hover_u, refs, cfg, params, cut)
         if hover is not None and (hover_rank := rank(hover)) < best_rank:
             current = best = hover
             best_rank = hover_rank
 
-    lam_r = lam_p = zeros
-    weight = cfg.tilt_weight
-    cost = _stage_value(current, lam_r, lam_p, weight)
-    prev_worst = math.inf
-
-    iterations = 0
+    # The merit's weight: twice the largest QP multiplier so far.
+    nu = 0.0
     converged = False
-    # Cap the iterations any one multiplier stage may spend out of bounds,
-    # so a stage that zigzags on the penalty kink hands over to the stage
-    # end instead of exhausting the whole budget.
-    stage_allotment = max(2, cfg.max_iters // 6)
-    stage_iters = 0
-    while iterations < cfg.max_iters:
-        iterations += 1
-        stage_iters += 1
+    for iterations in range(1, cfg.max_iters + 1):
         # The current iterate was flown by the evaluation that chose it; one
-        # sensitivity stack feeds both the gradient and the direction, whose
-        # damping is a fixed 1e-9.
+        # sensitivity stack feeds the gradient, the tilt rows and the step,
+        # whose damping is a fixed 1e-9.
         a_steps, b_steps = _step_jacobians(current, cfg.period, params)
-        shared = (_attitudes(current.states), _sensitivities(a_steps, b_steps))
-        sweep = (current.states, a_steps, b_steps)
-        grad = _adjoint_gradient(*sweep, current.u, refs, cfg, lam_r, lam_p, weight, *shared)
-        d = _gauss_newton_direction(*sweep, grad, cfg, lam_r, lam_p, weight, 1e-9, *shared)
-        # A negligible predicted decrease ends the stage with no search, and
-        # so does a search that finds no decrease along either direction.
-        stage_solved = True
-        if -float(np.dot(grad.ravel(), d.ravel())) > cfg.tol * max(abs(cost), 1.0):
-            args = (grad, cost, refs, cfg, params, lam_r, lam_p, weight, tally)
-            hit = _line_search(x0, current.u, d, *args) or _line_search(
-                x0, current.u, -grad, *args)
-            if hit is not None:
-                current, trial_cost = hit
-                stage_solved = cost - trial_cost <= cfg.tol * max(abs(trial_cost), 1.0)
-                cost = trial_cost
-                if (hit_rank := rank(current)) < best_rank:
-                    best, best_rank = current, hit_rank
-        worst = current.worst
-        if not (stage_solved or (stage_iters >= stage_allotment
-                                 and worst > 0.5 * _TILT_SLACK)):
-            continue
-        if stage_solved and worst <= 0.5 * _TILT_SLACK:
-            converged = True
+        angles = _attitudes(current.states)
+        stack = _sensitivities(a_steps, b_steps)
+        tilt = _tilt_rows(angles, stack, cfg)
+        grad = _adjoint_gradient(current.states, a_steps, b_steps, current.u, refs, cfg,
+                                 angles=angles, stack=stack)
+        qp = functools.partial(_gauss_newton_direction, current.states, a_steps, b_steps,
+                               grad, cfg, None, None, None, 1e-9, angles, stack)
+        d, mu = qp(tilt)
+        nu = max(nu, 2.0 * float(mu.max()))
+        cost = _merit(current, nu)
+        # Stop on a negligible model decrease of the full step (with no
+        # search), a failed search, or a negligible accepted decrease.
+        hit = None
+        full = _project(current.u + d, cfg)
+        if _model_decrease(current.u, full, grad, tilt, nu) > cfg.tol * max(abs(cost), 1.0):
+            hit = _line_search(x0, current.u, d, grad, cost, refs, cfg, params, tilt, nu,
+                               tally, qp)
+        if hit is not None:
+            current, trial_cost = hit
+            if (hit_rank := rank(current)) < best_rank:
+                best, best_rank = current, hit_rank
+        if hit is None or cost - trial_cost <= cfg.tol * max(abs(trial_cost), 1.0):
+            converged = current.worst <= 0.5 * _TILT_SLACK
             break
-        # The stage ended with the tilt out of bounds: update the
-        # multipliers if the violation at least halved since the last stage
-        # end (always at the first), else sharpen the penalty; never both.
-        stage_iters = 0
-        if worst <= 0.5 * prev_worst:
-            lam_r = np.clip(lam_r + 2.0 * weight * current.g_roll, 0.0, None)
-            lam_p = np.clip(lam_p + 2.0 * weight * current.g_pitch, 0.0, None)
-        else:
-            weight = min(weight * _WEIGHT_STEP, _WEIGHT_CAP)
-        prev_worst = worst
-        cost = _stage_value(current, lam_r, lam_p, weight)
-        warm_cost = _stage_value(warm, lam_r, lam_p, weight)
-        if warm_cost < cost:
-            current, cost = warm, warm_cost
 
     if best_rank[0]:
-        # Budget exhausted without a tilt-feasible iterate.  Blend the best
-        # iterate toward a pure attitude-braking sequence and keep the
-        # blend closest to it that brings the prediction inside the limit.
+        # No tilt-feasible iterate.  Blend the best iterate toward a pure
+        # attitude-braking sequence and keep the blend closest to it that
+        # brings the prediction inside the limit.
         try:
             brake = _project(_braking_inputs(x0, cfg, params), cfg)
             for k in range(1, 9):
@@ -822,16 +775,9 @@ def solve(
         except DivergenceError:
             pass
 
-    return NmpcSolution(
-        u=best.u,
-        states=best.states,
-        outputs=best.outputs,
-        cost=best_rank[1],
-        iterations=iterations,
-        converged=converged,
-        evaluations=tally["evaluations"],
-        line_searches=tally["line_searches"],
-    )
+    return NmpcSolution(u=best.u, states=best.states, outputs=best.outputs, cost=best_rank[1],
+                        iterations=iterations, converged=converged,
+                        evaluations=tally["evaluations"], line_searches=tally["line_searches"])
 
 
 class NmpcController:

@@ -8,12 +8,14 @@ adherence, warm-start monotonicity, determinism) are checked on seeded
 random instances.  The trial cut is checked against the same pass, line
 search or solve with no acceptance limit, and the work counts against
 counting wrappers.  The sensitivity stack's gradient is checked against
-central differences and a backward costate recursion, and its direction
-against a normal matrix built step by step, with the tilt terms the step
-activates added by an active-set iteration written out in the test.
+central differences and a backward costate recursion, and the SQP step
+against the KKT conditions of its QP built step by step in the test, with
+scipy's SLSQP solving the same QP independently.  The merit weight is
+checked against the multipliers the steps return.
 """
 
 import dataclasses
+import functools
 import importlib.util
 import math
 from collections import Counter
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from cyclosim import nmpc
 from cyclosim.config import GRAVITY, NmpcConfig, default_config
@@ -271,36 +274,44 @@ def _never_cut(x0, u, refs, cfg, params, cut=None):
 
 
 @st.composite
-def _stage_cases(draw):
-    """A horizon case with tilt multipliers and a penalty weight."""
+def _merit_cases(draw):
+    """A horizon case with a merit weight on the tilt excess."""
     x0, u, refs, period = draw(_horizon_cases())
-    n = u.shape[0]
-    lam_r, lam_p = (np.array(draw(st.lists(_finite(0.0, 1e3), min_size=n, max_size=n)))
-                    for _ in range(2))
-    weight = draw(st.sampled_from([1e-3, 1.0, 1e4, 1e7, 1e10]))
-    return x0, u, refs, period, lam_r, lam_p, weight
+    return x0, u, refs, period, draw(st.sampled_from([0.0, 1e-3, 1.0, 1e4, 1e10]))
+
+
+def _step_qp(flight, refs, cfg, params):
+    """The gradient, the tilt rows and the SQP step's QP of a flight, as
+    ``solve`` forms them."""
+    a_steps, b_steps = nmpc._step_jacobians(flight, cfg.period, params)
+    angles = nmpc._attitudes(flight.states)
+    stack = nmpc._sensitivities(a_steps, b_steps)
+    grad = nmpc._adjoint_gradient(flight.states, a_steps, b_steps, flight.u, refs, cfg)
+    qp = functools.partial(nmpc._gauss_newton_direction, flight.states, a_steps, b_steps,
+                           grad, cfg, None, None, None, 1e-9, angles, stack)
+    return grad, nmpc._tilt_rows(angles, stack, cfg), qp
 
 
 class TestTrialCut:
-    """A pass given an acceptance limit stops once its stage value is
-    certainly above it, and changes nothing at or below it.  Oracle: the
-    same pass, search or solve with every limit at infinity."""
+    """A pass given an acceptance limit stops once its merit is certainly
+    above it, and changes nothing at or below it.  Oracle: the same pass,
+    search or solve with every limit at infinity."""
 
     @settings(max_examples=200, deadline=None)
-    @given(case=_stage_cases(), data=st.data())
+    @given(case=_merit_cases(), data=st.data())
     def test_cut_only_above_the_limit(self, case, data, ncfg, params):
-        x0, u, refs, period, lam_r, lam_p, weight = case
+        x0, u, refs, period, nu = case
         cfg = dataclasses.replace(ncfg, period=period)
         full = nmpc._cost_parts(x0, u, refs, cfg, params)
         if full is not None:
-            value = nmpc._stage_value(full, lam_r, lam_p, weight)
+            value = nmpc._merit(full, nu)
             limits = [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf),
                       0.5 * value, (1.0 - 1e-6) * value, 2.0 * value, 0.0, -1.0]
         else:
             value = math.inf
             limits = [0.0, -1.0, 1e300]
         limit = data.draw(st.sampled_from(limits))
-        got = nmpc._cost_parts(x0, u, refs, cfg, params, (limit, lam_r, lam_p, weight))
+        got = nmpc._cost_parts(x0, u, refs, cfg, params, (limit, nu))
         if got is None:
             assert value > limit
         else:
@@ -312,49 +323,47 @@ class TestTrialCut:
     def test_cut_stops_the_flight(self, ncfg, params):
         x0, refs = random_instance(np.random.default_rng(11), ncfg)
         u = hover_inputs(ncfg.horizon)
-        cut = (-1.0, np.zeros(ncfg.horizon), np.zeros(ncfg.horizon), 1e4)
+        cut = (-1.0, 1e4)
         assert nmpc._horizon_pass(x0, u, refs, ncfg, params) is not None
-        # No stage value is below -1: the first step already settles it.
+        # No merit is below -1: the first step already settles it.
         assert nmpc._horizon_pass(x0, u, refs, ncfg, params, cut) is None
         assert nmpc._cost_parts(x0, u, refs, ncfg, params, cut) is None
 
     @settings(max_examples=100, deadline=None)
-    @given(case=_stage_cases(), kind=st.sampled_from(["gauss_newton", "gradient", "random"]),
+    @given(case=_merit_cases(), kind=st.sampled_from(["sqp", "gradient", "random"]),
            noise=st.lists(_finite(-1.0, 1.0), min_size=32, max_size=32), data=st.data())
     def test_line_search_same_with_and_without_the_cut(self, case, kind, noise, data,
                                                         ncfg, params):
-        x0, u, refs, period, lam_r, lam_p, weight = case
+        x0, u, refs, period, nu = case
         cfg = dataclasses.replace(ncfg, period=period)
         n = u.shape[0]
         flight = nmpc._cost_parts(x0, u, refs, cfg, params)
         if flight is None:
             return
-        a_steps, b_steps = nmpc._step_jacobians(flight, cfg.period, params)
-        sweep = (flight.states, a_steps, b_steps)
-        grad = nmpc._adjoint_gradient(*sweep, u, refs, cfg, lam_r, lam_p, weight)
-        if kind == "gauss_newton":
-            d = nmpc._gauss_newton_direction(*sweep, grad, cfg, lam_r, lam_p, weight, 1e-9)
+        grad, tilt, qp = _step_qp(flight, refs, cfg, params)
+        if kind == "sqp":
+            d = qp(tilt)[0]
         elif kind == "gradient":
             d = -grad
         else:
             d = np.array(noise[: 4 * n]).reshape(n, 4)
-        costs = [nmpc._stage_value(flight, lam_r, lam_p, weight)]
+        costs = [nmpc._merit(flight, nu)]
         # Also put the first trial on its Armijo bound, where a cut that is
         # a little too tight would reject it.
         trial = nmpc._project(u + d, cfg)
         first = nmpc._cost_parts(x0, trial, refs, cfg, params)
         if first is not None:
-            gap = float(np.dot(grad.ravel(), (u - trial).ravel()))
-            edge = nmpc._stage_value(first, lam_r, lam_p, weight) + nmpc._ARMIJO_SIGMA * gap
+            gap = nmpc._model_decrease(u, trial, grad, tilt, nu)
+            edge = nmpc._merit(first, nu) + nmpc._ARMIJO_SIGMA * gap
             costs += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
         cost = data.draw(st.sampled_from(costs))
-        args = (x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight)
+        args = (x0, u, d, grad, cost, refs, cfg, params, tilt, nu)
         cut_tally, full_tally = Counter(), Counter()
         # Inputs near 1e160 can overflow the gap to inf, a bound no trial meets.
         with np.errstate(over="ignore"):
-            got = nmpc._line_search(*args, cut_tally)
+            got = nmpc._line_search(*args, cut_tally, qp)
             with mock.patch.object(nmpc, "_cost_parts", _never_cut):
-                expected = nmpc._line_search(*args, full_tally)
+                expected = nmpc._line_search(*args, full_tally, qp)
         assert cut_tally == full_tally
         if expected is None:
             assert got is None
@@ -389,9 +398,8 @@ class TestTrialCut:
         x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
         refs = hold_refs([0.0, 0.0, 1.5, 0.0], ncfg.horizon)
         warm = np.tile([-1.0, 0.0, 0.0, 0.0], (ncfg.horizon, 1))
-        zeros = np.zeros(ncfg.horizon)
-        canon = [nmpc._stage_value(nmpc._cost_parts(x0, v, refs, ncfg, params),
-                                   zeros, zeros, ncfg.tilt_weight)
+        canon = [nmpc._penalty_cost(nmpc._cost_parts(x0, v, refs, ncfg, params),
+                                    ncfg.tilt_weight)
                  for v in (hover_inputs(ncfg.horizon), warm)]
         assert 0.5 * canon[1] < canon[0] < canon[1]
         sol = self._solve_both(x0, refs, warm, ncfg, params)
@@ -402,18 +410,30 @@ def _diverging_braking(*args):
     raise DivergenceError("braking sequence diverged")
 
 
+_CORPUS = Path(__file__).resolve().parents[1] / "tools" / "solver_corpus.py"
+
+
+def _corpus_instance(k, horizon):
+    """Instance ``k`` of ``tools/solver_corpus.py`` as ``(x0, refs, warm)``."""
+    spec = importlib.util.spec_from_file_location("solver_corpus", _CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return list(corpus.instances(k + 1, horizon))[k]
+
+
 class TestBrakingFallback:
-    """A solve that runs out of budget with the tilt out of bounds blends
-    its best iterate toward an attitude-braking sequence.  Oracle: the
-    blends rebuilt from the best infeasible iterate and rolled out."""
+    """A solve that stops with no tilt-feasible iterate blends its best
+    iterate toward an attitude-braking sequence.  Oracle: the blends
+    rebuilt from the best infeasible iterate and rolled out."""
 
     @staticmethod
     def _rolled_case(ncfg):
-        # At rest 5 m up, rolled 0.8 rad: one iteration cannot level it.
+        # Corpus instance 4: a cold start, tilted and spinning, that one
+        # iteration cannot bring inside the limit.
         cfg = dataclasses.replace(ncfg, max_iters=1)
-        x0 = hover_state((0.0, 0.0, 5.0)).as_vector()
-        x0[QUAT_SLICE] = euler_to_quat(EulerAngles(0.8, 0.0, 0.0))
-        return x0, hold_refs([0.0, 0.0, 5.0, 0.0], cfg.horizon), cfg
+        x0, refs, warm = _corpus_instance(4, cfg.horizon)
+        assert warm is None
+        return x0, refs, cfg
 
     def test_first_feasible_blend_is_returned(self, ncfg, params):
         x0, refs, cfg = self._rolled_case(ncfg)
@@ -497,77 +517,75 @@ class TestSolverCounts:
                                                           calls["_line_search"])
 
 
-_CORPUS = Path(__file__).resolve().parents[1] / "tools" / "solver_corpus.py"
+class TestMeritWeight:
+    """The merit's weight on the tilt excess starts at zero in each solve
+    and rises to twice the largest QP multiplier seen so far.  Oracle: the
+    multipliers each SQP step returns, and the weight and merit each line
+    search gets, the merit from the iterate flown again by ``_cost_parts``."""
 
-
-class TestStageEnd:
-    """Where a stage ends with the tilt out of bounds, the solve either
-    updates the multipliers, if the worst excess at least halved since the
-    last stage end (always at the first), or raises the weight tenfold;
-    never both.  Oracle: the ``(lam_r, lam_p, weight)`` each line search
-    gets, and the worst excess of the iterate each stage ended at, flown
-    again by ``rollout``."""
-
-    def test_one_update_per_stage_end(self, ncfg, params):
-        # At rest, a goal 4.5 m away under a 0.2 rad tilt limit: the plain
-        # penalty tilts past the limit, so several stages end out of bounds.
+    def test_weight_is_twice_the_largest_multiplier_so_far(self, ncfg, params):
+        # At rest, a goal 3.2 m away under a 0.2 rad tilt limit, so the
+        # step's tilt rows bind; then a climb whose rows never bind.
         cfg = dataclasses.replace(ncfg, tilt_max=0.2)
         x0 = hover_state((0.0, 0.0, 5.0)).as_vector()
-        refs = hold_refs([4.0, 2.0, 5.0, 0.0], cfg.horizon)
-        searches = []
-        line_search = nmpc._line_search
+        step, search = nmpc._gauss_newton_direction, nmpc._line_search
+        events, searching = [], []
 
-        def recorded(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p, weight, tally):
-            hit = line_search(x0, u, d, grad, cost, refs, cfg, params, lam_r, lam_p,
-                              weight, tally)
-            searches.append((u, lam_r.copy(), lam_p.copy(), weight, hit))
-            return hit
+        def stepped(*args):
+            d, mu = step(*args)
+            if not searching:  # A correction inside a search is no new step.
+                events.append(("step", mu))
+            return d, mu
 
-        with mock.patch.object(nmpc, "_line_search", recorded):
-            sol = solve(x0, refs, None, cfg, params)
-        # Group the searches by stage; a stage ends at its last hit, or where
-        # it began if no search hit.
-        stages = []
-        for u, lam_r, lam_p, weight, hit in searches:
-            if not stages or stages[-1]["weight"] != weight or not (
-                    np.array_equal(stages[-1]["lam_r"], lam_r)
-                    and np.array_equal(stages[-1]["lam_p"], lam_p)):
-                stages.append({"lam_r": lam_r, "lam_p": lam_p, "weight": weight, "end": u})
-            if hit is not None:
-                stages[-1]["end"] = hit[0].u
-        kinds = []
-        prev_worst = math.inf
-        for stage, after in zip(stages, stages[1:]):
-            worst = worst_tilt(rollout(x0, stage["end"], cfg, params)[0]) - cfg.tilt_max
-            assert worst > 0.5 * nmpc._TILT_SLACK
-            moved = not (np.array_equal(stage["lam_r"], after["lam_r"])
-                         and np.array_equal(stage["lam_p"], after["lam_p"]))
-            if moved:
-                assert after["weight"] == stage["weight"]
-                assert worst <= 0.5 * prev_worst
-                kinds.append("multipliers")
-            else:
-                assert after["weight"] == stage["weight"] * nmpc._WEIGHT_STEP
-                assert worst > 0.5 * prev_worst
-                kinds.append("weight")
-            prev_worst = worst
-        assert kinds[0] == "multipliers"
-        assert len(kinds) >= 3 and "weight" in kinds
-        assert sol.converged
+        def searched(*args):
+            events.append(("search", args[1], args[4], args[9]))
+            searching.append(True)
+            try:
+                return search(*args)
+            finally:
+                searching.pop()
+
+        weights = []
+        for goal in ([3.0, 1.0, 5.0, 0.0], [0.0, 0.0, 5.5, 0.0]):
+            refs = hold_refs(goal, cfg.horizon)
+            events.clear()
+            with mock.patch.object(nmpc, "_gauss_newton_direction", stepped), \
+                    mock.patch.object(nmpc, "_line_search", searched):
+                assert solve(x0, refs, None, cfg, params).converged
+            nu, searches = 0.0, []
+            for event in events:
+                if event[0] == "step":
+                    nu = max(nu, 2.0 * event[1].max())
+                    continue
+                _, u, cost, got = event
+                assert got == nu
+                assert cost == nmpc._merit(nmpc._cost_parts(x0, u, refs, cfg, params), nu)
+                searches.append(got)
+            weights.append(searches)
+        # The weight rises in the first solve and does not carry over.
+        assert len(weights[0]) >= 3 and max(weights[0]) > 0.0
+        assert weights[1] and max(weights[1]) == 0.0
 
     def test_corpus_instance_22_converges(self, ncfg, params):
-        # A cold start, tilted and spinning; the rule that also raised the
-        # weight on every stalled stage ended here unconverged after 50
+        # A cold start, tilted and spinning; a stage rule that also raised
+        # the weight on every stalled stage ended here unconverged after 50
         # iterations at cost 6,088.8.
-        spec = importlib.util.spec_from_file_location("solver_corpus", _CORPUS)
-        corpus = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(corpus)
-        x0, refs, warm = list(corpus.instances(23, ncfg.horizon))[22]
+        x0, refs, warm = _corpus_instance(22, ncfg.horizon)
         assert warm is None
         sol = solve(x0, refs, warm, ncfg, params)
         assert sol.converged and sol.iterations < ncfg.max_iters
         assert worst_tilt(sol.states) <= ncfg.tilt_max + nmpc._TILT_SLACK
         assert sol.cost < 5_800.0
+
+    def test_corpus_instance_122_converges(self, ncfg, params):
+        # A warm start, tilted and spinning; the penalty stages this step
+        # replaced ended here unconverged after 50 iterations at cost
+        # 9,357.6.
+        x0, refs, warm = _corpus_instance(122, ncfg.horizon)
+        sol = solve(x0, refs, warm, ncfg, params)
+        assert sol.converged and sol.iterations < ncfg.max_iters
+        assert worst_tilt(sol.states) <= ncfg.tilt_max + nmpc._TILT_SLACK
+        assert sol.cost < 9_000.0
 
 
 class TestEvaluateCost:
@@ -693,11 +711,8 @@ class TestCostGradient:
 
 
 @st.composite
-def _smooth_stage_cases(draw):
-    """A moderate 1-8 step horizon with tilt multipliers and a weight.
-
-    ``active`` cases have a tight tilt limit and positive multipliers, so
-    tilt terms act; ``inactive`` ones a loose limit and zero multipliers."""
+def _smooth_cases(draw):
+    """A moderate 1-8 step horizon under a tight or a loose tilt limit."""
     n = draw(st.integers(1, 8))
     euler = EulerAngles(*draw(st.lists(_finite(-0.5, 0.5), min_size=3, max_size=3)))
     x0 = np.array([
@@ -709,50 +724,62 @@ def _smooth_stage_cases(draw):
     u = np.array(draw(st.lists(_finite(-1.0, 1.0), min_size=4 * n, max_size=4 * n)))
     u = u.reshape(n, 4) * [3.0, 0.05, 0.05, 0.05]
     refs = np.array(draw(st.lists(_finite(-3.0, 3.0), min_size=4 * n, max_size=4 * n)))
-    tilt = draw(st.sampled_from(["active", "inactive"]))
-    if tilt == "active":
-        tilt_max = draw(_finite(0.01, 0.2))
-        lam_r, lam_p = (np.array(draw(st.lists(_finite(0.0, 5.0), min_size=n, max_size=n)))
-                        for _ in range(2))
-    else:
-        tilt_max, lam_r, lam_p = 1.2, np.zeros(n), np.zeros(n)
-    weight = draw(st.sampled_from([1.0, 10.0, 100.0]))
-    return x0, u, refs.reshape(n, 4), tilt, tilt_max, lam_r, lam_p, weight
+    tilt_max = draw(st.one_of(_finite(0.01, 0.2), st.just(1.2)))
+    return x0, u, refs.reshape(n, 4), tilt_max
+
+
+def _tilt_qp(flight, a_steps, b_steps, grad, cfg, damping):
+    """The step's QP built step by step from the forward recursion:
+    ``min g.d + d.H.d / 2`` subject to ``s + A d <= 0``, one row per roll and
+    pitch term, as ``(H, g, s, A)``."""
+    values, d_angles = nmpc._attitudes(flight.states)
+    n, m = grad.shape[0], grad.size
+    h_mat = np.diag(2.0 * np.tile(cfg.r_diag, n)) + damping * np.eye(m)
+    # Each row signed so that row . d is the linearized change of the slack.
+    rows = np.empty((n, 2, m))
+    sens = np.zeros((13, m))
+    for j in range(n):
+        sens = a_steps[j] @ sens
+        sens[:, 4 * j : 4 * j + 4] += b_steps[j]
+        for i, q in enumerate(cfg.q_diag[:3]):
+            h_mat += 2.0 * q * np.outer(sens[i], sens[i])
+        yaw_row = d_angles[j, 0] @ sens[QUAT_SLICE]
+        h_mat += 2.0 * cfg.q_yaw * np.outer(yaw_row, yaw_row)
+        for k in (1, 2):
+            row = d_angles[j, k] @ sens[QUAT_SLICE]
+            rows[j, k - 1] = math.copysign(1.0, values[j, k]) * row
+    slack = np.abs(values[:, 1:]) - cfg.tilt_max
+    return h_mat, grad.reshape(m), slack.reshape(2 * n), rows.reshape(2 * n, m)
 
 
 class TestSensitivityStack:
-    """One forward-sensitivity stack feeds the gradient and the
-    Gauss-Newton matrix.  Oracles: central differences of the stage value,
-    a backward costate recursion, and a normal matrix built step by step
-    from the forward recursion, each written out here."""
+    """One forward-sensitivity stack feeds the gradient, the tilt rows and
+    the Gauss-Newton matrix.  Oracles: central differences of the tracking
+    cost, a backward costate recursion, and the KKT conditions of the
+    step's QP built step by step from the forward recursion, each written
+    out here, with scipy's SLSQP solving the same QP independently."""
 
     @staticmethod
     def _setup(case, ncfg, params):
-        x0, u, refs, tilt, tilt_max, lam_r, lam_p, weight = case
+        x0, u, refs, tilt_max = case
         cfg = dataclasses.replace(ncfg, tilt_max=tilt_max)
         flight = nmpc._horizon_pass(x0, u, refs, cfg, params)
-        values, _ = nmpc._attitudes(flight.states)
-        slack = np.column_stack((lam_r, lam_p)) / (2.0 * weight) + np.abs(values[:, 1:]) - tilt_max
-        assume((slack > 0.0).any() if tilt == "active" else (slack < 0.0).all())
         a_steps, b_steps = nmpc._step_jacobians(flight, cfg.period, params)
-        grad = nmpc._adjoint_gradient(flight.states, a_steps, b_steps, u, refs, cfg,
-                                      lam_r, lam_p, weight)
-        return cfg, flight, values, slack, a_steps, b_steps, grad
+        grad = nmpc._adjoint_gradient(flight.states, a_steps, b_steps, u, refs, cfg)
+        return cfg, flight, a_steps, b_steps, grad
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_smooth_stage_cases())
+    @given(case=_smooth_cases())
     def test_gradient_matches_central_differences(self, case, ncfg, params):
-        x0, u, refs, _, _, lam_r, lam_p, weight = case
-        cfg, _, values, slack, _, _, grad = self._setup(case, ncfg, params)
-        # Stay off the kinks: the yaw wrap, |angle| at zero and the tilt
-        # penalty's switch, none of which a difference quotient can cross.
+        x0, u, refs, _ = case
+        cfg, flight, _, _, grad = self._setup(case, ncfg, params)
+        # Stay off the yaw wrap, which a difference quotient cannot cross.
+        values, _ = nmpc._attitudes(flight.states)
         yaw_err = [wrap_angle(e) for e in values[:, 0] - refs[:, 3]]
-        assume(max(map(abs, yaw_err)) < 3.0 and np.abs(values[:, 1:]).min() > 1e-4)
-        assume(np.abs(slack).min() > 1e-4)
+        assume(max(map(abs, yaw_err)) < 3.0)
 
         def value(v):
-            return nmpc._stage_value(nmpc._horizon_pass(x0, v, refs, cfg, params),
-                                     lam_r, lam_p, weight)
+            return nmpc._horizon_pass(x0, v, refs, cfg, params).tracking
 
         eps = 1e-6
         g_fd = np.empty_like(grad)
@@ -764,11 +791,11 @@ class TestSensitivityStack:
         assert np.abs(grad - g_fd).max() <= 1e-5 * scale
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_smooth_stage_cases())
+    @given(case=_smooth_cases())
     def test_gradient_matches_a_backward_costate_recursion(self, case, ncfg, params):
-        _, u, refs, _, _, lam_r, lam_p, weight = case
-        cfg, flight, values, _, a_steps, b_steps, grad = self._setup(case, ncfg, params)
-        _, d_angles = nmpc._attitudes(flight.states)
+        _, u, refs, _ = case
+        cfg, flight, a_steps, b_steps, grad = self._setup(case, ncfg, params)
+        values, d_angles = nmpc._attitudes(flight.states)
         # lam_j = g_j + A_j^T lam_{j+1}, backwards; the input gradient of
         # step j is B_j^T lam_j.
         expected = np.empty_like(u)
@@ -779,75 +806,44 @@ class TestSensitivityStack:
             g[:3] = 2.0 * cfg.q_diag[:3] * (x[:3] - refs[j, :3])
             yaw_err = wrap_angle(values[j, 0] - refs[j, 3])
             g[QUAT_SLICE] = 2.0 * cfg.q_yaw * yaw_err * d_angles[j, 0]
-            for k, lam_k in ((1, lam_r[j]), (2, lam_p[j])):
-                s = lam_k / (2.0 * weight) + abs(values[j, k]) - cfg.tilt_max
-                if s > 0.0:
-                    sign = math.copysign(1.0, values[j, k])
-                    g[QUAT_SLICE] += 2.0 * weight * s * sign * d_angles[j, k]
             lam = lam + g
             expected[j] = 2.0 * cfg.r_diag * u[j] + b_steps[j].T @ lam
             lam = a_steps[j].T @ lam
         assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_smooth_stage_cases(), damping=st.sampled_from([1e-9, 1e-3, 1.0]))
-    def test_direction_solves_the_normal_equations(self, case, damping, ncfg, params):
-        _, u, _, _, _, lam_r, lam_p, weight = case
-        cfg, flight, values, slack, a_steps, b_steps, grad = self._setup(case, ncfg, params)
-        d = nmpc._gauss_newton_direction(flight.states, a_steps, b_steps, grad, cfg,
-                                         lam_r, lam_p, weight, damping).reshape(-1)
-        _, d_angles = nmpc._attitudes(flight.states)
-        n, m = u.shape[0], u.size
-        h_mat = np.diag(2.0 * np.tile(cfg.r_diag, n)) + damping * np.eye(m)
-        # Roll and pitch rows of each step, signed so that row . d is the
-        # linearized change of the term's slack.
-        tilt_rows = np.empty((n, 2, m))
-        sens = np.zeros((13, m))
-        for j in range(n):
-            sens = a_steps[j] @ sens
-            sens[:, 4 * j : 4 * j + 4] += b_steps[j]
-            for i, q in enumerate(cfg.q_diag[:3]):
-                h_mat += 2.0 * q * np.outer(sens[i], sens[i])
-            yaw_row = d_angles[j, 0] @ sens[QUAT_SLICE]
-            h_mat += 2.0 * cfg.q_yaw * np.outer(yaw_row, yaw_row)
-            for k in (1, 2):
-                row = d_angles[j, k] @ sens[QUAT_SLICE]
-                tilt_rows[j, k - 1] = math.copysign(1.0, values[j, k]) * row
-                if slack[j, k - 1] > 0.0:
-                    h_mat += 2.0 * weight * np.outer(row, row)
+    @given(case=_smooth_cases(), damping=st.sampled_from([1e-9, 1e-3, 1.0]))
+    def test_direction_is_the_kkt_point_of_the_tilt_qp(self, case, damping, ncfg, params):
+        cfg, flight, a_steps, b_steps, grad = self._setup(case, ncfg, params)
+        h_mat, g, slack, rows = _tilt_qp(flight, a_steps, b_steps, grad, cfg, damping)
+        d, mu = nmpc._gauss_newton_direction(flight.states, a_steps, b_steps, grad, cfg,
+                                             None, None, None, damping)
+        d = d.reshape(-1)
+        working = mu != 0.0
+        # Stationarity: H d + g + A^T mu = 0.
+        terms = (h_mat @ d, g, rows.T @ mu)
+        scale = max(float(np.abs(t).max()) for t in terms)
+        assert np.abs(sum(terms)).max() <= 1e-9 * max(scale, 1.0)
+        # The working rows hold as equalities, with non-negative
+        # multipliers; the other rows hold.
+        moved = slack + rows @ d
+        tol = 1e-9 * max(1.0, float(np.abs(slack).max()), float(np.abs(rows @ d).max()))
+        assert np.all(mu >= 0.0)
+        assert np.abs(moved[working]).max(initial=0.0) <= tol
+        assert moved[~working].max(initial=-1.0) <= tol
 
-        def normal_equations(added):
-            # Each added term joins the model as w (slack + row . d)^2.
-            h, rhs = h_mat.copy(), -grad.reshape(m)
-            for j, k in zip(*np.nonzero(added)):
-                h += 2.0 * weight * np.outer(tilt_rows[j, k], tilt_rows[j, k])
-                rhs -= 2.0 * weight * slack[j, k] * tilt_rows[j, k]
-            return h, rhs
+        # The QP is strictly convex, so SLSQP must find the same minimizer;
+        # it starts from the unconstrained one.
+        def objective(v):
+            return 0.5 * v @ h_mat @ v + g @ v
 
-        def activated(step):
-            # Inactive terms whose linearized slack is positive at the step.
-            return (slack <= 0.0) & (slack + tilt_rows @ step > 0.0)
-
-        # The active-set iteration, written out: add the terms the step
-        # would activate and solve again until the set repeats, giving up
-        # for the plain step after two passes per horizon step.
-        added = np.zeros((n, 2), dtype=bool)
-        step = np.linalg.solve(*normal_equations(added))
-        for _ in range(2 * n):
-            if np.array_equal(activated(step), added):
-                break
-            added = activated(step)
-            step = np.linalg.solve(*normal_equations(added))
-        settled = np.array_equal(activated(step), added)
-        if settled:
-            # The returned step is self-consistent: it solves the model of
-            # exactly the terms it activates.
-            assert np.array_equal(activated(d), added)
-        else:
-            added[:] = False
-        h, rhs = normal_equations(added)
-        residual = h @ d - rhs
-        assert np.abs(residual).max() <= 1e-9 * np.abs(rhs).max()
+        oracle = minimize(objective, np.linalg.solve(h_mat, -g), jac=lambda v: h_mat @ v + g,
+                          method="SLSQP", options={"ftol": 1e-10, "maxiter": 1000},
+                          constraints=[{"type": "ineq", "fun": lambda v: -(slack + rows @ v),
+                                        "jac": lambda v: -rows}])
+        assert oracle.success
+        assert objective(d) <= objective(oracle.x) + 1e-8 * max(1.0, abs(objective(d)))
+        assert np.abs(d - oracle.x).max() <= 1e-4 * max(1.0, float(np.abs(d).max()))
 
 
 class TestSolve:

@@ -2,8 +2,8 @@
 and compares two runs of it.
 
 Oracles: the generator's stated ranges, ``solve`` called directly on the
-same instances, and hand-written result files whose cost ratio and counts
-are known.
+same instances, and hand-written result files whose cost ratio, counts and
+sums are known.
 """
 
 import dataclasses
@@ -64,10 +64,14 @@ def test_four_instances_match_direct_solves(tool, capsys):
 
 
 def test_compare_reports_counts_and_geometric_mean(tool, tmp_path, capsys):
-    old = [{"converged": False, "cost": 4.0}, {"converged": True, "cost": 1.0},
-           {"converged": True, "cost": 2.0}]
-    new = [{"converged": True, "cost": 1.0}, {"converged": True, "cost": 4.0},
-           {"converged": True, "cost": 2.0}]
+    # The first old instance ends beyond the tilt slack; the second new one
+    # ends inside the slack but past the limit.
+    old = [{"converged": False, "evaluations": 50, "worst_excess": 0.25, "cost": 4.0},
+           {"converged": True, "evaluations": 7, "worst_excess": -0.1, "cost": 1.0},
+           {"converged": True, "evaluations": 9, "worst_excess": 0.0, "cost": 2.0}]
+    new = [{"converged": True, "evaluations": 12, "worst_excess": -0.3, "cost": 1.0},
+           {"converged": True, "evaluations": 8, "worst_excess": 0.0009, "cost": 4.0},
+           {"converged": True, "evaluations": 9, "worst_excess": 0.0, "cost": 2.0}]
     paths = []
     for name, run in (("old", old), ("new", new)):
         path = tmp_path / f"{name}.json"
@@ -76,6 +80,8 @@ def test_compare_reports_counts_and_geometric_mean(tool, tmp_path, capsys):
     assert tool.main(["--compare", *paths]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["converged: 2 -> 3 of 3",
+                   "evaluations: 66 -> 29",
+                   "beyond the tilt slack: 1 -> 0",
                    "geometric-mean cost ratio new/old: 1.0000",
                    "more than 1 % cheaper: new on 1, old on 1"]
     report = tool.compare(old, old)

@@ -9,8 +9,7 @@ axis), attitude (roll, pitch and yaw U(-0.7, 0.7) rad) and body rates
 U(5, 15) m, yaw U(-2, 2) rad.  Even instances start cold; odd ones get a
 U(-2, 2) warm start.  The draws come from one ``numpy`` generator seeded
 with 7, so the corpus is the same for every solver.  Many instances start
-tilted or spinning past the tilt limit, which makes the solver's penalty
-stages run.
+tilted or spinning past the tilt limit.
 
 A run solves every instance with the default configuration at
 ``--max-iters`` and prints one JSON list: per instance ``converged``,
@@ -18,9 +17,10 @@ A run solves every instance with the default configuration at
 roll or pitch beyond the tilt limit, rad) and ``cost``.  To measure another
 version of the package, put its ``src`` first on ``PYTHONPATH``.
 
-``--compare`` prints the converged counts of both runs, the geometric mean
-of the per-instance cost ratios NEW/OLD and how many instances each run
-solved more than 1 % cheaper.
+``--compare`` prints the converged counts of both runs, their total cost
+evaluations and how many instances end beyond the solver's tilt slack, the
+geometric mean of the per-instance cost ratios NEW/OLD and how many
+instances each run solved more than 1 % cheaper.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from cyclosim.config import default_config
 from cyclosim.dynamics import QUAT_SLICE, VehicleParams
 from cyclosim.geometry import EulerAngles, euler_to_quat, quat_roll_pitch
-from cyclosim.nmpc import solve
+from cyclosim.nmpc import _TILT_SLACK, solve
 
 SEED = 7
 
@@ -78,15 +78,18 @@ def solve_corpus(count: int = 160, max_iters: int = 50) -> list[dict]:
 
 
 def compare(old: list[dict], new: list[dict]) -> dict:
-    """Converged counts, the geometric-mean cost ratio NEW/OLD and the
+    """Converged counts, total evaluations and instances beyond the tilt
+    slack of each run, the geometric-mean cost ratio NEW/OLD and the
     instances each run solved more than 1 % cheaper."""
     if len(old) != len(new):
         raise ValueError(f"the runs cover {len(old)} and {len(new)} instances")
     ratios = [b["cost"] / a["cost"] for a, b in zip(old, new)]
-    return {
-        "instances": len(old),
-        "converged_old": sum(r["converged"] for r in old),
-        "converged_new": sum(r["converged"] for r in new),
+    report = {"instances": len(old)}
+    for name, run in (("old", old), ("new", new)):
+        report[f"converged_{name}"] = sum(r["converged"] for r in run)
+        report[f"evaluations_{name}"] = sum(r["evaluations"] for r in run)
+        report[f"beyond_slack_{name}"] = sum(r["worst_excess"] > _TILT_SLACK for r in run)
+    return report | {
         "cost_ratio": math.exp(sum(map(math.log, ratios)) / len(ratios)),
         "new_cheaper": sum(r < 0.99 for r in ratios),
         "old_cheaper": sum(r > 1.01 for r in ratios),
@@ -110,6 +113,9 @@ def main(argv=None) -> int:
         report = compare(*runs)
         print(f"converged: {report['converged_old']} -> {report['converged_new']}"
               f" of {report['instances']}")
+        print(f"evaluations: {report['evaluations_old']} -> {report['evaluations_new']}")
+        print(f"beyond the tilt slack: {report['beyond_slack_old']} ->"
+              f" {report['beyond_slack_new']}")
         print(f"geometric-mean cost ratio new/old: {report['cost_ratio']:.4f}")
         print(f"more than 1 % cheaper: new on {report['new_cheaper']},"
               f" old on {report['old_cheaper']}")
