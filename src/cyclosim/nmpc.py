@@ -666,8 +666,10 @@ def solve(
     x0 : (13,) ndarray
         Current state.
     refs : (N, 4) ndarray
-        Output references (x, y, z, yaw) per step; shorter reference
-        sequences are padded by holding the last row.
+        Output references (x, y, z, yaw) per step: row j is compared with
+        output j, the state one period after input j, so for inputs applied
+        from time t it is the schedule at ``t + (j + 1) * period``.
+        Shorter reference sequences are padded by holding the last row.
     warm_start : (N, 4) ndarray or None
         Previous (shifted) input sequence; None starts from hover inputs.
         Infeasible warm starts are projected onto the thrust box first.

@@ -395,8 +395,9 @@ class _Runner:
             return
         if self.nmpc is not None:
             if k % self.nmpc_every == 0 or self.force_solve:
+                # Output j is one period after input j: rows 1..N.
                 refs = self.gen.preview(t, self.cfg.nmpc.horizon + 1,
-                                        self.cfg.nmpc.period)
+                                        self.cfg.nmpc.period)[1:]
                 self.aerial_u = self.nmpc.step(self.x13, refs)
                 sol = self.nmpc.last_solution
                 self.cost = float(sol.cost) if sol is not None else 0.0

@@ -19,7 +19,8 @@ from cyclosim.config import default_config
 from cyclosim.errors import ConfigError
 from cyclosim.fsm import Medium, SubState
 from cyclosim.geometry import wrap_angle
-from cyclosim.mission import Action, Mission, Segment, builtin_mission
+from cyclosim.mission import Action, Mission, ReferenceGenerator, Segment, builtin_mission
+from cyclosim.nmpc import NmpcController
 from cyclosim.sim import (
     LOG_COLUMNS,
     RunLog,
@@ -181,6 +182,32 @@ class TestMiniRuns:
             k = round(log.t[i] / 0.01)
             if k % 5 != 0:
                 assert np.array_equal(log.inputs[i], log.inputs[i - 1])
+
+    def test_nmpc_references_start_one_period_ahead(self, cfg, monkeypatch):
+        # Output j of the horizon is the state one period after input j, so
+        # the solver's first reference row is the schedule one period on.
+        # The yaw row carries the generator's slew state, so positions are
+        # compared; the takeoff and the leg move them on most solves.
+        n, period = cfg.nmpc.horizon, cfg.nmpc.period
+        preview, step = ReferenceGenerator.preview, NmpcController.step
+        previews, moved = [], []
+
+        def recorded_preview(gen, t, rows, dt):
+            previews.append((gen, t))
+            return preview(gen, t, rows, dt)
+
+        def checked_step(ctl, x, refs):
+            gen, t = previews[-1]
+            ahead = preview(gen, t + period, 1, period)[0]
+            assert refs.shape == (n, 4)
+            assert np.array_equal(refs[0, :3], ahead[:3])
+            moved.append(not np.array_equal(ahead[:3], preview(gen, t, 1, period)[0, :3]))
+            return step(ctl, x, refs)
+
+        monkeypatch.setattr(ReferenceGenerator, "preview", recorded_preview)
+        monkeypatch.setattr(NmpcController, "step", checked_step)
+        run(cfg, mini_mission(), controller="nmpc", time_limit=4.0)
+        assert len(moved) > 20 and sum(moved) > len(moved) // 2
 
     def test_two_runs_byte_identical(self, cfg, tmp_path):
         paths = []
