@@ -19,14 +19,17 @@ Sections::
            arrival_radius, controller_period, time_limit, hover_hold,
            yaw_slew
 
-Validation also caps the work a run may ask for (``MAX_TICKS`` and below).
+Each number key's valid range is metadata on its dataclass field; a key
+without one takes any finite number.  ``validate`` checks those ranges, then
+the rules between keys, and caps the work a run may ask for (``MAX_TICKS``
+and below).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 import yaml
@@ -41,6 +44,7 @@ __all__ = [
     "Config",
     "default_config",
     "load_config",
+    "validate",
     "tick_ratios",
     "ENV_CONFIG_VAR",
 ]
@@ -56,6 +60,16 @@ MAX_TICKS = 1_000_000
 MAX_SUBSTEPS = 1_000
 MAX_HORIZON = 200
 MAX_ITERS = 1_000
+
+
+def _within(default, low, high=math.inf, open_low=False):
+    """A field whose value must lie in [low, high], or (low, high] if
+    ``open_low``."""
+    return field(default=default, metadata={"range": (low, high, open_low)})
+
+
+def _positive(default):
+    return _within(default, 0, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -74,34 +88,35 @@ class PidConfig:
     pitch: PidChannelGains = PidChannelGains(6.0, 0.05, 0.8)
     yaw: PidChannelGains = PidChannelGains(6.0, 0.05, 0.8)
     # Anti-windup clamp on each integral accumulator (symmetric, error*s).
-    windup_limit: float = 1.0
+    windup_limit: float = _positive(1.0)
     # Attitude reference clamp produced by the position loop, rad.
-    tilt_limit: float = math.pi / 6.0
+    tilt_limit: float = _positive(math.pi / 6.0)
     # Torque command clamp per axis, N*m.
-    torque_limit: float = 2.0
+    torque_limit: float = _positive(2.0)
 
 
 @dataclass(frozen=True)
 class NmpcConfig:
-    horizon: int = 15
-    period: float = 0.05
-    q_x: float = 10.0
-    q_y: float = 10.0
-    q_z: float = 10.0
-    q_yaw: float = 2.0
-    r_c: float = 0.1
-    r_roll: float = 0.5
-    r_pitch: float = 0.5
-    r_yaw: float = 0.5
+    horizon: int = _within(15, 2, MAX_HORIZON)
+    # Also the prediction's RK4 step, s, so (0, 0.05] as for dt.
+    period: float = _within(0.05, 0, 0.05, open_low=True)
+    q_x: float = _within(10.0, 0)
+    q_y: float = _within(10.0, 0)
+    q_z: float = _within(10.0, 0)
+    q_yaw: float = _within(2.0, 0)
+    r_c: float = _positive(0.1)
+    r_roll: float = _positive(0.5)
+    r_pitch: float = _positive(0.5)
+    r_yaw: float = _positive(0.5)
     # Box on the thrust acceleration channel c - g, m/s^2.
     accel_min: float = -5.0
     accel_max: float = 15.0
     # Roll/pitch limit, rad, a linearized constraint of each solver step.
-    tilt_max: float = math.pi / 6.0
+    tilt_max: float = _positive(math.pi / 6.0)
     # Prices tilt past the limit in the reported cost and the iterate rank.
-    tilt_weight: float = 1.0e4
-    max_iters: int = 50
-    tol: float = 1.0e-6
+    tilt_weight: float = _positive(1.0e4)
+    max_iters: int = _within(50, 1, MAX_ITERS)
+    tol: float = _positive(1.0e-6)
 
     @property
     def q_diag(self) -> np.ndarray:
@@ -114,32 +129,32 @@ class NmpcConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    cruise_ground: float = 2.0
-    cruise_air: float = 3.0
-    cruise_water: float = 1.0
+    cruise_ground: float = _positive(2.0)
+    cruise_air: float = _positive(3.0)
+    cruise_water: float = _positive(1.0)
     # Vertical speed of the final descent leg, m/s.
-    land_speed: float = 2.0
-    arrival_radius: float = 0.5
-    controller_period: float = 0.01
-    time_limit: float = 600.0
-    hover_hold: float = 2.0
+    land_speed: float = _positive(2.0)
+    arrival_radius: float = _positive(0.5)
+    controller_period: float = _positive(0.01)
+    time_limit: float = _positive(600.0)
+    hover_hold: float = _within(2.0, 0)
     # Reference yaw slew rate, rad/s.
-    yaw_slew: float = 1.5
+    yaw_slew: float = _positive(1.5)
 
 
 @dataclass(frozen=True)
 class Config:
-    mass: float = 0.75
-    inertia_xx: float = 8.0e-3
-    inertia_yy: float = 8.0e-3
-    inertia_zz: float = 1.2e-2
-    track_width: float = 0.40
-    wheelbase: float = 0.40
-    k_f: float = 1.0e-5
-    arm: float = 0.20
-    rotor_max: float = 1200.0
-    servo_max: float = math.pi / 4.0
-    dt: float = 1.0e-3
+    mass: float = _positive(0.75)
+    inertia_xx: float = _positive(8.0e-3)
+    inertia_yy: float = _positive(8.0e-3)
+    inertia_zz: float = _positive(1.2e-2)
+    track_width: float = _positive(0.40)
+    wheelbase: float = _positive(0.40)
+    k_f: float = _positive(1.0e-5)
+    arm: float = _positive(0.20)
+    rotor_max: float = _positive(1200.0)
+    servo_max: float = _positive(math.pi / 4.0)
+    dt: float = _within(1.0e-3, 0, 0.05, open_low=True)
     pid: PidConfig = field(default_factory=PidConfig)
     nmpc: NmpcConfig = field(default_factory=NmpcConfig)
     sim: SimConfig = field(default_factory=SimConfig)
@@ -150,95 +165,65 @@ def default_config() -> Config:
     return Config()
 
 
-# Accepted keys come from the dataclasses above, so a field added there is
-# loadable without a second list to keep in step.
-_SECTIONS = ("pid", "nmpc", "sim")
-_VEHICLE_KEYS = tuple(f.name for f in fields(Config) if f.name not in _SECTIONS)
-_GAIN_KEYS = {f.name for f in fields(PidChannelGains)}
-_PID_CHANNELS = tuple(
-    f.name for f in fields(PidConfig) if isinstance(f.default, PidChannelGains)
-)
-_PID_SCALARS = {f.name for f in fields(PidConfig)} - set(_PID_CHANNELS)
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _require_number(section: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}{key}: expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{section}{key}: must be finite")
-    return out
-
-
-def _merge_pid(base: PidConfig, data: dict) -> PidConfig:
-    updates: dict = {}
-    for key, value in data.items():
-        if key in _PID_CHANNELS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"pid.{key}: expected a mapping with p/i/d")
-            unknown = set(value) - _GAIN_KEYS
-            if unknown:
-                raise ConfigError(f"pid.{key}: unknown keys {sorted(unknown)}")
-            gains = getattr(base, key)
-            updates[key] = replace(
-                gains,
-                **{g: _require_number(f"pid.{key}.", g, v) for g, v in value.items()},
-            )
-        elif key in _PID_SCALARS:
-            updates[key] = _require_number("pid.", key, value)
-        else:
-            raise ConfigError(f"pid: unknown key {key!r}")
-    return replace(base, **updates)
-
-
-def _merge_section(name: str, base, data: dict):
+def _merge(path: str, base, data: dict):
+    """``base`` with the YAML mapping ``data`` overlaid.  ``path`` is the
+    dotted name of ``base`` ("" for the root).  A field holding a dataclass
+    takes a nested mapping, every other field a finite number, and an
+    ``int`` field a whole number."""
     kinds = {f.name: f.type for f in fields(base)}
     updates: dict = {}
     for key, value in data.items():
         if key not in kinds:
-            raise ConfigError(f"{name}: unknown key {key!r}")
-        if kinds[key] in ("int", int):
-            num = _require_number(f"{name}.", key, value)
+            raise ConfigError(f"{path}: unknown key {key!r}" if path
+                              else f"unknown config key {key!r}")
+        name = _dotted(path, key)
+        if is_dataclass(getattr(base, key)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name}: expected a mapping")
+            updates[key] = _merge(name, getattr(base, key), value)
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name}: expected a number, got {value!r}")
+        try:
+            num = float(value)
+        except OverflowError:  # an integer literal past the float range
+            num = math.inf
+        if not math.isfinite(num):
+            raise ConfigError(f"{name}: must be finite")
+        if kinds[key] == "int":
             if num != int(num):
-                raise ConfigError(f"{name}.{key}: expected an integer")
-            updates[key] = int(num)
-        else:
-            updates[key] = _require_number(f"{name}.", key, value)
+                raise ConfigError(f"{name}: expected an integer")
+            num = int(num)
+        updates[key] = num
     return replace(base, **updates)
 
 
-def _validate(cfg: Config) -> Config:
-    positive = [(key, getattr(cfg, key)) for key in _VEHICLE_KEYS]
-    for section, keys in (
-        ("nmpc", ("period", "tol", "tilt_max", "tilt_weight")),
-        ("pid", ("windup_limit", "tilt_limit", "torque_limit")),
-        ("sim", ("controller_period", "time_limit", "cruise_ground", "cruise_air",
-                 "cruise_water", "land_speed", "arrival_radius", "yaw_slew")),
-    ):
-        positive += [(f"{section}.{key}", getattr(getattr(cfg, section), key)) for key in keys]
-    for name, value in positive:
-        if value <= 0.0:
-            raise ConfigError(f"{name} must be positive, got {value!r}")
-    if cfg.sim.hover_hold < 0.0:
-        raise ConfigError(f"sim.hover_hold must be at least 0, got {cfg.sim.hover_hold!r}")
-    if cfg.dt > 0.05:
-        raise ConfigError(f"dt must be <= 0.05 s, got {cfg.dt!r}")
-    for key, value, low, cap in (("horizon", cfg.nmpc.horizon, 2, MAX_HORIZON),
-                                 ("max_iters", cfg.nmpc.max_iters, 1, MAX_ITERS)):
-        if not low <= value <= cap:
-            raise ConfigError(f"nmpc.{key} must lie in [{low}, {cap}], got {value!r}")
-    for key, value in zip(
-        ("r_c", "r_roll", "r_pitch", "r_yaw"), cfg.nmpc.r_diag, strict=True
-    ):
-        if value <= 0.0:
-            raise ConfigError(f"nmpc.{key} must be strictly positive, got {value!r}")
-    for key, value in zip(
-        ("q_x", "q_y", "q_z", "q_yaw"), cfg.nmpc.q_diag, strict=True
-    ):
-        if value < 0.0:
-            raise ConfigError(f"nmpc.{key} must be nonnegative, got {value!r}")
-    if cfg.nmpc.period > 0.05:
-        raise ConfigError("nmpc.period must be <= 0.05 s (one integrator step)")
+def _check_ranges(path: str, obj) -> None:
+    for f in fields(obj):
+        name = _dotted(path, f.name)
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            _check_ranges(name, value)
+        elif "range" in f.metadata:
+            low, high, open_low = f.metadata["range"]
+            if (low < value if open_low else low <= value) and value <= high:
+                continue
+            if high < math.inf:
+                bound = f"lie in {'(' if open_low else '['}{low}, {high}]"
+            else:
+                bound = "be positive" if open_low else f"be at least {low}"
+            raise ConfigError(f"{name} must {bound}, got {value!r}")
+
+
+def validate(cfg: Config) -> Config:
+    """Return ``cfg`` if every key lies in its field's range and the keys
+    agree with each other and with the work caps; else a ConfigError naming
+    the key.  ``load_config`` and ``run`` both apply it."""
+    _check_ranges("", cfg)
     if cfg.nmpc.accel_min >= cfg.nmpc.accel_max:
         raise ConfigError("nmpc.accel_min must be below nmpc.accel_max")
     if cfg.sim.controller_period < cfg.dt:
@@ -299,19 +284,4 @@ def load_config(path: str | os.PathLike | None = None) -> Config:
         return default_config()
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-
-    cfg = default_config()
-    updates: dict = {}
-    for key, value in raw.items():
-        if key in _VEHICLE_KEYS:
-            updates[key] = _require_number("", key, value)
-        elif key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key}: expected a mapping")
-            if key == "pid":
-                updates[key] = _merge_pid(cfg.pid, value)
-            else:
-                updates[key] = _merge_section(key, getattr(cfg, key), value)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return _validate(replace(cfg, **updates))
+    return validate(_merge("", default_config(), raw))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_TICKS, Config, tick_ratios
+from .config import MAX_TICKS, Config, tick_ratios, validate
 from .dynamics import (
     AerialInput,
     AquaticInput,
@@ -538,11 +538,13 @@ def run(config: Config, mission: Mission, controller: str = "pid",
     MissionError
         If the mission cannot be realized by the transition table.
     ConfigError
-        If a period is not a whole multiple of the next (``tick_ratios``).
+        If ``config`` fails :func:`~cyclosim.config.validate`: a key out of
+        its range, over a work cap, or a period not a whole multiple of the
+        next.
     """
     if controller not in ("pid", "nmpc"):
         raise ValueError(f"unknown controller '{controller}'")
-    limit = _time_limit(config, time_limit)
+    limit = _time_limit(validate(config), time_limit)
     runner = _Runner(config, mission, controller)
 
     completed = False

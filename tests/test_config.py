@@ -74,7 +74,7 @@ class TestRejections:
             load_config(write(f"{section}:\n  bogus: 1.0\n"))
 
     def test_unknown_pid_channel_key(self, write):
-        with pytest.raises(ConfigError, match=r"pid\.yaw: unknown keys \['k'\]"):
+        with pytest.raises(ConfigError, match=r"pid\.yaw: unknown key 'k'"):
             load_config(write("pid:\n  yaw:\n    k: 1.0\n"))
 
     def test_pid_channel_needs_mapping(self, write):
@@ -101,6 +101,11 @@ class TestRejections:
     def test_non_finite_value(self, write):
         with pytest.raises(ConfigError, match=r"sim\.time_limit: must be finite"):
             load_config(write("sim:\n  time_limit: .inf\n"))
+
+    def test_integer_past_the_float_range(self, write):
+        # float() of a 400-digit integer raises OverflowError.
+        with pytest.raises(ConfigError, match="mass: must be finite"):
+            load_config(write("mass: 1" + "0" * 400 + "\n"))
 
     @pytest.mark.parametrize("key", ["tilt_max", "tilt_weight"])
     @pytest.mark.parametrize("value", ["0.0", "-1.0"])

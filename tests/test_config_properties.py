@@ -1,0 +1,108 @@
+"""Property test over every config key: each one holds to its field's range.
+
+Oracles: the number keys come from walking ``dataclasses.fields`` of the
+defaults, and each key's range from its field, so no second key list is
+kept.  A value drawn outside the range is rejected by ``load_config`` with a
+message that starts with the dotted key.  A value drawn inside it loads as
+exactly that value, or a rule between keys rejects it; a loaded config flies
+a 0.2 s ``pid`` mission to exactly one of the three endings.  The
+hand-written rejections in ``test_config.py`` restate the ranges
+independently.
+"""
+
+import math
+import re
+from dataclasses import fields, is_dataclass
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclosim.config import default_config, load_config
+from cyclosim.errors import ConfigError
+from cyclosim.fsm import Medium
+from cyclosim.mission import Action, Mission, Segment
+from cyclosim.sim import run
+
+
+def _number_keys(path, obj):
+    """(dotted key, field type, range or None) for each number field."""
+    for f in fields(obj):
+        name = f"{path}.{f.name}" if path else f.name
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _number_keys(name, value)
+        else:
+            yield name, f.type, f.metadata.get("range")
+
+
+KEYS = {name: (kind, rng) for name, kind, rng in _number_keys("", default_config())}
+
+# The rules between keys, which may reject a value inside its own range.
+_CROSS_KEY = re.compile(r"must be below|must be >= dt|above the cap|must be a multiple")
+
+MISSION = Mission(
+    segments=(Segment(Medium.AERIAL, Action.TAKEOFF, np.array([100.0, 0.0, 10.0])),),
+    start=np.array([100.0, 0.0, 0.0]),
+)
+
+
+def _inside(kind, rng):
+    if rng is None:
+        return st.floats(allow_nan=False, allow_infinity=False)
+    low, high, open_low = rng
+    if kind == "int":
+        return st.integers(low, high)
+    return st.floats(low, None if high == math.inf else high, exclude_min=open_low,
+                     allow_infinity=False)
+
+
+def _outside(kind, rng):
+    low, high, open_low = rng
+    if kind == "int":
+        return st.integers(max_value=low - 1) | st.integers(min_value=high + 1)
+    below = st.floats(max_value=low, exclude_max=not open_low, allow_infinity=False)
+    if high == math.inf:
+        return below
+    return below | st.floats(min_value=high, exclude_min=True, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("overlay") / "config.yaml"
+
+
+def test_walk_finds_every_key():
+    assert len(KEYS) == 57
+    assert sum(rng is not None for _kind, rng in KEYS.values()) == 37
+
+
+@pytest.mark.parametrize("key", list(KEYS))
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_key_holds_to_its_range(key, data, config_file):
+    kind, rng = KEYS[key]
+    outside = rng is not None and data.draw(st.booleans(), label="outside")
+    value = data.draw(_outside(kind, rng) if outside else _inside(kind, rng), label=key)
+    overlay = value
+    for part in reversed(key.split(".")):
+        overlay = {part: overlay}
+    config_file.write_text(yaml.safe_dump(overlay))
+    if outside:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}[ :]"):
+            load_config(config_file)
+        return
+    try:
+        cfg = load_config(config_file)
+    except ConfigError as exc:
+        assert _CROSS_KEY.search(str(exc)), exc
+        return
+    loaded = cfg
+    for part in key.split("."):
+        loaded = getattr(loaded, part)
+    assert loaded == value
+    assert type(loaded) is (int if kind == "int" else float)
+    log = run(cfg, MISSION, "pid", time_limit=0.2)
+    assert [log.completed, log.time_limit_hit, log.diverged].count(True) == 1

@@ -270,6 +270,16 @@ class TestRunEndings:
         with pytest.raises(ValueError, match=r"time limit 1e\+300 s is 1e\+302 ticks"):
             run(cfg, mini_mission(), controller="pid", time_limit=1e300)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("nmpc", "max_iters", 10**9), ("sim", "controller_period", 0.0)])
+    def test_config_built_in_code_is_validated(self, cfg, section, key, value):
+        # run applies load_config's validation, so a config built with
+        # replace meets the same ranges and work caps before any tick.
+        bad = dataclasses.replace(
+            cfg, **{section: dataclasses.replace(getattr(cfg, section), **{key: value})})
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must"):
+            run(bad, mini_mission(), controller="pid", time_limit=0.2)
+
     def test_misaligned_controller_period_rejected(self, cfg, mission):
         bad = dataclasses.replace(
             cfg, sim=dataclasses.replace(cfg.sim, controller_period=0.0103)
