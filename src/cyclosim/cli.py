@@ -14,6 +14,10 @@ route):
     Replay the mission's event sequence through the transition table
     without executing any dynamics and print the state trace.
 
+Each run writes ``<stem>.csv`` and ``<stem>_metrics.txt``; one that does not
+complete ends ``error: run <stem> diverged at t=... s`` or ``error: run
+<stem> hit the time limit at t=... s with segment <i> active``.
+
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 divergence,
 5 simulated-time limit.  Every failure prints one ``error: ...`` line as
 its last output line.  All files are written atomically.
@@ -26,7 +30,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ENV_CONFIG_VAR, default_config, load_config
+from .config import ENV_CONFIG_VAR, Config, default_config, load_config
 from .errors import ConfigError, MissionError
 from .fsm import Medium, initial_state, replay
 from .mission import (
@@ -36,8 +40,7 @@ from .mission import (
     load_mission,
     mission_events,
 )
-from .sim import (RunLog, TrackingMetrics, _time_limit, compute_metrics, run, save_log,
-                  save_metrics)
+from .sim import TrackingMetrics, _time_limit, compute_metrics, run, save_log, save_metrics
 
 __all__ = ["main", "build_parser"]
 
@@ -158,26 +161,30 @@ def _load_inputs(args: argparse.Namespace):
         return _fail(str(exc), EXIT_PARSE)
 
 
-def _prepare_out(directory: str) -> Path:
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _run_outcome(log: RunLog) -> int:
-    if log.diverged:
-        return EXIT_DIVERGED
-    if log.time_limit_hit:
-        return EXIT_TIME_LIMIT
-    return EXIT_OK
-
-
-def _write_run(out: Path, stem: str, log: RunLog, mission: Mission) -> tuple[Path, Path]:
-    log_path = out / f"{stem}.csv"
-    metrics_path = out / f"{stem}_metrics.txt"
+def _fly(args: argparse.Namespace, config: Config, mission: Mission, controller: str, stem: str):
+    """Fly ``mission`` under ``controller``, write ``<stem>.csv`` and
+    ``<stem>_metrics.txt`` to ``--out`` and print their paths.  Returns the
+    log of a completed run, or the exit code of any other ending."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"output directory not writable: {exc}", EXIT_USAGE)
+    try:
+        log = run(config, mission, controller=controller, time_limit=args.duration_limit)
+    except (MissionError, ConfigError) as exc:
+        return _fail(str(exc), EXIT_PARSE)
+    log_path, metrics_path = out / f"{stem}.csv", out / f"{stem}_metrics.txt"
     save_log(log, log_path)
     save_metrics(compute_metrics(log, mission), log, metrics_path)
-    return log_path, metrics_path
+    print(f"log: {log_path}")
+    print(f"metrics: {metrics_path}")
+    if log.diverged:
+        return _fail(f"run {stem} diverged at t={log.t[-1]:.2f} s", EXIT_DIVERGED)
+    if log.time_limit_hit:
+        return _fail(f"run {stem} hit the time limit at t={log.t[-1]:.2f} s "
+                     f"with segment {log.segment[-1]} active", EXIT_TIME_LIMIT)
+    return log
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -196,32 +203,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"{offending[0]} is {mission.segments[offending[0]].medium.value}",
                 EXIT_USAGE,
             )
-    try:
-        out = _prepare_out(args.out)
-    except OSError as exc:
-        return _fail(f"output directory not writable: {exc}", EXIT_USAGE)
-
-    try:
-        log = run(config, mission, controller=args.controller,
-                  time_limit=args.duration_limit)
-    except (MissionError, ConfigError) as exc:
-        return _fail(str(exc), EXIT_PARSE)
-
-    log_path, metrics_path = _write_run(
-        out, f"{name}_{args.controller}", log, mission
-    )
     print(f"mission {name}: {len(mission.segments)} segments, "
           f"controller {args.controller}")
-    print(f"log: {log_path}")
-    print(f"metrics: {metrics_path}")
-    if log.diverged:
-        return _fail(f"simulation diverged at t={log.t[-1]:.2f} s", EXIT_DIVERGED)
-    if log.time_limit_hit:
-        return _fail(
-            f"simulated time limit hit at t={log.t[-1]:.2f} s "
-            f"with segment {log.segment[-1]} active",
-            EXIT_TIME_LIMIT,
-        )
+    log = _fly(args, config, mission, args.controller, f"{name}_{args.controller}")
+    if isinstance(log, int):
+        return log
     print(f"result: completed segments={len(mission.segments)} "
           f"sim_time={log.t[-1]:.2f}")
     return EXIT_OK
@@ -275,34 +261,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if isinstance(loaded, int):
         return loaded
     config, name, mission = loaded
-    try:
-        out = _prepare_out(args.out)
-    except OSError as exc:
-        return _fail(f"output directory not writable: {exc}", EXIT_USAGE)
-
-    logs = {}
+    metrics = []
     for side, controller in (("left", args.left), ("right", args.right)):
-        try:
-            log = run(config, mission, controller=controller,
-                      time_limit=args.duration_limit)
-        except (MissionError, ConfigError) as exc:
-            return _fail(str(exc), EXIT_PARSE)
-        _write_run(out, f"{name}_{side}_{controller}", log, mission)
-        logs[side] = log
-        status = _run_outcome(log)
-        if status != EXIT_OK:
-            reason = "diverged" if log.diverged else "hit the time limit"
-            return _fail(
-                f"{side} run ({controller}) {reason} at t={log.t[-1]:.2f} s",
-                status,
-            )
-
-    table = _comparison_table(
-        mission, args.left, args.right,
-        compute_metrics(logs["left"], mission),
-        compute_metrics(logs["right"], mission),
-    )
-    table_path = out / f"{name}_compare_{args.left}_vs_{args.right}.txt"
+        log = _fly(args, config, mission, controller, f"{name}_{side}_{controller}")
+        if isinstance(log, int):
+            return log
+        metrics.append(compute_metrics(log, mission))
+    table = _comparison_table(mission, args.left, args.right, *metrics)
+    table_path = Path(args.out) / f"{name}_compare_{args.left}_vs_{args.right}.txt"
     atomic_write(table_path, [table])
     print(table, end="")
     print(f"table: {table_path}")

@@ -20,15 +20,17 @@ Sections::
            yaw_slew
 
 Each number key's valid range is metadata on its dataclass field; a key
-without one takes any finite number.  ``validate`` checks those ranges, then
-the rules between keys, and caps the work a run may ask for (``MAX_TICKS``
-and below).
+without one takes any finite number.  ``validate`` checks that every value
+is a finite number (an integer for an ``int`` field) in its range, then the
+rules between keys, and caps the work a run may ask for (``MAX_TICKS`` and
+below); a config built in code meets the same checks as a YAML file.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
     "Config",
     "default_config",
     "load_config",
+    "read_yaml",
     "validate",
     "tick_ratios",
     "ENV_CONFIG_VAR",
@@ -170,10 +173,9 @@ def _dotted(path: str, key: str) -> str:
 
 
 def _merge(path: str, base, data: dict):
-    """``base`` with the YAML mapping ``data`` overlaid.  ``path`` is the
-    dotted name of ``base`` ("" for the root).  A field holding a dataclass
-    takes a nested mapping, every other field a finite number, and an
-    ``int`` field a whole number."""
+    """``base`` with the YAML mapping ``data`` overlaid; ``path`` is the
+    dotted name of ``base`` ("" for the root).  A number becomes a float, or
+    an ``int`` for an ``int`` field if whole; ``validate`` checks the values."""
     kinds = {f.name: f.type for f in fields(base)}
     updates: dict = {}
     for key, value in data.items():
@@ -184,31 +186,29 @@ def _merge(path: str, base, data: dict):
         if is_dataclass(getattr(base, key)):
             if not isinstance(value, dict):
                 raise ConfigError(f"{name}: expected a mapping")
-            updates[key] = _merge(name, getattr(base, key), value)
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name}: expected a number, got {value!r}")
-        try:
-            num = float(value)
-        except OverflowError:  # an integer literal past the float range
-            num = math.inf
-        if not math.isfinite(num):
-            raise ConfigError(f"{name}: must be finite")
-        if kinds[key] == "int":
-            if num != int(num):
-                raise ConfigError(f"{name}: expected an integer")
-            num = int(num)
-        updates[key] = num
+            value = _merge(name, getattr(base, key), value)
+        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max):
+            whole = kinds[key] == "int" and value == int(value)
+            value = int(value) if whole else float(value)
+        updates[key] = value
     return replace(base, **updates)
 
 
-def _check_ranges(path: str, obj) -> None:
+def _check_values(path: str, obj) -> None:
     for f in fields(obj):
         name = _dotted(path, f.name)
         value = getattr(obj, f.name)
         if is_dataclass(value):
-            _check_ranges(name, value)
-        elif "range" in f.metadata:
+            _check_values(name, value)
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # also an int past the float range
+            raise ConfigError(f"{name}: must be finite")
+        if f.type == "int" and not isinstance(value, int):
+            raise ConfigError(f"{name}: expected an integer")
+        if "range" in f.metadata:
             low, high, open_low = f.metadata["range"]
             if (low < value if open_low else low <= value) and value <= high:
                 continue
@@ -220,10 +220,10 @@ def _check_ranges(path: str, obj) -> None:
 
 
 def validate(cfg: Config) -> Config:
-    """Return ``cfg`` if every key lies in its field's range and the keys
-    agree with each other and with the work caps; else a ConfigError naming
-    the key.  ``load_config`` and ``run`` both apply it."""
-    _check_ranges("", cfg)
+    """Return ``cfg`` if every key is a finite number in its field's type and
+    range and the keys agree with each other and with the work caps; else a
+    ConfigError naming the key.  ``load_config`` and ``run`` both apply it."""
+    _check_values("", cfg)
     if cfg.nmpc.accel_min >= cfg.nmpc.accel_max:
         raise ConfigError("nmpc.accel_min must be below nmpc.accel_max")
     if cfg.sim.controller_period < cfg.dt:
@@ -255,6 +255,18 @@ def tick_ratios(cfg: Config) -> tuple[int, int]:
     return substeps, nmpc_every
 
 
+def read_yaml(path, what: str, error: type[Exception]):
+    """The parsed YAML file at ``path``; ``error`` names the ``what`` file
+    when it cannot be read or is malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise error(f"malformed {what} file {path}: {exc}") from exc
+
+
 def load_config(path: str | os.PathLike | None = None) -> Config:
     """Load a configuration file, overlaying defaults.
 
@@ -273,13 +285,7 @@ def load_config(path: str | os.PathLike | None = None) -> Config:
         path = os.environ.get(ENV_CONFIG_VAR) or None
     if path is None:
         return default_config()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
+    raw = read_yaml(path, "config", ConfigError)
     if raw is None:
         return default_config()
     if not isinstance(raw, dict):

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 import yaml
 
-from .config import SimConfig
+from .config import SimConfig, read_yaml
 from .errors import MissionError
 from .fsm import (
     CommandId,
@@ -75,9 +75,6 @@ class Action(Enum):
     LAND = "land"
 
 
-_SURFACE_ACTIONS = frozenset({Action.DRIVE})
-_AERIAL_ACTIONS = frozenset({Action.TAKEOFF, Action.FLY_TO, Action.HOVER, Action.LAND})
-
 # Final approach of a landing: slow from the descent speed this far above
 # the target so the touchdown envelope is reachable without plunging past it.
 _FLARE_ALTITUDE = 2.0
@@ -121,7 +118,7 @@ class Segment:
         object.__setattr__(self, "target", target)
         if not math.isfinite(self.hold) or self.hold < 0.0:
             raise MissionError("segment hold must be finite and nonnegative")
-        if self.action in _SURFACE_ACTIONS:
+        if self.action is Action.DRIVE:
             if self.medium is Medium.AERIAL:
                 raise MissionError("drive segments must be terrestrial or aquatic")
             if target[2] != 0.0:
@@ -214,13 +211,7 @@ def load_mission(path) -> Mission:
         If the file cannot be read or parsed, or the start or any record
         is invalid; record errors name the segment index.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise MissionError(f"cannot read mission file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise MissionError(f"malformed mission file {path}: {exc}") from exc
+    raw = read_yaml(path, "mission", MissionError)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -6,6 +6,7 @@ failure ends with one ``error:`` line); short all-aerial missions keep
 the closed-loop invocations fast.
 """
 
+import re
 import subprocess
 import sys
 
@@ -269,6 +270,17 @@ class TestSimulate:
         assert last.startswith("error:")
         assert "diverged" in last
 
+    def test_divergence_line_names_the_run(self, mini_path, tmp_path, capsys):
+        cfg = tmp_path / "weak.yaml"
+        cfg.write_text("rotor_max: 1.0\n")
+        code = main([
+            "simulate", "--mission", str(mini_path), "--config", str(cfg),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 4
+        _, last = _last_line(capsys)
+        assert re.fullmatch(r"error: run mini_pid diverged at t=\d+\.\d\d s", last), last
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_seed_is_usage_error(self, mini_path, tmp_path, command):
         with pytest.raises(SystemExit) as exc:
@@ -328,6 +340,19 @@ class TestCompare:
         rows = lines[1:]
         assert len(rows) == 2 * 3
         assert [r.split()[2] for r in rows] == ["x", "y", "z"] * 2
+
+
+    def test_time_limit_line_names_the_left_run(self, mini_path, tmp_path, capsys):
+        code = main([
+            "compare", "--mission", str(mini_path), "--duration-limit", "1.0",
+            "--out", str(tmp_path),
+        ])
+        assert code == 5
+        _, last = _last_line(capsys)
+        assert last == ("error: run mini_left_pid hit the time limit at t=1.00 s"
+                        " with segment 0 active")
+        assert (tmp_path / "mini_left_pid_metrics.txt").exists()
+        assert not (tmp_path / "mini_right_nmpc.csv").exists()
 
 
 class TestEntryPoint:

@@ -8,11 +8,15 @@ exactly that value, or a rule between keys rejects it; a loaded config flies
 a 0.2 s ``pid`` mission to exactly one of the three endings.  The
 hand-written rejections in ``test_config.py`` restate the ranges
 independently.
+
+A config built in code meets the same checks: NaN, either infinity, a bool,
+and a non-whole float for an ``int`` key each make ``validate`` and ``run``
+raise a ConfigError that starts with the dotted key, before any tick.
 """
 
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -20,11 +24,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclosim.config import default_config, load_config
+from cyclosim import sim
+from cyclosim.config import default_config, load_config, validate
 from cyclosim.errors import ConfigError
 from cyclosim.fsm import Medium
 from cyclosim.mission import Action, Mission, Segment
-from cyclosim.sim import run
 
 
 def _number_keys(path, obj):
@@ -104,5 +108,27 @@ def test_key_holds_to_its_range(key, data, config_file):
         loaded = getattr(loaded, part)
     assert loaded == value
     assert type(loaded) is (int if kind == "int" else float)
-    log = run(cfg, MISSION, "pid", time_limit=0.2)
+    log = sim.run(cfg, MISSION, "pid", time_limit=0.2)
     assert [log.completed, log.time_limit_hit, log.diverged].count(True) == 1
+
+
+def _with(obj, key, value):
+    """``obj`` with the dotted ``key`` set to ``value``, built in code."""
+    head, _, rest = key.partition(".")
+    return replace(obj, **{head: _with(getattr(obj, head), rest, value) if rest else value})
+
+
+@pytest.mark.parametrize("key", list(KEYS))
+def test_code_built_value_is_checked(key, monkeypatch):
+    def no_tick(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(sim, "_Runner", no_tick)
+    kind, _rng = KEYS[key]
+    bad = [math.nan, math.inf, -math.inf, True] + ([15.5] if kind == "int" else [])
+    for value in bad:
+        cfg = _with(default_config(), key, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}[ :]"):
+            validate(cfg)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}[ :]"):
+            sim.run(cfg, MISSION, "pid", time_limit=0.2)

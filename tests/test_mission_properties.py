@@ -4,13 +4,20 @@ Oracles: ``mission_plan`` is the specification of the mode sequence.  For
 every generated mission, either the plan and ``run`` reject it with the same
 message, or a short ``pid`` run ends exactly one way, logs a prefix of the
 plan's events, and, when it completes, logs all of them and ends in the
-last segment's planned mode.
+last segment's planned mode.  Every row holds a legal mode, the actuators
+of its medium, and a reference that moves at most one tick of the fastest
+configured speed and yaw slew from the row before.  A second run of a
+realizable mission writes byte-identical files.
 
 Missions have 0-6 segments with random actions and media, including orders
 the transition table rejects.  Targets lie inside their medium's site band
 and a few metres from one band edge, so legs are short; even so, a takeoff
 takes seconds to settle, and longer missions end at the time limit.
 """
+
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,15 +35,25 @@ from cyclosim.mission import (
     mission_events,
     mission_plan,
 )
-from cyclosim.sim import run
+from cyclosim.sim import compute_metrics, run, save_log, save_metrics
 
 CONFIG = default_config()
 TIME_LIMIT = 10.0
+# The repeat test flies each mission twice, so under a shorter limit.
+REPEAT_LIMIT = 3.0
 # Each mission stays within this many metres of one band edge: the land-air
 # edge, where drives are on the ground, or the air-water edge, where they
 # are on the water.  Targets lie inside their medium's band.
 _REACH = 3.0
 _EDGES = ((100.0, Medium.TERRESTRIAL), (200.0, Medium.AQUATIC))
+# The eight legal (medium, sub-state) pairs of the mode machine.
+_LEGAL = {("terrestrial", "static"), ("terrestrial", "driving"), ("aerial", "static"),
+          ("aerial", "takeoff"), ("aerial", "hovering"), ("aerial", "landing"),
+          ("aquatic", "static"), ("aquatic", "driving")}
+_TICK = CONFIG.sim.controller_period
+_MAX_REF_STEP = max(CONFIG.sim.cruise_ground, CONFIG.sim.cruise_air,
+                    CONFIG.sim.cruise_water, CONFIG.sim.land_speed) * _TICK + 1e-9
+_MAX_YAW_STEP = CONFIG.sim.yaw_slew * _TICK + 1e-9
 
 
 @st.composite
@@ -97,3 +114,29 @@ def test_run_follows_plan(mission):
         assert logged == expected
         last = plan[-1].mode if plan else initial_state()
         assert (log.medium[-1], log.substate[-1]) == (last.medium.value, last.substate.value)
+    assert set(zip(log.medium, log.substate)) <= _LEGAL
+    media = np.array(log.medium)
+    ground, water = media == "terrestrial", media == "aquatic"
+    assert np.all(log.rotors[ground] == 0.0) and np.all(log.servo[ground] == 0.0)
+    assert np.all(log.rotors[water, :2] == 0.0)
+    assert np.allclose(log.servo[water], math.pi / 2.0, rtol=1e-12, atol=0.0)
+    step = np.linalg.norm(np.diff(log.ref[:, 0:3], axis=0), axis=1)
+    assert np.all(step <= _MAX_REF_STEP)
+    yaw_step = np.abs(np.remainder(np.diff(log.ref[:, 3]) + math.pi, 2.0 * math.pi) - math.pi)
+    assert np.all(yaw_step <= _MAX_YAW_STEP)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(mission=missions().filter(_plannable))
+def test_second_run_writes_the_same_bytes(mission):
+    first, second = (run(CONFIG, mission, "pid", time_limit=REPEAT_LIMIT) for _ in range(2))
+    assert _written(first, mission) == _written(second, mission)
+
+
+def _written(log, mission) -> tuple[bytes, bytes]:
+    """The bytes of the CSV and the metrics file that ``log`` saves to."""
+    with tempfile.TemporaryDirectory() as out:
+        csv, metrics = Path(out) / "run.csv", Path(out) / "run_metrics.txt"
+        save_log(log, csv)
+        save_metrics(compute_metrics(log, mission), log, metrics)
+        return csv.read_bytes(), metrics.read_bytes()
