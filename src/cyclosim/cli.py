@@ -164,7 +164,7 @@ def _load_inputs(args: argparse.Namespace):
 def _fly(args: argparse.Namespace, config: Config, mission: Mission, controller: str, stem: str):
     """Fly ``mission`` under ``controller``, write ``<stem>.csv`` and
     ``<stem>_metrics.txt`` to ``--out`` and print their paths.  Returns the
-    log of a completed run, or the exit code of any other ending."""
+    log and metrics of a completed run, or the exit code of any other ending."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -176,7 +176,8 @@ def _fly(args: argparse.Namespace, config: Config, mission: Mission, controller:
         return _fail(str(exc), EXIT_PARSE)
     log_path, metrics_path = out / f"{stem}.csv", out / f"{stem}_metrics.txt"
     save_log(log, log_path)
-    save_metrics(compute_metrics(log, mission), log, metrics_path)
+    metrics = compute_metrics(log, mission)
+    save_metrics(metrics, log, metrics_path)
     print(f"log: {log_path}")
     print(f"metrics: {metrics_path}")
     if log.diverged:
@@ -184,7 +185,7 @@ def _fly(args: argparse.Namespace, config: Config, mission: Mission, controller:
     if log.time_limit_hit:
         return _fail(f"run {stem} hit the time limit at t={log.t[-1]:.2f} s "
                      f"with segment {log.segment[-1]} active", EXIT_TIME_LIMIT)
-    return log
+    return log, metrics
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -205,11 +206,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
     print(f"mission {name}: {len(mission.segments)} segments, "
           f"controller {args.controller}")
-    log = _fly(args, config, mission, args.controller, f"{name}_{args.controller}")
-    if isinstance(log, int):
-        return log
+    flown = _fly(args, config, mission, args.controller, f"{name}_{args.controller}")
+    if isinstance(flown, int):
+        return flown
     print(f"result: completed segments={len(mission.segments)} "
-          f"sim_time={log.t[-1]:.2f}")
+          f"sim_time={flown[0].t[-1]:.2f}")
     return EXIT_OK
 
 
@@ -263,10 +264,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config, name, mission = loaded
     metrics = []
     for side, controller in (("left", args.left), ("right", args.right)):
-        log = _fly(args, config, mission, controller, f"{name}_{side}_{controller}")
-        if isinstance(log, int):
-            return log
-        metrics.append(compute_metrics(log, mission))
+        flown = _fly(args, config, mission, controller, f"{name}_{side}_{controller}")
+        if isinstance(flown, int):
+            return flown
+        metrics.append(flown[1])
     table = _comparison_table(mission, args.left, args.right, *metrics)
     table_path = Path(args.out) / f"{name}_compare_{args.left}_vs_{args.right}.txt"
     atomic_write(table_path, [table])

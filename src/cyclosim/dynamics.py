@@ -201,9 +201,6 @@ class AerialInput:
             raise ValueError("collective thrust c must be >= 0")
         object.__setattr__(self, "torque", torque)
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.c, self.torque[0], self.torque[1], self.torque[2]])
-
 
 @dataclass(frozen=True)
 class TerrestrialInput:
@@ -313,7 +310,7 @@ def _planar_rates(u, p: VehicleParams) -> tuple:
 
     The one copy of the surface input maps, shared by the derivatives, the
     plant kernel and the runner.  Anything but a terrestrial or aquatic
-    input (the runner holds ``None`` until its first surface command) is at
+    input (the runner passes ``None`` in a surface mode at rest) is at
     rest.
     """
     if isinstance(u, TerrestrialInput):

@@ -440,10 +440,6 @@ class ReferenceGenerator:
         self._action: Action | None = None
         self._index: int | None = None
 
-    @property
-    def yaw(self) -> float:
-        return self._yaw
-
     def _leg_speed(self, segment: Segment) -> float:
         if segment.action is Action.DRIVE:
             if segment.medium is Medium.TERRESTRIAL:
@@ -514,10 +510,6 @@ class ReferenceGenerator:
                 return pos, heading
             tau -= duration
         return self._end_point.copy(), None
-
-    def schedule_done(self, t: float) -> bool:
-        """True once the position schedule has clamped at the target."""
-        return t - self._t0 >= sum(leg[3] for leg in self._legs)
 
     def step(self, t: float, dt: float) -> np.ndarray:
         """Reference (x, y, z, yaw) for the tick at time ``t``, advancing yaw."""

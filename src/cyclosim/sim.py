@@ -202,19 +202,23 @@ class TrackingMetrics:
     segments: tuple
     total_time: float
 
-    def arrival_times(self) -> tuple:
-        return tuple(s.arrival_time for s in self.segments)
 
-
-def _drive_terrestrial(pose: np.ndarray, ref: np.ndarray, cruise: float,
-                       track_width: float) -> TerrestrialInput:
-    """Differential-drive pursuit of the reference point."""
+def _pursuit(pose: np.ndarray, ref: np.ndarray, cruise: float, floor: float) -> tuple:
+    """Distance and heading error to the reference point, and the forward
+    speed, scaled by the heading error's cosine held at least ``floor``."""
     dx = ref[0] - pose[0]
     dy = ref[1] - pose[1]
     dist = math.hypot(dx, dy)
     desired = math.atan2(dy, dx) if dist > 0.05 else ref[3]
     err = wrap_angle(desired - pose[2])
-    speed = min(_K_DIST * dist, _CATCH_UP * cruise) * max(0.0, math.cos(err))
+    speed = min(_K_DIST * dist, _CATCH_UP * cruise) * max(floor, math.cos(err))
+    return dist, err, speed
+
+
+def _drive_terrestrial(pose: np.ndarray, ref: np.ndarray, cruise: float,
+                       track_width: float) -> TerrestrialInput:
+    """Differential-drive pursuit of the reference point."""
+    _dist, err, speed = _pursuit(pose, ref, cruise, 0.0)
     turn = float(np.clip(_K_HEAD * err, -_TURN_RATE_MAX, _TURN_RATE_MAX))
     half = 0.5 * turn * track_width
     return TerrestrialInput(v_left=speed - half, v_right=speed + half)
@@ -223,16 +227,17 @@ def _drive_terrestrial(pose: np.ndarray, ref: np.ndarray, cruise: float,
 def _drive_aquatic(pose: np.ndarray, ref: np.ndarray, cruise: float) -> AquaticInput:
     """Steered-surge pursuit; keeps way on while turning since the craft
     cannot yaw at zero speed."""
-    dx = ref[0] - pose[0]
-    dy = ref[1] - pose[1]
-    dist = math.hypot(dx, dy)
-    desired = math.atan2(dy, dx) if dist > 0.05 else ref[3]
-    err = wrap_angle(desired - pose[2])
-    speed = min(_K_DIST * dist, _CATCH_UP * cruise) * max(0.3, math.cos(err))
-    if dist <= 0.05:
-        speed = 0.0
+    dist, err, speed = _pursuit(pose, ref, cruise, 0.3)
     steer = float(np.clip(_K_HEAD * err, -_STEER_MAX, _STEER_MAX))
-    return AquaticInput(speed=speed, steering=steer)
+    return AquaticInput(speed=0.0 if dist <= 0.05 else speed, steering=steer)
+
+
+def _resting_state(x: float, y: float, yaw: float) -> np.ndarray:
+    """The level, motionless 13-state at ``(x, y)`` on the surface."""
+    x13 = np.zeros(13)
+    x13[0:2] = (x, y)
+    x13[6:10] = quat_from_yaw(yaw)
+    return x13
 
 
 class _Runner:
@@ -251,15 +256,15 @@ class _Runner:
         self.pose = np.array([mission.start[0], mission.start[1], 0.0])
         self.x13: np.ndarray | None = None
         self.gen = ReferenceGenerator(mission, scfg)
-        self.pid = CascadePid(config)
-        self.nmpc = NmpcController(config) if controller == "nmpc" else None
+        self.controller = NmpcController(config) if controller == "nmpc" else CascadePid(config)
 
         self.seg_idx = -1
         self.seg_t0 = 0.0
         self.stable_since: float | None = None
 
         self.aerial_u = AerialInput(c=0.0, torque=np.zeros(3))
-        self.surface_u = None
+        # Forward speed and heading rate of the held surface command.
+        self.rates = (0.0, 0.0)
         self.force_solve = True
         self.cost = 0.0
         self.iters = 0
@@ -283,7 +288,7 @@ class _Runner:
     def speed(self) -> float:
         if self.mode.medium is Medium.AERIAL:
             return math.hypot(*self.x13[3:6].tolist())
-        return abs(_planar_rates(self.surface_u, self.params)[0])
+        return abs(self.rates[0])
 
     # -- mode transitions ----------------------------------------------
 
@@ -291,25 +296,15 @@ class _Runner:
         old = self.mode
         new = step_fsm(old, event)
         if event.kind is EventKind.GEAR_CONFIGURED:
-            x13 = np.zeros(13)
-            x13[0:2] = self.pose[0:2]
-            x13[6:10] = quat_from_yaw(self.pose[2])
-            self.x13 = x13
+            self.x13 = _resting_state(*self.pose.tolist())
         elif event.kind is EventKind.ENTERED_WATER:
-            yaw = quat_yaw(self.x13[6:10])
-            self.pose = np.array([self.x13[0], self.x13[1], yaw])
+            self.pose = np.array([self.x13[0], self.x13[1], quat_yaw(self.x13[6:10])])
             self.x13 = None
-            self.surface_u = None
+            self.rates = (0.0, 0.0)
         elif event.kind is EventKind.TOUCHED_DOWN:
-            yaw = quat_yaw(self.x13[6:10])
-            x13 = np.zeros(13)
-            x13[0:2] = self.x13[0:2]
-            x13[6:10] = quat_from_yaw(yaw)
-            self.x13 = x13
+            self.x13 = _resting_state(self.x13[0], self.x13[1], quat_yaw(self.x13[6:10]))
         if new.substate is SubState.TAKEOFF and old.substate is not SubState.TAKEOFF:
-            self.pid.reset()
-            if self.nmpc is not None:
-                self.nmpc.reset()
+            self.controller.reset()
             self.force_solve = True
         self.mode = new
         self.transitions.append((t, old.label(), event.label(), new.label()))
@@ -373,40 +368,29 @@ class _Runner:
     def control(self, t: float, k: int, ref: np.ndarray) -> None:
         mode = self.mode
         scfg = self.cfg.sim
-        if mode.medium is Medium.TERRESTRIAL:
-            if mode.substate is SubState.DRIVING:
-                self.surface_u = _drive_terrestrial(
-                    self.pose, ref, scfg.cruise_ground, self.params.track_width
-                )
-            else:
-                self.surface_u = TerrestrialInput(0.0, 0.0)
+        flying = mode.medium is Medium.AERIAL and mode.substate is not SubState.STATIC
+        solver = isinstance(self.controller, NmpcController)
+        if not (flying and solver):
+            # Between solves the solver's ticks keep the last solve's figures.
             self.cost, self.iters = 0.0, 0
-            return
-        if mode.medium is Medium.AQUATIC:
-            if mode.substate is SubState.DRIVING:
-                self.surface_u = _drive_aquatic(self.pose, ref, scfg.cruise_water)
-            else:
-                self.surface_u = AquaticInput(0.0, 0.0)
-            self.cost, self.iters = 0.0, 0
-            return
-        if mode.substate is SubState.STATIC:
-            self.aerial_u = AerialInput(c=0.0, torque=np.zeros(3))
-            self.cost, self.iters = 0.0, 0
-            return
-        if self.nmpc is not None:
-            if k % self.nmpc_every == 0 or self.force_solve:
-                # Output j is one period after input j: rows 1..N.
-                refs = self.gen.preview(t, self.cfg.nmpc.horizon + 1,
-                                        self.cfg.nmpc.period)[1:]
-                self.aerial_u = self.nmpc.step(self.x13, refs)
-                sol = self.nmpc.last_solution
-                self.cost = float(sol.cost) if sol is not None else 0.0
-                self.iters = int(sol.iterations) if sol is not None else 0
-                self.force_solve = False
-        else:
+        if mode.medium is not Medium.AERIAL:
+            u = None  # at rest
+            if mode.substate is SubState.DRIVING and mode.medium is Medium.TERRESTRIAL:
+                u = _drive_terrestrial(self.pose, ref, scfg.cruise_ground, self.params.track_width)
+            elif mode.substate is SubState.DRIVING:
+                u = _drive_aquatic(self.pose, ref, scfg.cruise_water)
+            self.rates = _planar_rates(u, self.params)
+        elif flying and not solver:
             state = VehicleState.from_vector(self.x13)
-            self.aerial_u = self.pid.step(state, ref[:3], ref[3], self.tick)
-            self.cost, self.iters = 0.0, 0
+            self.aerial_u = self.controller.step(state, ref[:3], ref[3], self.tick)
+        elif flying and (k % self.nmpc_every == 0 or self.force_solve):
+            # Output j is one period after input j: rows 1..N.
+            refs = self.gen.preview(t, self.cfg.nmpc.horizon + 1, self.cfg.nmpc.period)[1:]
+            self.aerial_u = self.controller.step(self.x13, refs)
+            sol = self.controller.last_solution
+            self.cost = float(sol.cost) if sol is not None else 0.0
+            self.iters = int(sol.iterations) if sol is not None else 0
+            self.force_solve = False
 
     def actuate(self) -> None:
         """Realize the held command as the applied wrench, rotors and servo.
@@ -424,8 +408,9 @@ class _Runner:
             self.applied = np.array([applied.c, *applied.torque.tolist()])
             self.rotors = cmd.rotor_speeds
             self.servo = cmd.servo
-        elif mode.medium is Medium.AQUATIC and isinstance(self.surface_u, AquaticInput):
-            self.rotors = aquatic_rotor_speeds(self.surface_u.speed, self.params)
+        elif mode.medium is Medium.AQUATIC:
+            # An aquatic command's forward speed is its surge speed.
+            self.rotors = aquatic_rotor_speeds(self.rates[0], self.params)
 
     def integrate(self) -> None:
         mode = self.mode
@@ -439,10 +424,8 @@ class _Runner:
             if max(map(abs, x[0:3].tolist())) > _POSITION_RUNAWAY:
                 raise DivergenceError("aerial state diverged", state=x)
             return
-        if mode.substate is not SubState.DRIVING:
-            return
-        speed, turn = _planar_rates(self.surface_u, self.params)
-        self.pose = _planar_rk4(self.pose, speed, turn, dt, self.substeps)
+        if mode.substate is SubState.DRIVING:
+            self.pose = _planar_rk4(self.pose, *self.rates, dt, self.substeps)
 
     def log_row(self, t: float, ref: np.ndarray) -> None:
         """Record tick ``t``; reads what ``actuate`` set and changes nothing."""
@@ -459,7 +442,7 @@ class _Runner:
         else:
             # The planar pose expanded into the 13 state cells.
             x, y, heading = self.pose.tolist()
-            speed, turn = _planar_rates(self.surface_u, self.params)
+            speed, turn = self.rates
             row[_STATE] = [x, y, 0.0, speed * math.cos(heading), speed * math.sin(heading),
                            0.0, *quat_from_yaw(heading).tolist(), 0.0, 0.0, turn]
         row[_REF] = ref

@@ -7,6 +7,10 @@ optimizer contracts, the mode machine, the builtin mission closed loop
 under both controllers, the directional controller comparison, and
 byte-level run determinism.
 
+Criteria 5-7 read the builtin route flown once per controller through
+the CLI (``simulate_builtin``); under pytest that is the session fixture
+``builtin_runs`` of ``conftest.py``, which other modules share.
+
 Runs under pytest or directly (``python3 tests/test_acceptance.py``).
 """
 
@@ -21,8 +25,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cyclosim import cli
 from cyclosim.cli import main
-from cyclosim.config import GRAVITY, default_config
+from cyclosim.config import ENV_CONFIG_VAR, GRAVITY, default_config
 from cyclosim.dynamics import (
     QUAT_SLICE,
     AerialInput,
@@ -67,6 +72,7 @@ from cyclosim.nmpc import (
     solve,
     tilt_penalty,
 )
+from cyclosim.sim import RunLog, run
 
 K = EventKind
 C = CommandId
@@ -445,6 +451,9 @@ class CliRun:
     t: np.ndarray
     pos: np.ndarray
     metrics: dict
+    log: RunLog
+    argv: tuple
+    out_dir: Path
 
 
 def _parse_log(path):
@@ -463,37 +472,44 @@ def _parse_metrics(path):
     return out
 
 
-def _simulate_builtin(controller, out_dir):
-    argv = [
+def _invoke(argv):
+    """``main(argv)`` with the default config: exit code, stdout, wall time
+    and the ``RunLog`` that the CLI flew, kept by wrapping ``cli.run``."""
+    kept = []
+
+    def keep(*args, **kwargs):
+        kept.append(run(*args, **kwargs))
+        return kept[-1]
+
+    buf = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(ENV_CONFIG_VAR, raising=False)
+        patch.setattr(cli, "run", keep)
+        t0 = time.perf_counter()
+        with redirect_stdout(buf):
+            code = main(list(argv))
+        wall = time.perf_counter() - t0
+    return code, buf.getvalue(), wall, kept[-1] if kept else None
+
+
+def simulate_builtin(controller, out_dir):
+    """Fly the builtin route under ``controller`` through the CLI into ``out_dir``."""
+    argv = (
         "simulate", "--mission", "builtin",
         "--controller", controller, "--out", str(out_dir),
-    ]
-    buf = io.StringIO()
-    t0 = time.perf_counter()
-    with redirect_stdout(buf):
-        code = main(argv)
-    wall = time.perf_counter() - t0
+    )
+    code, stdout, wall, log = _invoke(argv)
     t, pos = _parse_log(out_dir / f"builtin_{controller}.csv")
     metrics = _parse_metrics(out_dir / f"builtin_{controller}_metrics.txt")
-    return CliRun(code, wall, buf.getvalue(), t, pos, metrics)
+    return CliRun(code, wall, stdout, t, pos, metrics, log, argv, out_dir)
 
 
-@pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    return {
-        controller: _simulate_builtin(
-            controller, tmp_path_factory.mktemp(f"accept_{controller}")
-        )
-        for controller in ("pid", "nmpc")
-    }
-
-
-def test_criterion_5_mission_regression(runs):
+def test_criterion_5_mission_regression(builtin_runs):
     t0 = time.perf_counter()
     failures = []
     targets = [seg.target for seg in builtin_mission().segments]
     for controller in ("pid", "nmpc"):
-        r = runs[controller]
+        r = builtin_runs[controller]
         _check(failures, r.exit_code == 0,
                f"{controller}: exit code {r.exit_code}")
         last = r.stdout.strip().splitlines()[-1]
@@ -515,8 +531,8 @@ def test_criterion_5_mission_regression(runs):
     print(
         "       wall: pid {:.1f} s, nmpc {:.1f} s; simulated: pid {:.1f} s, "
         "nmpc {:.1f} s".format(
-            runs["pid"].wall_s, runs["nmpc"].wall_s,
-            float(runs["pid"].t[-1]), float(runs["nmpc"].t[-1]),
+            builtin_runs["pid"].wall_s, builtin_runs["nmpc"].wall_s,
+            float(builtin_runs["pid"].t[-1]), float(builtin_runs["nmpc"].t[-1]),
         ),
         flush=True,
     )
@@ -529,10 +545,10 @@ AERIAL_SEGMENTS = [
 ]
 
 
-def test_criterion_6_controller_comparison(runs):
+def test_criterion_6_controller_comparison(builtin_runs):
     t0 = time.perf_counter()
     failures = []
-    pid, nmpc = runs["pid"].metrics, runs["nmpc"].metrics
+    pid, nmpc = builtin_runs["pid"].metrics, builtin_runs["nmpc"].metrics
 
     key = "seg1_takeoff_overshoot_z_pct"
     os_pid, os_nmpc = float(pid[key]), float(nmpc[key])
@@ -548,20 +564,19 @@ def test_criterion_6_controller_comparison(runs):
     _finish(6, "controller comparison", failures, t0)
 
 
-def test_criterion_7_determinism(tmp_path):
+def test_criterion_7_determinism(builtin_runs):
+    # The shared pid run is the first invocation; the same argv runs once
+    # more into the same directory, after the first log is taken and removed.
     t0 = time.perf_counter()
     failures = []
-    out = tmp_path / "repeat"
-    argv = [
-        "simulate", "--mission", "builtin",
-        "--controller", "pid", "--out", str(out),
-    ]
-    snapshots = []
-    for _ in range(2):
-        with redirect_stdout(io.StringIO()):
-            code = main(argv)
-        _check(failures, code == 0, f"exit code {code}")
-        snapshots.append((out / "builtin_pid.csv").read_bytes())
+    first = builtin_runs["pid"]
+    _check(failures, first.exit_code == 0, f"exit code {first.exit_code}")
+    path = first.out_dir / "builtin_pid.csv"
+    snapshots = [path.read_bytes()]
+    path.unlink()
+    code = _invoke(first.argv)[0]
+    _check(failures, code == 0, f"exit code {code}")
+    snapshots.append(path.read_bytes() if path.exists() else b"")
     _check(failures, snapshots[0] == snapshots[1],
            "consecutive identical invocations wrote different logs")
     _finish(7, "determinism", failures, t0)
@@ -588,10 +603,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as td:
         base = Path(td)
         both = {
-            controller: _simulate_builtin(controller, base / controller)
+            controller: simulate_builtin(controller, base / controller)
             for controller in ("pid", "nmpc")
         }
         attempt("mission", test_criterion_5_mission_regression, both)
         attempt("comparison", test_criterion_6_controller_comparison, both)
-        attempt("determinism", test_criterion_7_determinism, base)
+        attempt("determinism", test_criterion_7_determinism, both)
     sys.exit(1 if failed else 0)

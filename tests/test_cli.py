@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from cyclosim import cli
+from cyclosim import cli, sim
 from cyclosim.cli import main
 from cyclosim.errors import MissionError
 from cyclosim.fsm import Medium
@@ -310,12 +310,21 @@ class TestSimulate:
 
 
 class TestCompare:
-    def test_self_comparison_is_identical(self, mini_path, tmp_path, capsys):
+    def test_self_comparison_is_identical(self, mini_path, tmp_path, capsys, monkeypatch):
+        measured = []
+
+        def counted(log, mission):
+            measured.append(sim.compute_metrics(log, mission))
+            return measured[-1]
+
+        monkeypatch.setattr(cli, "compute_metrics", counted)
         code = main([
             "compare", "--mission", str(mini_path),
             "--left", "pid", "--right", "pid", "--out", str(tmp_path),
         ])
         assert code == 0
+        # Each side's metrics are computed once, for its file and the table.
+        assert len(measured) == 2
         left = (tmp_path / "mini_left_pid.csv").read_bytes()
         right = (tmp_path / "mini_right_pid.csv").read_bytes()
         assert left == right

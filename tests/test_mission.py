@@ -38,6 +38,11 @@ def cfg():
     return SimConfig()
 
 
+def _schedule_done(gen: ReferenceGenerator, t: float) -> bool:
+    """True once the generator's position schedule has clamped at the target."""
+    return t - gen._t0 >= sum(leg[3] for leg in gen._legs)
+
+
 class TestSegmentValidation:
     def test_band_enforced_per_medium(self):
         with pytest.raises(MissionError):
@@ -190,10 +195,10 @@ class TestReferenceGenerator:
     def test_clamps_and_holds_at_target(self, mission, cfg):
         gen = ReferenceGenerator(mission, cfg)
         gen.activate(0, 0.0, mission.start)
-        assert not gen.schedule_done(10.0)
+        assert not _schedule_done(gen, 10.0)
         ref = gen.step(1000.0, cfg.controller_period)
         assert np.allclose(ref[:3], mission.segments[0].target, atol=1e-12)
-        assert gen.schedule_done(1000.0)
+        assert _schedule_done(gen, 1000.0)
 
     def test_takeoff_climbs_before_lateral(self, mission, cfg):
         gen = ReferenceGenerator(mission, cfg)
@@ -229,7 +234,7 @@ class TestReferenceGenerator:
         gen.activate(2, 0.0, np.array([100.0, 0.0, 100.0]))
         for k in range(200):
             gen.step(k * cfg.controller_period, cfg.controller_period)
-        yaw_in = gen.yaw
+        yaw_in = gen._yaw
         gen.activate(3, 2.0, mission.segments[2].target)
         ref = gen.step(2.5, cfg.controller_period)
         assert ref[3] == yaw_in
@@ -252,7 +257,7 @@ class TestReferenceGenerator:
             bound = max(cruise, cfg.land_speed) * dt + 1e-9
             prev = gen.step(t, dt)
             k = 0
-            while not gen.schedule_done(t + k * dt):
+            while not _schedule_done(gen, t + k * dt):
                 k += 1
                 cur = gen.step(t + k * dt, dt)
                 assert np.linalg.norm(cur[:3] - prev[:3]) <= bound
@@ -264,12 +269,12 @@ class TestReferenceGenerator:
         gen = ReferenceGenerator(mission, cfg)
         gen.activate(2, 0.0, np.array([100.0, 0.0, 100.0]))
         gen.step(1.0, cfg.controller_period)
-        yaw_before = gen.yaw
+        yaw_before = gen._yaw
         a = gen.preview(1.0, 16, 0.05)
         b = gen.preview(1.0, 16, 0.05)
         assert np.array_equal(a, b)
         assert a.shape == (16, 4)
-        assert gen.yaw == yaw_before
+        assert gen._yaw == yaw_before
         assert np.allclose(a[0, :3], gen.step(1.0, cfg.controller_period)[:3])
 
     def test_preview_slews_yaw_forward(self, mission, cfg):

@@ -9,6 +9,11 @@ of its medium, and a reference that moves at most one tick of the fastest
 configured speed and yaw slew from the row before.  A second run of a
 realizable mission writes byte-identical files.
 
+A few realizable missions that fly are also flown under ``nmpc`` with a
+short limit: each run ends exactly one way, its rows pass the same checks,
+and every solve that returns predicts roll and pitch within ``tilt_max``
+plus the solver's ``_TILT_SLACK``, unless it fell back to braking inputs.
+
 Missions have 0-6 segments with random actions and media, including orders
 the transition table rejects.  Targets lie inside their medium's site band
 and a few metres from one band edge, so legs are short; even so, a takeoff
@@ -24,9 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclosim import nmpc
 from cyclosim.config import default_config
 from cyclosim.errors import MissionError
 from cyclosim.fsm import Medium, initial_state
+from cyclosim.geometry import quat_roll_pitch
 from cyclosim.mission import (
     MEDIUM_BANDS,
     Action,
@@ -35,12 +42,17 @@ from cyclosim.mission import (
     mission_events,
     mission_plan,
 )
+from cyclosim.nmpc import _braking_inputs as braking_inputs
+from cyclosim.nmpc import solve
 from cyclosim.sim import compute_metrics, run, save_log, save_metrics
 
 CONFIG = default_config()
 TIME_LIMIT = 10.0
 # The repeat test flies each mission twice, so under a shorter limit.
 REPEAT_LIMIT = 3.0
+# The solver costs far more per tick than pid: few missions, a short limit.
+NMPC_MISSIONS = 5
+NMPC_LIMIT = 3.0
 # Each mission stays within this many metres of one band edge: the land-air
 # edge, where drives are on the ground, or the air-water edge, where they
 # are on the water.  Targets lie inside their medium's band.
@@ -114,6 +126,12 @@ def test_run_follows_plan(mission):
         assert logged == expected
         last = plan[-1].mode if plan else initial_state()
         assert (log.medium[-1], log.substate[-1]) == (last.medium.value, last.substate.value)
+    _check_rows(log)
+
+
+def _check_rows(log) -> None:
+    """Every row holds a legal mode, the actuators of its medium, and a
+    reference within one tick of the row before."""
     assert set(zip(log.medium, log.substate)) <= _LEGAL
     media = np.array(log.medium)
     ground, water = media == "terrestrial", media == "aquatic"
@@ -124,6 +142,39 @@ def test_run_follows_plan(mission):
     assert np.all(step <= _MAX_REF_STEP)
     yaw_step = np.abs(np.remainder(np.diff(log.ref[:, 3]) + math.pi, 2.0 * math.pi) - math.pi)
     assert np.all(yaw_step <= _MAX_YAW_STEP)
+
+
+def _flies(mission: Mission) -> bool:
+    """A realizable mission with an aerial segment, so the solver runs."""
+    return _plannable(mission) and any(s.medium is Medium.AERIAL for s in mission.segments)
+
+
+@settings(max_examples=NMPC_MISSIONS, deadline=None, derandomize=True)
+@given(mission=missions().filter(_flies))
+def test_nmpc_run_keeps_the_invariants(mission):
+    # Each returned solve is kept with whether it fell back to braking.
+    solves, braked = [], []
+
+    def spied_braking(*args):
+        braked.append(True)
+        return braking_inputs(*args)
+
+    def spied_solve(*args):
+        braked.clear()
+        sol = solve(*args)
+        solves.append((sol, bool(braked)))
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nmpc, "solve", spied_solve)
+        patch.setattr(nmpc, "_braking_inputs", spied_braking)
+        log = run(CONFIG, mission, "nmpc", time_limit=NMPC_LIMIT)
+    assert [log.completed, log.time_limit_hit, log.diverged].count(True) == 1
+    _check_rows(log)
+    bound = CONFIG.nmpc.tilt_max + nmpc._TILT_SLACK
+    for sol, brake in solves:
+        tilt = max(abs(a) for x in sol.states[1:] for a in quat_roll_pitch(x[6:10]))
+        assert brake or tilt <= bound
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

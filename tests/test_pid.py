@@ -15,6 +15,11 @@ from cyclosim.pid import CascadePid, PidChannelState, attitude_loop, pid_step, p
 G = 9.81
 
 
+def _as_vector(u) -> np.ndarray:
+    """The plant's (c, tau_x, tau_y, tau_z) input vector of an AerialInput."""
+    return np.array([u.c, u.torque[0], u.torque[1], u.torque[2]])
+
+
 def fresh_states():
     return (PidChannelState(), PidChannelState(), PidChannelState())
 
@@ -158,7 +163,7 @@ class TestClosedLoop:
         while t < duration:
             s = VehicleState.from_vector(x)
             u = ctrl.step(s, np.asarray(ref, dtype=float), yaw_ref, cfg.sim.controller_period)
-            u_vec = u.as_vector()
+            u_vec = _as_vector(u)
             for _ in range(n_sub):
                 x = aerial_step(x, u_vec, p, cfg.dt)
                 t += cfg.dt
@@ -190,7 +195,7 @@ class TestClosedLoop:
         x = hover_state((0.0, 0.0, 1.0)).as_vector()
         for _ in range(600):
             s = VehicleState.from_vector(x)
-            u = ctrl.step(s, np.array([0.0, 0.0, 1.0]), math.pi / 2, 0.01).as_vector()
+            u = _as_vector(ctrl.step(s, np.array([0.0, 0.0, 1.0]), math.pi / 2, 0.01))
             for _ in range(10):
                 x = aerial_step(x, u, p, cfg.dt)
         yaw = 2.0 * math.atan2(x[9], x[6])

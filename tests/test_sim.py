@@ -4,9 +4,9 @@ Oracles: the mode trace is restated literally and compared against the
 logged transitions; log invariants (fixed tick, medium bands, legal mode
 pairs, held inputs between solver ticks) are checked row by row; metric
 definitions are checked on synthetic logs whose answers are computed by
-hand (10 percent overshoot, shift invariance, zero error).  The full
-mission runs once per controller at module scope and every test reads
-from those logs.
+hand (10 percent overshoot, shift invariance, zero error).  The builtin
+route's checks read the suite's one ``pid`` flight of it (the session
+fixture ``builtin_runs``); the other runs are short.
 """
 
 import dataclasses
@@ -68,8 +68,9 @@ def mission():
 
 
 @pytest.fixture(scope="module")
-def pid_log(cfg, mission):
-    return run(cfg, mission, controller="pid")
+def pid_log(builtin_runs):
+    """The log of the builtin route under ``pid`` with the default config."""
+    return builtin_runs["pid"].log
 
 
 def mini_mission() -> Mission:
@@ -149,9 +150,22 @@ class TestBuiltinPidRun:
             assert all(v >= 0.0 for v in seg.overshoot)
             assert all(v >= 0.0 for v in seg.settling)
             assert seg.duration >= 0.0
-        arrivals = metrics.arrival_times()
-        assert list(arrivals) == sorted(arrivals)
+        arrivals = [s.arrival_time for s in metrics.segments]
+        assert arrivals == sorted(arrivals)
         assert metrics.total_time == pid_log.t[-1]
+
+    def test_logged_heading_rate_is_integrated(self, pid_log):
+        # Between two rows of one surface drive the heading (from the logged
+        # quaternion) advances by the first row's logged wz over one tick.
+        yaw = 2.0 * np.arctan2(pid_log.state[:, 9], pid_log.state[:, 6])
+        advance = np.remainder(np.diff(yaw) + math.pi, 2.0 * math.pi) - math.pi
+        mode = list(zip(pid_log.medium, pid_log.substate))
+        pairs = [i for i in range(len(pid_log) - 1)
+                 if mode[i] == mode[i + 1] and mode[i][1] == "driving"]
+        wz = pid_log.state[pairs, 12]
+        assert {mode[i][0] for i in pairs} == {"terrestrial", "aquatic"}
+        assert np.count_nonzero(wz) > 0
+        assert np.all(np.abs(advance[pairs] - wz * 0.01) <= 1e-9)
 
 
 class TestMiniRuns:
