@@ -38,6 +38,7 @@ import numpy as np
 
 from .config import GRAVITY, Config
 from .errors import DivergenceError, SaturationError
+from .geometry import _vector
 
 __all__ = [
     "VehicleParams",
@@ -107,16 +108,14 @@ class VehicleParams:
     servo_max: float = Config.servo_max
 
     def __post_init__(self):
-        inertia = np.asarray(self.inertia, dtype=float)
-        if inertia.shape != (3,):
-            raise ValueError("inertia must have shape (3,)")
+        inertia = _vector(self.inertia, 3, "inertia")
         object.__setattr__(self, "inertia", inertia)
         for name in (f.name for f in fields(self) if f.name != "inertia"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be a positive finite number")
-        if not (np.isfinite(inertia).all() and (inertia > 0.0).all()):
-            raise ValueError("inertia entries must be positive and finite")
+        if not (inertia > 0.0).all():
+            raise ValueError("inertia entries must be positive")
 
     @classmethod
     def from_config(cls, cfg: Config) -> "VehicleParams":
@@ -142,12 +141,7 @@ class VehicleState:
             ("quaternion", 4),
             ("body_rates", 3),
         ):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (dim,):
-                raise ValueError(f"{name} must have shape ({dim},)")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _vector(getattr(self, name), dim, name))
         n = math.hypot(*self.quaternion.tolist()) ** 2
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"quaternion norm^2 = {n!r}, expected 1")
@@ -192,14 +186,11 @@ class AerialInput:
     torque: np.ndarray
 
     def __post_init__(self):
-        torque = np.asarray(self.torque, dtype=float)
-        if torque.shape != (3,):
-            raise ValueError("torque must have shape (3,)")
-        if not (math.isfinite(self.c) and np.isfinite(torque).all()):
-            raise ValueError("aerial input must be finite")
+        object.__setattr__(self, "torque", _vector(self.torque, 3, "torque"))
+        if not math.isfinite(self.c):
+            raise ValueError("collective thrust c must be finite")
         if self.c < 0.0:
             raise ValueError("collective thrust c must be >= 0")
-        object.__setattr__(self, "torque", torque)
 
 
 @dataclass(frozen=True)
@@ -236,12 +227,9 @@ class ActuatorCommand:
     servo: float
 
     def __post_init__(self):
-        speeds = np.asarray(self.rotor_speeds, dtype=float)
-        if speeds.shape != (4,):
-            raise ValueError("rotor_speeds must have shape (4,)")
-        if not (np.isfinite(speeds).all() and math.isfinite(self.servo)):
-            raise ValueError("actuator command must be finite")
-        object.__setattr__(self, "rotor_speeds", speeds)
+        object.__setattr__(self, "rotor_speeds", _vector(self.rotor_speeds, 4, "rotor_speeds"))
+        if not math.isfinite(self.servo):
+            raise ValueError("servo must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -294,39 +282,23 @@ def aerial_derivative(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndar
     (13,) ndarray
         Time derivative of the state.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (STATE_DIM,):
-        raise ValueError(f"state must have shape ({STATE_DIM},)")
-    if u.shape != (4,):
-        raise ValueError("input must have shape (4,)")
-    if not (np.isfinite(x).all() and np.isfinite(u).all()):
-        raise ValueError("state and input must be finite")
-    return _aerial_rhs(x, u, p)
+    return _aerial_rhs(_vector(x, STATE_DIM, "state"), _vector(u, 4, "input"), p)
 
 
 def _planar_rates(u, p: VehicleParams) -> tuple:
-    """Forward speed and heading rate of a surface input.
+    """Forward speed and heading rate of a terrestrial or aquatic input.
 
     The one copy of the surface input maps, shared by the derivatives, the
-    plant kernel and the runner.  Anything but a terrestrial or aquatic
-    input (the runner passes ``None`` in a surface mode at rest) is at
-    rest.
+    plant kernel and the runner.
     """
     if isinstance(u, TerrestrialInput):
         return 0.5 * (u.v_right + u.v_left), (u.v_right - u.v_left) / p.track_width
-    if isinstance(u, AquaticInput):
-        return u.speed, u.speed * math.tan(u.steering) / p.wheelbase
-    return 0.0, 0.0
+    return u.speed, u.speed * math.tan(u.steering) / p.wheelbase
 
 
 def _planar_derivative(pose, u, kind: type, p: VehicleParams) -> np.ndarray:
     """Validated ``(s cos h, s sin h, r)`` for a pose and a ``kind`` input."""
-    pose = np.asarray(pose, dtype=float)
-    if pose.shape != (3,):
-        raise ValueError("pose must have shape (3,)")
-    if not np.isfinite(pose).all():
-        raise ValueError("pose must be finite")
+    pose = _vector(pose, 3, "pose")
     if not isinstance(u, kind):
         raise TypeError(f"expected {kind.__name__}, got {type(u).__name__}")
     speed, turn = _planar_rates(u, p)

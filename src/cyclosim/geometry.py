@@ -102,14 +102,20 @@ def euler_to_rotation(e: EulerAngles) -> np.ndarray:
     )
 
 
+def _vector(value, n: int, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError naming ``name`` unless it has shape
+    ``(n,)`` and finite entries.  Checks every public vector input here and in dynamics."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},)")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def body_to_world_velocity(e: EulerAngles, v_body: np.ndarray) -> np.ndarray:
     """Rotate a body-frame velocity vector into the world frame."""
-    v_body = np.asarray(v_body, dtype=float)
-    if v_body.shape != (3,):
-        raise ValueError("v_body must have shape (3,)")
-    if not np.isfinite(v_body).all():
-        raise ValueError("v_body must be finite")
-    return euler_to_rotation(e) @ v_body
+    return euler_to_rotation(e) @ _vector(v_body, 3, "v_body")
 
 
 def euler_rate_matrix(e: EulerAngles) -> np.ndarray:
@@ -130,12 +136,7 @@ def euler_rate_matrix(e: EulerAngles) -> np.ndarray:
 
 def euler_rates_to_body_rates(e: EulerAngles, rates: np.ndarray) -> np.ndarray:
     """Map Euler-angle rates (roll_dot, pitch_dot, yaw_dot) to body rates."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != (3,):
-        raise ValueError("rates must have shape (3,)")
-    if not np.isfinite(rates).all():
-        raise ValueError("rates must be finite")
-    return euler_rate_matrix(e) @ rates
+    return euler_rate_matrix(e) @ _vector(rates, 3, "rates")
 
 
 def body_rates_to_euler_rates(e: EulerAngles, omega: np.ndarray) -> np.ndarray:
@@ -146,11 +147,7 @@ def body_rates_to_euler_rates(e: EulerAngles, omega: np.ndarray) -> np.ndarray:
     GimbalLockError
         If ``|cos(pitch)|`` is at or below the singularity threshold.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (3,):
-        raise ValueError("omega must have shape (3,)")
-    if not np.isfinite(omega).all():
-        raise ValueError("omega must be finite")
+    omega = _vector(omega, 3, "omega")
     ct = math.cos(e.pitch)
     if abs(ct) <= GIMBAL_COS_PITCH_MIN:
         raise GimbalLockError(
@@ -194,11 +191,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     ValueError
         If q has (near-)zero norm or non-finite entries.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError("quaternion must have shape (4,)")
-    if not np.isfinite(q).all():
-        raise ValueError("quaternion must be finite")
+    q = _vector(q, 4, "quaternion")
     n = math.hypot(*q.tolist())
     if n < 1e-12:
         raise ValueError("cannot normalize a zero-norm quaternion")
@@ -257,13 +250,7 @@ def quat_derivative(q: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
     The result is orthogonal to q (norm is preserved by the flow).
     """
-    q = np.asarray(q, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if q.shape != (4,) or omega.shape != (3,):
-        raise ValueError("expected q of shape (4,) and omega of shape (3,)")
-    if not (np.isfinite(q).all() and np.isfinite(omega).all()):
-        raise ValueError("q and omega must be finite")
-    return 0.5 * (omega_matrix(omega) @ q)
+    return 0.5 * (omega_matrix(_vector(omega, 3, "omega")) @ _vector(q, 4, "q"))
 
 
 def euler_to_quat(e: EulerAngles) -> np.ndarray:

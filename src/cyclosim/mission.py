@@ -95,7 +95,9 @@ class Segment:
     target : ndarray
         Waypoint (x, y, z), m.
     hold : float
-        Dwell time at the target for HOVER segments, s.
+        Dwell time at the target for HOVER segments, s.  The last segment
+        of a mission ends on arrival, within ``sim.arrival_radius`` of its
+        target, so a final hover's hold is not flown.
 
     Raises
     ------

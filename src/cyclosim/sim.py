@@ -366,24 +366,24 @@ class _Runner:
     # -- controllers ----------------------------------------------------
 
     def control(self, t: float, k: int, ref: np.ndarray) -> None:
-        mode = self.mode
+        medium = self.mode.medium
         scfg = self.cfg.sim
-        flying = mode.medium is Medium.AERIAL and mode.substate is not SubState.STATIC
         solver = isinstance(self.controller, NmpcController)
-        if not (flying and solver):
+        if not (medium is Medium.AERIAL and solver):
             # Between solves the solver's ticks keep the last solve's figures.
             self.cost, self.iters = 0.0, 0
-        if mode.medium is not Medium.AERIAL:
-            u = None  # at rest
-            if mode.substate is SubState.DRIVING and mode.medium is Medium.TERRESTRIAL:
-                u = _drive_terrestrial(self.pose, ref, scfg.cruise_ground, self.params.track_width)
-            elif mode.substate is SubState.DRIVING:
-                u = _drive_aquatic(self.pose, ref, scfg.cruise_water)
+        # A tick holds its segment's moving mode (``mission_plan``), never a
+        # static one; the empty mission's one tick drives at zero speed.
+        if medium is Medium.TERRESTRIAL:
+            u = _drive_terrestrial(self.pose, ref, scfg.cruise_ground, self.params.track_width)
             self.rates = _planar_rates(u, self.params)
-        elif flying and not solver:
+        elif medium is Medium.AQUATIC:
+            u = _drive_aquatic(self.pose, ref, scfg.cruise_water)
+            self.rates = _planar_rates(u, self.params)
+        elif not solver:
             state = VehicleState.from_vector(self.x13)
             self.aerial_u = self.controller.step(state, ref[:3], ref[3], self.tick)
-        elif flying and (k % self.nmpc_every == 0 or self.force_solve):
+        elif k % self.nmpc_every == 0 or self.force_solve:
             # Output j is one period after input j: rows 1..N.
             refs = self.gen.preview(t, self.cfg.nmpc.horizon + 1, self.cfg.nmpc.period)[1:]
             self.aerial_u = self.controller.step(self.x13, refs)
@@ -402,7 +402,7 @@ class _Runner:
         mode = self.mode
         self.applied = self.rotors = _IDLE
         self.servo = mode.servo
-        if mode.medium is Medium.AERIAL and mode.substate is not SubState.STATIC:
+        if mode.medium is Medium.AERIAL:
             cmd = allocate(self.aerial_u, self.params, strict=False)
             applied = forward_mix(cmd, self.params)
             self.applied = np.array([applied.c, *applied.torque.tolist()])
@@ -413,19 +413,15 @@ class _Runner:
             self.rotors = aquatic_rotor_speeds(self.rates[0], self.params)
 
     def integrate(self) -> None:
-        mode = self.mode
         dt = self.cfg.dt
-        if mode.medium is Medium.AERIAL:
-            if mode.substate is SubState.STATIC:
-                return
-            x = aerial_step(self.x13, self.applied, self.params, dt, self.substeps)
-            self.x13 = x
-            # aerial_step returns finite states only.
-            if max(map(abs, x[0:3].tolist())) > _POSITION_RUNAWAY:
-                raise DivergenceError("aerial state diverged", state=x)
-            return
-        if mode.substate is SubState.DRIVING:
+        if self.mode.medium is not Medium.AERIAL:
             self.pose = _planar_rk4(self.pose, *self.rates, dt, self.substeps)
+            return
+        x = aerial_step(self.x13, self.applied, self.params, dt, self.substeps)
+        self.x13 = x
+        # aerial_step returns finite states only.
+        if max(map(abs, x[0:3].tolist())) > _POSITION_RUNAWAY:
+            raise DivergenceError("aerial state diverged", state=x)
 
     def log_row(self, t: float, ref: np.ndarray) -> None:
         """Record tick ``t``; reads what ``actuate`` set and changes nothing."""
@@ -611,10 +607,8 @@ def compute_metrics(log: RunLog, mission: Mission) -> TrackingMetrics:
     return TrackingMetrics(segments=tuple(per_segment), total_time=float(log.t[-1]))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    return str(value)
+def _fmt(value: float) -> str:
+    return repr(float(value))
 
 
 def _csv_lines(log: RunLog):

@@ -18,6 +18,8 @@ from cyclosim.cli import main
 from cyclosim.errors import MissionError
 from cyclosim.fsm import Medium
 from cyclosim.mission import Action, Mission, Segment, save_mission
+from cyclosim.sim import SegmentMetrics, TrackingMetrics
+from test_mission import BAD_MISSION_FILES
 
 pytestmark = pytest.mark.usefixtures("keep_env_clean")
 
@@ -83,6 +85,14 @@ class TestValidateFsm:
         _, last = _last_line(capsys)
         assert last.startswith("error:")
         assert "segment 0" in last
+
+    @pytest.mark.parametrize("text, message", BAD_MISSION_FILES)
+    def test_bad_file_is_parse_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["validate-fsm", "--mission", str(path)]) == 3
+        _, last = _last_line(capsys)
+        assert last == f"error: {message}"
 
     def test_illegal_route_prints_only_the_error(self, tmp_path):
         """The plan tests legality quietly: no "ignored" warning precedes
@@ -204,6 +214,15 @@ class TestSimulate:
         _, last = _last_line(capsys)
         assert last == "error: segment 1: land segment targets must lie on the surface"
         assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_is_usage_error(self, mini_path, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["simulate", "--mission", str(mini_path), "--out", str(out)])
+        assert code == 2
+        _, last = _last_line(capsys)
+        assert last.startswith("error: output directory not writable:")
+        assert out.read_text() == ""
 
     def test_time_limit_exit_code(self, mini_path, tmp_path, capsys):
         code = main([
@@ -362,6 +381,34 @@ class TestCompare:
                         " with segment 0 active")
         assert (tmp_path / "mini_left_pid_metrics.txt").exists()
         assert not (tmp_path / "mini_right_nmpc.csv").exists()
+
+
+def _segment_metrics(index: int, action: str) -> SegmentMetrics:
+    return SegmentMetrics(index=index, action=action, rms=0.5, max_error=1.0,
+                          overshoot=(0.0, 0.0, 2.0), settling=(0.0, 0.0, 3.0),
+                          arrival_time=10.0, duration=5.0)
+
+
+class TestComparisonTable:
+    def test_rows_only_for_aerial_segments_logged_on_both_sides(self):
+        """Synthetic metrics, no flight: the surface segment 0, and segment
+        3, which only the left run logged, get no rows."""
+        target = np.array([100.0, 0.0, 5.0])
+        mission = Mission(segments=(
+            Segment(Medium.TERRESTRIAL, Action.DRIVE, np.array([100.0, 0.0, 0.0])),
+            Segment(Medium.AERIAL, Action.TAKEOFF, target),
+            Segment(Medium.AERIAL, Action.HOVER, target, hold=1.0),
+            Segment(Medium.AERIAL, Action.FLY_TO, np.array([110.0, 0.0, 5.0])),
+        ))
+        logged = [_segment_metrics(i, seg.action.value) for i, seg in enumerate(mission.segments)]
+        left = TrackingMetrics(segments=tuple(logged), total_time=20.0)
+        right = TrackingMetrics(segments=tuple(logged[:3]), total_time=15.0)
+        rows = cli._comparison_table(mission, "pid", "nmpc", left, right).splitlines()[1:]
+        assert [row.split()[:3] for row in rows] == [
+            [str(i), action, axis] for i, action in ((1, "takeoff"), (2, "hover"))
+            for axis in ("x", "y", "z")
+        ]
+        assert all(row.split()[-2:] == ["0.0000", "0.0000"] for row in rows)
 
 
 class TestEntryPoint:

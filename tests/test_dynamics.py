@@ -36,6 +36,7 @@ from cyclosim.dynamics import (
     terrestrial_derivative,
 )
 from cyclosim.errors import DivergenceError, SaturationError
+from test_geometry import check_vector_argument
 
 G = 9.81
 
@@ -585,3 +586,58 @@ class TestAllocation:
         thrust = 2.0 * params.k_f * w[2] ** 2
         assert thrust == pytest.approx(AQUATIC_DRAG_GAIN * 1.0**2)
         assert aquatic_rotor_speeds(0.0, params)[2] == 0.0
+
+
+def _state_with(name, value) -> VehicleState:
+    fields = dict(position=np.zeros(3), velocity=np.zeros(3),
+                  quaternion=np.array([1.0, 0.0, 0.0, 0.0]), body_rates=np.zeros(3))
+    return VehicleState(**{**fields, name: value})
+
+
+class TestInputChecks:
+    """Every vector field and argument is checked for shape and finiteness,
+    and every scalar input for finiteness; each error names what failed."""
+
+    @pytest.mark.parametrize("make, n, name", [
+        (lambda v: VehicleParams(inertia=v), 3, "inertia"),
+        (lambda v: _state_with("position", v), 3, "position"),
+        (lambda v: _state_with("velocity", v), 3, "velocity"),
+        (lambda v: _state_with("quaternion", v), 4, "quaternion"),
+        (lambda v: _state_with("body_rates", v), 3, "body_rates"),
+        (lambda v: AerialInput(c=9.81, torque=v), 3, "torque"),
+        (lambda v: ActuatorCommand(rotor_speeds=v, servo=0.0), 4, "rotor_speeds"),
+        (lambda v: aerial_derivative(v, np.zeros(4), VehicleParams()), STATE_DIM, "state"),
+        (lambda v: aerial_derivative(hover_state((0, 0, 1)).as_vector(), v, VehicleParams()),
+         4, "input"),
+        (lambda v: terrestrial_derivative(v, TerrestrialInput(1.0, 1.0), VehicleParams()),
+         3, "pose"),
+        (lambda v: aquatic_derivative(v, AquaticInput(1.0, 0.1), VehicleParams()), 3, "pose"),
+    ], ids=["inertia", "position", "velocity", "quaternion", "body_rates", "torque",
+            "rotor_speeds", "state", "input", "terrestrial_pose", "aquatic_pose"])
+    def test_vectors(self, make, n, name):
+        check_vector_argument(make, n, name)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalars(self, bad):
+        cases = [
+            (lambda: AerialInput(c=bad, torque=np.zeros(3)), "collective thrust c must be finite"),
+            (lambda: ActuatorCommand(rotor_speeds=np.zeros(4), servo=bad), "servo must be finite"),
+            (lambda: TerrestrialInput(v_left=bad, v_right=0.0), "wheel speeds must be finite"),
+            (lambda: TerrestrialInput(v_left=0.0, v_right=bad), "wheel speeds must be finite"),
+            (lambda: AquaticInput(speed=bad, steering=0.0), "aquatic input must be finite"),
+            (lambda: AquaticInput(speed=1.0, steering=bad), "aquatic input must be finite"),
+        ]
+        for make, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make()
+
+    @pytest.mark.parametrize("inertia", [[8e-3, 0.0, 1.2e-2], [8e-3, 8e-3, -1.2e-2]])
+    def test_inertia_entries_must_be_positive(self, inertia):
+        with pytest.raises(ValueError, match="^inertia entries must be positive$"):
+            VehicleParams(inertia=inertia)
+
+    def test_checked_fields_keep_a_float_array(self):
+        x = hover_state((1.0, 2.0, 3.0)).as_vector()
+        state = VehicleState(x[0:3], x[3:6], x[6:10], x[10:13])
+        assert np.shares_memory(state.position, x)
+        assert AerialInput(c=1, torque=[0, 0, 1]).torque.dtype == np.float64

@@ -218,3 +218,32 @@ class TestWrapAngle:
             assert -math.pi < w <= math.pi
             # Same angle modulo 2*pi.
             assert abs(math.remainder(a - w, 2 * math.pi)) < 1e-9
+
+
+def check_vector_argument(call, n: int, name: str) -> None:
+    """``call(v)`` rejects a ``v`` of the wrong shape and one with a NaN or
+    an infinity, with a ValueError that names the argument."""
+    for bad_shape in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+        with pytest.raises(ValueError, match=rf"^{name} must have shape \({n},\)$"):
+            call(bad_shape)
+    for bad in (math.nan, math.inf, -math.inf):
+        v = np.ones(n)
+        v[-1] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+            call(v)
+
+
+_TILTED = EulerAngles(0.1, -0.2, 0.3)
+_IDENTITY = [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("call, n, name", [
+    (lambda v: body_to_world_velocity(_TILTED, v), 3, "v_body"),
+    (lambda v: euler_rates_to_body_rates(_TILTED, v), 3, "rates"),
+    (lambda v: body_rates_to_euler_rates(_TILTED, v), 3, "omega"),
+    (quat_normalize, 4, "quaternion"),
+    (lambda v: quat_derivative(v, [0.0, 0.0, 1.0]), 4, "q"),
+    (lambda v: quat_derivative(_IDENTITY, v), 3, "omega"),
+], ids=["v_body", "rates", "omega", "normalize", "derivative_q", "derivative_omega"])
+def test_vector_arguments_are_checked(call, n, name):
+    check_vector_argument(call, n, name)

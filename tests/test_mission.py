@@ -8,6 +8,7 @@ every segment at controller-tick resolution.
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,12 +21,34 @@ from cyclosim.mission import (
     Mission,
     ReferenceGenerator,
     Segment,
+    atomic_write,
     builtin_mission,
     load_mission,
     mission_events,
     mission_plan,
     save_mission,
 )
+
+
+_FIRST = "segments:\n  - {medium: aerial, action: takeoff, target: [100, 0, 5]}\n"
+
+# Mission files the loader rejects, each with its MissionError's message;
+# a record error names the record's index.
+BAD_MISSION_FILES = [
+    pytest.param("- 1\n- 2\n", "mission file must hold a mapping", id="root"),
+    pytest.param(_FIRST + "  - 5\n", "segment 1: segment record must be a mapping",
+                 id="record"),
+    pytest.param(_FIRST + "  - {medium: aerial, action: hover, target: [100, 0, 5], speed: 3}\n",
+                 "segment 1: unknown keys ['speed']", id="record_keys"),
+    pytest.param(_FIRST + "  - {medium: aerial, action: hover}\n",
+                 "segment 1: missing key 'target'", id="missing_key"),
+    pytest.param(_FIRST + "  - {medium: space, action: hover, target: [100, 0, 5]}\n",
+                 "segment 1: unknown medium 'space'", id="medium"),
+    pytest.param(_FIRST + "  - {medium: aerial, action: hover, target: [100, 0, 5], hold: long}\n",
+                 "segment 1: hold must be a number", id="hold"),
+    pytest.param(_FIRST + "  - {medium: aerial, action: hover, target: [100, 0, 5], hold: true}\n",
+                 "segment 1: hold must be a number", id="hold_bool"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -339,11 +362,36 @@ class TestMissionFiles:
             load_mission(path)
 
     @pytest.mark.parametrize("text", ["segments: null\n", "segments: []\n",
-                                      "start: [0, 0, 0]\n"])
+                                      "start: [0, 0, 0]\n", ""])
     def test_null_or_missing_segments_mean_an_empty_route(self, tmp_path, text):
         path = tmp_path / "empty.yaml"
         path.write_text(text)
         assert len(load_mission(path)) == 0
+
+    @pytest.mark.parametrize("text, message", BAD_MISSION_FILES)
+    def test_bad_file_is_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(MissionError, match=f"^{re.escape(message)}$"):
+            load_mission(path)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_file(self, tmp_path, existing):
+        """A chunk source that raises leaves the target as it was and no
+        temp file behind."""
+        target = tmp_path / "out.txt"
+        if existing:
+            target.write_text("old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            atomic_write(target, chunks())
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["out.txt"] if existing else [])
+        if existing:
+            assert target.read_text() == "old\n"
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

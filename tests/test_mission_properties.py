@@ -6,7 +6,8 @@ message, or a short ``pid`` run ends exactly one way, logs a prefix of the
 plan's events, and, when it completes, logs all of them and ends in the
 last segment's planned mode.  Every row holds a legal mode, the actuators
 of its medium, and a reference that moves at most one tick of the fastest
-configured speed and yaw slew from the row before.  A second run of a
+configured speed and yaw slew from the row before; no row but the empty
+mission's one row holds a static sub-state.  A second run of a
 realizable mission writes byte-identical files.
 
 A few realizable missions that fly are also flown under ``nmpc`` with a
@@ -131,8 +132,11 @@ def test_run_follows_plan(mission):
 
 def _check_rows(log) -> None:
     """Every row holds a legal mode, the actuators of its medium, and a
-    reference within one tick of the row before."""
+    reference within one tick of the row before.  No tick is at rest: the
+    plan leaves each segment in a moving mode, so only the empty mission's
+    one row, with no transition, holds a static sub-state."""
     assert set(zip(log.medium, log.substate)) <= _LEGAL
+    assert "static" not in log.substate or (len(log) == 1 and not log.transitions)
     media = np.array(log.medium)
     ground, water = media == "terrestrial", media == "aquatic"
     assert np.all(log.rotors[ground] == 0.0) and np.all(log.servo[ground] == 0.0)

@@ -845,6 +845,19 @@ class TestSensitivityStack:
         assert objective(d) <= objective(oracle.x) + 1e-8 * max(1.0, abs(objective(d)))
         assert np.abs(d - oracle.x).max() <= 1e-4 * max(1.0, float(np.abs(d).max()))
 
+    def test_singular_working_rows_give_no_step(self, ncfg):
+        """With zero Jacobians no input moves the tilt, so every row of a
+        state past the limit is in the working set with an all-zero Schur
+        block: the solve fails and the step is zero."""
+        n = 3
+        x = hover_state((0.0, 0.0, 5.0)).as_vector()
+        x[QUAT_SLICE] = euler_to_quat(EulerAngles(ncfg.tilt_max + 0.2, 0.0, 0.0))
+        d, mu = nmpc._gauss_newton_direction(
+            np.tile(x, (n + 1, 1)), np.zeros((n, 13, 13)), np.zeros((n, 13, 4)),
+            np.ones((n, 4)), ncfg, None, None, None, 1e-9)
+        assert np.array_equal(d, np.zeros((n, 4)))
+        assert np.array_equal(mu, np.zeros(2 * n))
+
 
 class TestSolve:
     def test_hover_fixed_point(self, ncfg, params):

@@ -232,6 +232,37 @@ class TestMiniRuns:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_touch_and_go_rests_level_at_touchdown(self, cfg):
+        """Land between two takeoffs: the touchdown tick logs the level,
+        motionless state on the ground, and the run takes off again."""
+        pad = np.array([110.0, 0.0, 5.0])
+        mission = Mission(
+            segments=(
+                Segment(Medium.AERIAL, Action.TAKEOFF, np.array([100.0, 0.0, 5.0])),
+                Segment(Medium.AERIAL, Action.LAND, np.array([110.0, 0.0, 0.0])),
+                Segment(Medium.AERIAL, Action.TAKEOFF, pad),
+                Segment(Medium.AERIAL, Action.HOVER, pad),
+            ),
+            start=np.array([100.0, 0.0, 0.0]),
+        )
+        log = run(cfg, mission, controller="pid")
+        assert log.completed
+        assert [event for _, _, event, _ in log.transitions] == [
+            "gear_configured", "command(takeoff)", "hover_stable", "command(land)",
+            "touched_down", "command(takeoff)", "hover_stable",
+        ]
+        touchdown = log.transitions[4][0]
+        i = int(np.searchsorted(log.t, touchdown))
+        assert log.t[i] == touchdown
+        assert (log.medium[i], log.substate[i], log.segment[i]) == ("aerial", "takeoff", 2)
+        row = log.state[i]
+        assert math.hypot(row[0] - 110.0, row[1]) < cfg.sim.arrival_radius
+        assert row[2] == 0.0
+        assert np.array_equal(row[3:6], np.zeros(3))
+        assert row[7] == row[8] == 0.0 and row[6] ** 2 + row[9] ** 2 == pytest.approx(1.0)
+        assert np.array_equal(row[10:13], np.zeros(3))
+        assert log.state[-1, 2] > 4.0
+
 
 class TestRunEndings:
     def test_empty_mission_is_immediately_complete(self, cfg):
@@ -379,6 +410,15 @@ class TestMetricDefinitions:
         log = _synthetic_log(t, pos, ref, [0] * 4)
         seg = compute_metrics(log, _step_mission()).segments[0]
         assert seg.settling[2] == math.inf
+
+    def test_settled_from_the_first_row_reports_zero(self):
+        t = list(range(3))
+        pos = [[100.0, 0.0, 99.0]] * 3  # inside 2 % of the 100 m step throughout
+        ref = [[100.0, 0.0, 0.0, 0.0]] + [[100.0, 0.0, 100.0, 0.0]] * 2
+        log = _synthetic_log(t, pos, ref, [0] * 3)
+        seg = compute_metrics(log, _step_mission()).segments[0]
+        assert seg.settling == (0.0, 0.0, 0.0)
+        assert seg.overshoot[2] == 0.0
 
     def test_empty_log_rejected(self):
         log = _synthetic_log([], np.zeros((0, 3)), np.zeros((0, 4)), [])
