@@ -26,14 +26,14 @@ Pipeline per solve:
 4. the search direction is an SQP step (Nocedal & Wright, *Numerical
    Optimization*, 2nd ed., §16.5 and ch. 18): a Gauss-Newton QP on the
    tracking rows of the same stack, with each roll/pitch term a linearized
-   constraint, solved by a primal-dual active-set loop;
+   constraint, factored once and solved by a warm-started active-set loop;
 5. a projected Armijo line search accepts steps on one l1 merit, tracking
    plus ``nu`` times the summed tilt excess, where ``nu`` is twice the
    largest QP multiplier so far in the solve; a full step rejected past
-   the tilt limit first gets one second-order correction.  The solve stops
-   when the model decrease of the full step, or the decrease of an
-   accepted step, is at most ``tol * max(|merit|, 1)``, and has converged
-   if the tilt is then within half of ``_TILT_SLACK``.
+   the tilt limit first gets one second-order correction through the same
+   factors.  The solve stops when the model decrease of the full step, or
+   the decrease of an accepted step, is at most ``tol * max(|merit|, 1)``,
+   and has converged if the tilt is then within half of ``_TILT_SLACK``.
 
 The returned iterate is the best seen: tilt-feasible first, then the lower
 cost with the plain quadratic tilt penalty at ``tilt_weight``, which is
@@ -43,7 +43,6 @@ tilt-inactive problems the returned cost never exceeds the warm start's.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from collections import Counter
@@ -109,8 +108,9 @@ class NmpcSolution:
     converged : bool
         True if the solve stopped on its decrease tolerance with the
         predicted tilt inside the limit plus slack.
-    evaluations, line_searches : int
-        Horizon passes begun (cut short or not) and line searches run.
+    evaluations, line_searches, qp_passes, corrections : int
+        Horizon passes begun (cut short or not), line searches run,
+        active-set passes over all QPs and second-order corrections made.
     """
 
     u: np.ndarray
@@ -121,6 +121,8 @@ class NmpcSolution:
     converged: bool
     evaluations: int
     line_searches: int
+    qp_passes: int
+    corrections: int
 
     @property
     def first_input(self) -> AerialInput:
@@ -542,34 +544,38 @@ def _braking_inputs(
 
 def _gauss_newton_direction(
     states, a_steps, b_steps, grad, cfg: NmpcConfig, lam_r, lam_p, weight, damping,
-    angles=None, stack=None, tilt=None,
+    angles=None, stack=None, tilt=None, start=None, tally=None,
 ):
     """SQP step: the Gauss-Newton QP with the tilt limit as constraints.
 
     ``H = diag(2R) + damping I + 2 J^T W J`` from the output rows ``J``
     (position, and yaw through the quaternion) of the sensitivity stack and
     the Q weights ``W``; one constraint ``s_i + a_i . d <= 0`` per roll and
-    pitch term (:func:`_tilt_rows`, or ``tilt``).  One solve gives ``H^-1
-    [grad, A^T]`` and ``S = A H^-1 A^T``.  The primal-dual active-set loop
-    starts with the rows the plain step ``d0 = -H^-1 grad`` violates; each
-    pass takes the working rows W as equalities, ``mu_W = S_WW^-1 (s_W +
-    A_W d0)`` and ``d = d0 - H^-1 A_W^T mu_W``, and moves every misplaced
-    row: out of W at ``mu <= 0``, into it where ``d`` violates the row.
-    That can cycle, so after ``_ACTIVE_SET_PASSES`` passes per horizon step
-    a pass moves only the first misplaced row (Murty's least-index rule,
-    finite for the positive definite ``S``; K. G. Murty, Opsearch 11, 1974),
-    for at most ``2 N^2`` passes.  A singular system gives no step.
+    pitch term (:func:`_tilt_rows`, or ``tilt``).  Factored once: one solve
+    gives ``d0 = -H^-1 grad`` and ``H^-1 A^T``, then ``S = A H^-1 A^T``.
+    ``qp(s, start)`` runs the primal-dual active-set loop from the working
+    set ``start``, or cold from the rows ``d0`` violates: each pass takes
+    the working rows W as equalities, ``mu_W = S_WW^-1 (s + A d0)_W`` and
+    ``d = d0 - H^-1 A_W^T mu_W``, and moves every misplaced row: out of W at
+    ``mu <= 0``, into it where ``d`` violates the row.  That can cycle, so
+    after ``_ACTIVE_SET_PASSES`` passes per horizon step a pass moves only
+    the first misplaced row (Murty's least-index rule, finite for the
+    positive definite ``S``; K. G. Murty, Opsearch 11, 1974), for at most
+    ``2 N^2`` passes.  A warm loop that meets dependent rows or Murty's
+    phase runs again cold; both end on the unique KKT point's working set,
+    with the same bytes (Ferreau, Bock & Diehl, 2008).
 
-    Returns ``(d, mu)``, the (N, 4) step and (2N,) multipliers.  ``lam_r``,
-    ``lam_p`` and ``weight`` are unread; ``perfbench/kernels.py`` passes
-    them.  ``angles``, ``stack`` and ``tilt`` are formed here if not given.
+    Returns ``(d, mu, working, qp)``: ``qp(s, start)`` at the tilt slack,
+    then ``qp``.  A singular ``H`` (no ``qp``), or dependent rows in a cold
+    loop, give the zero step.  ``lam_r``, ``lam_p`` and ``weight`` are
+    unread (``perfbench/kernels.py`` passes them); ``angles``, ``stack`` and
+    ``tilt`` are formed if not given; ``tally`` counts the passes.
     """
-    if angles is None:
-        angles = _attitudes(states)
-    if stack is None:
-        stack = _sensitivities(a_steps, b_steps)
+    angles = _attitudes(states) if angles is None else angles
+    stack = _sensitivities(a_steps, b_steps) if stack is None else stack
     slack, a_mat = _tilt_rows(angles, stack, cfg) if tilt is None else tilt
     n, m = grad.shape[0], grad.size
+    tally = Counter() if tally is None else tally
     # Rows per step: x, y, z, yaw.
     rows = np.concatenate((stack[:, :3], angles[1][:, :1] @ stack[:, QUAT_SLICE]), axis=1)
     j_mat = rows.reshape(4 * n, m)
@@ -577,24 +583,35 @@ def _gauss_newton_direction(
     h_mat[np.diag_indices(m)] += 2.0 * np.tile(cfg.r_diag, n) + damping
     try:
         solved = np.linalg.solve(h_mat, np.column_stack((-grad.reshape(m), a_mat.T)))
-        d0, h_inv_at = solved[:, 0], solved[:, 1:]
-        schur = a_mat @ h_inv_at
+    except np.linalg.LinAlgError:  # A singular H.
+        return np.zeros_like(grad), np.zeros_like(slack), start, None
+    d0, h_inv_at = solved[:, 0], solved[:, 1:]
+    schur, a_d0 = a_mat @ h_inv_at, a_mat @ d0
+
+    def qp(slack, start):
         # Each row's linearized slack at d0; at d it is this less S mu.
-        at_plain = slack + a_mat @ d0
-        working = at_plain > 0.0
-        for passes in range((_ACTIVE_SET_PASSES + 2 * n) * n):
-            mu = np.zeros_like(slack)
-            if working.any():
-                mu[working] = np.linalg.solve(schur[working][:, working], at_plain[working])
-            flip = np.where(working, mu <= 0.0, at_plain - schur @ mu > 0.0)
-            if not flip.any():
-                break
-            if passes >= _ACTIVE_SET_PASSES * n:
-                flip[np.flatnonzero(flip)[0] + 1 :] = False
-            working ^= flip
-    except np.linalg.LinAlgError:  # An overflowed H or dependent working rows.
-        return np.zeros_like(grad), np.zeros_like(slack)
-    return (d0 - h_inv_at @ mu).reshape(n, 4), mu
+        at_d0 = slack + a_d0
+        for warm in (False,) if start is None else (True, False):
+            working = start.copy() if warm else at_d0 > 0.0
+            try:
+                for passes in range((_ACTIVE_SET_PASSES + 2 * n) * n):
+                    tally["qp_passes"] += 1
+                    mu = np.zeros_like(slack)
+                    if working.any():
+                        mu[working] = np.linalg.solve(schur[working][:, working], at_d0[working])
+                    flip = np.where(working, mu <= 0.0, at_d0 - schur @ mu > 0.0)
+                    if not flip.any() or warm and passes >= _ACTIVE_SET_PASSES * n:
+                        break
+                    if passes >= _ACTIVE_SET_PASSES * n:
+                        flip[np.flatnonzero(flip)[0] + 1 :] = False
+                    working ^= flip
+            except np.linalg.LinAlgError:  # Dependent working rows.
+                if warm:
+                    continue
+                return np.zeros_like(grad), np.zeros_like(slack), working
+            if not (warm and flip.any()):  # A warm loop at Murty's phase runs again cold.
+                return (d0 - h_inv_at @ mu).reshape(n, 4), mu, working
+    return (*qp(slack, start), qp)
 
 
 # ---------------------------------------------------------------------------
@@ -617,16 +634,16 @@ def _model_decrease(u, trial, grad, tilt, nu: float) -> float:
     return nu * float(excess) - float(grad.reshape(-1) @ step)
 
 
-def _line_search(x0, u, d, grad, cost, refs, cfg, params, tilt, nu, tally, qp):
+def _line_search(x0, u, d, grad, cost, refs, cfg, params, tilt, nu, tally, qp, working):
     """Projected Armijo backtracking along the SQP step ``d`` on the merit.
 
     A trial is accepted at a merit of at most ``cost - sigma * decrease``,
     with :func:`_model_decrease` to it; passes after the first are cut at
     that bound.  A full step rejected past the tilt limit is corrected once
-    before the search halves it (Nocedal & Wright, §18.3): the step's QP
-    ``qp`` is solved again with each row's slack at the full step less the
-    step's linear part.  ``tally`` counts the search and every pass.
-    Returns (trial :class:`_Flight`, merit), or None if no trial is accepted.
+    before the search halves it (Nocedal & Wright, §18.3): ``qp`` runs from
+    the step's ``working`` set at each row's slack at the full step less its
+    linear part.  ``tally`` counts the search, every pass and the correction.
+    Returns (trial :class:`_Flight`, merit, the last working set) or None.
     """
     tally["line_searches"] += 1
     alpha = 1.0
@@ -642,12 +659,12 @@ def _line_search(x0, u, d, grad, cost, refs, cfg, params, tilt, nu, tally, qp):
         flight = _cost_parts(x0, trial, refs, cfg, params, None if first else (limit, nu))
         if first and flight is not None and _merit(flight, nu) > limit and flight.worst > 0.0:
             true = np.column_stack((flight.g_roll, flight.g_pitch)).reshape(-1)
-            corrected, _ = qp((true - tilt[1] @ (trial - u).reshape(-1), tilt[1]))
+            corrected, _, working = qp(true - tilt[1] @ (trial - u).reshape(-1), working)
             trial = _project(u + corrected, cfg)
-            tally["evaluations"] += 1
+            tally.update(evaluations=1, corrections=1)
             flight = _cost_parts(x0, trial, refs, cfg, params, (limit, nu))
         if flight is not None and (trial_cost := _merit(flight, nu)) <= limit:
-            return flight, trial_cost
+            return flight, trial_cost, working
         alpha *= _BACKTRACK
     return None
 
@@ -694,7 +711,7 @@ def solve(
         if warm_start.shape != (n, 4):
             raise ValueError(f"warm start must have shape ({n}, 4)")
 
-    tally = Counter(evaluations=1)
+    tally = Counter(evaluations=1, line_searches=0, qp_passes=0, corrections=0)
     warm_u = hover_u if warm_start is None else _project(warm_start, cfg)
     warm = _cost_parts(x0, warm_u, refs, cfg, params)
     if warm is None:
@@ -729,8 +746,7 @@ def solve(
             best_rank = hover_rank
 
     # The merit's weight: twice the largest QP multiplier so far.
-    nu = 0.0
-    converged = False
+    nu, converged, working = 0.0, False, None  # The first QP starts cold.
     for iterations in range(1, cfg.max_iters + 1):
         # The current iterate was flown by the evaluation that chose it; one
         # sensitivity stack feeds the gradient, the tilt rows and the step,
@@ -741,9 +757,9 @@ def solve(
         tilt = _tilt_rows(angles, stack, cfg)
         grad = _adjoint_gradient(current.states, a_steps, b_steps, current.u, refs, cfg,
                                  angles=angles, stack=stack)
-        qp = functools.partial(_gauss_newton_direction, current.states, a_steps, b_steps,
-                               grad, cfg, None, None, None, 1e-9, angles, stack)
-        d, mu = qp(tilt)
+        d, mu, working, qp = _gauss_newton_direction(current.states, a_steps, b_steps, grad,
+                                                     cfg, None, None, None, 1e-9, angles,
+                                                     stack, tilt, working, tally)
         nu = max(nu, 2.0 * float(mu.max()))
         cost = _merit(current, nu)
         # Stop on a negligible model decrease of the full step (with no
@@ -752,9 +768,9 @@ def solve(
         full = _project(current.u + d, cfg)
         if _model_decrease(current.u, full, grad, tilt, nu) > cfg.tol * max(abs(cost), 1.0):
             hit = _line_search(x0, current.u, d, grad, cost, refs, cfg, params, tilt, nu,
-                               tally, qp)
+                               tally, qp, working)
         if hit is not None:
-            current, trial_cost = hit
+            current, trial_cost, working = hit
             if (hit_rank := rank(current)) < best_rank:
                 best, best_rank = current, hit_rank
         if hit is None or cost - trial_cost <= cfg.tol * max(abs(trial_cost), 1.0):
@@ -778,8 +794,7 @@ def solve(
             pass
 
     return NmpcSolution(u=best.u, states=best.states, outputs=best.outputs, cost=best_rank[1],
-                        iterations=iterations, converged=converged,
-                        evaluations=tally["evaluations"], line_searches=tally["line_searches"])
+                        iterations=iterations, converged=converged, **tally)
 
 
 class NmpcController:
@@ -797,6 +812,7 @@ class NmpcController:
         self.failures = 0
         # Running sums over the solves that returned.
         self.iterations = self.converged = self.evaluations = self.line_searches = 0
+        self.qp_passes = self.corrections = 0
 
     def reset(self) -> None:
         self._warm = None
@@ -813,10 +829,9 @@ class NmpcController:
             log.warning("solver failure (%s); falling back to hover input", exc)
             return AerialInput(c=GRAVITY, torque=np.zeros(3))
         self.last_solution = sol
-        self.iterations += sol.iterations
-        self.converged += sol.converged
-        self.evaluations += sol.evaluations
-        self.line_searches += sol.line_searches
+        for name in ("iterations", "converged", "evaluations", "line_searches", "qp_passes",
+                     "corrections"):
+            setattr(self, name, getattr(self, name) + getattr(sol, name))
         # Shift by one period, duplicating the final input.
         self._warm = np.vstack([sol.u[1:], sol.u[-1:]])
         return sol.first_input

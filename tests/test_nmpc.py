@@ -10,14 +10,18 @@ search or solve with no acceptance limit, and the work counts against
 counting wrappers.  The sensitivity stack's gradient is checked against
 central differences and a backward costate recursion, and the SQP step
 against the KKT conditions of its QP built step by step in the test, with
-scipy's SLSQP solving the same QP independently.  The merit weight is
-checked against the multipliers the steps return.
+scipy's SLSQP solving the same QP independently.  A warm-started QP, and
+a correction through its step's factors, are checked bit for bit against
+the cold start and a fresh step, and a whole solve against the same solve
+with every QP started cold.  The merit weight is checked against the
+multipliers the steps return.
 """
 
 import dataclasses
-import functools
+import gc
 import importlib.util
 import math
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -200,7 +204,7 @@ class TestHorizonPass:
     """One flight of the horizon feeds the cost, the tilt terms and the
     Jacobians; the generic RK4 step is its reference."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=_horizon_cases())
     def test_matches_the_generic_step_bit_for_bit(self, case, ncfg, params):
         x0, u, refs, period = case
@@ -281,15 +285,16 @@ def _merit_cases(draw):
 
 
 def _step_qp(flight, refs, cfg, params):
-    """The gradient, the tilt rows and the SQP step's QP of a flight, as
-    ``solve`` forms them."""
+    """The gradient, the tilt rows and the SQP step ``(d, mu, working, qp)``
+    of a flight, as the first iteration of ``solve`` forms them."""
     a_steps, b_steps = nmpc._step_jacobians(flight, cfg.period, params)
     angles = nmpc._attitudes(flight.states)
     stack = nmpc._sensitivities(a_steps, b_steps)
     grad = nmpc._adjoint_gradient(flight.states, a_steps, b_steps, flight.u, refs, cfg)
-    qp = functools.partial(nmpc._gauss_newton_direction, flight.states, a_steps, b_steps,
-                           grad, cfg, None, None, None, 1e-9, angles, stack)
-    return grad, nmpc._tilt_rows(angles, stack, cfg), qp
+    tilt = nmpc._tilt_rows(angles, stack, cfg)
+    step = nmpc._gauss_newton_direction(flight.states, a_steps, b_steps, grad, cfg, None,
+                                        None, None, 1e-9, angles, stack, tilt)
+    return grad, tilt, step
 
 
 class TestTrialCut:
@@ -297,7 +302,7 @@ class TestTrialCut:
     above it, and changes nothing at or below it.  Oracle: the same pass,
     search or solve with every limit at infinity."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=_merit_cases(), data=st.data())
     def test_cut_only_above_the_limit(self, case, data, ncfg, params):
         x0, u, refs, period, nu = case
@@ -329,7 +334,7 @@ class TestTrialCut:
         assert nmpc._horizon_pass(x0, u, refs, ncfg, params, cut) is None
         assert nmpc._cost_parts(x0, u, refs, ncfg, params, cut) is None
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=_merit_cases(), kind=st.sampled_from(["sqp", "gradient", "random"]),
            noise=st.lists(_finite(-1.0, 1.0), min_size=32, max_size=32), data=st.data())
     def test_line_search_same_with_and_without_the_cut(self, case, kind, noise, data,
@@ -340,9 +345,9 @@ class TestTrialCut:
         flight = nmpc._cost_parts(x0, u, refs, cfg, params)
         if flight is None:
             return
-        grad, tilt, qp = _step_qp(flight, refs, cfg, params)
+        grad, tilt, (d_sqp, _, working, qp) = _step_qp(flight, refs, cfg, params)
         if kind == "sqp":
-            d = qp(tilt)[0]
+            d = d_sqp
         elif kind == "gradient":
             d = -grad
         else:
@@ -361,14 +366,15 @@ class TestTrialCut:
         cut_tally, full_tally = Counter(), Counter()
         # Inputs near 1e160 can overflow the gap to inf, a bound no trial meets.
         with np.errstate(over="ignore"):
-            got = nmpc._line_search(*args, cut_tally, qp)
+            got = nmpc._line_search(*args, cut_tally, qp, working)
             with mock.patch.object(nmpc, "_cost_parts", _never_cut):
-                expected = nmpc._line_search(*args, full_tally, qp)
+                expected = nmpc._line_search(*args, full_tally, qp, working)
         assert cut_tally == full_tally
         if expected is None:
             assert got is None
             return
         assert got[1] == expected[1]
+        assert np.array_equal(got[2], expected[2])
         _same_parts(got[0], expected[0])
 
     def _solve_both(self, x0, refs, warm, ncfg, params):
@@ -529,21 +535,17 @@ class TestMeritWeight:
         cfg = dataclasses.replace(ncfg, tilt_max=0.2)
         x0 = hover_state((0.0, 0.0, 5.0)).as_vector()
         step, search = nmpc._gauss_newton_direction, nmpc._line_search
-        events, searching = [], []
+        events = []
 
         def stepped(*args):
-            d, mu = step(*args)
-            if not searching:  # A correction inside a search is no new step.
-                events.append(("step", mu))
-            return d, mu
+            # A correction reuses its step's factors, so each call is a step.
+            result = step(*args)
+            events.append(("step", result[1]))
+            return result
 
         def searched(*args):
             events.append(("search", args[1], args[4], args[9]))
-            searching.append(True)
-            try:
-                return search(*args)
-            finally:
-                searching.pop()
+            return search(*args)
 
         weights = []
         for goal in ([3.0, 1.0, 5.0, 0.0], [0.0, 0.0, 5.5, 0.0]):
@@ -586,6 +588,96 @@ class TestMeritWeight:
         assert sol.converged and sol.iterations < ncfg.max_iters
         assert worst_tilt(sol.states) <= ncfg.tilt_max + nmpc._TILT_SLACK
         assert sol.cost < 9_000.0
+
+
+class TestQpReuse:
+    """Each SQP step factors its QP once; its correction and the next
+    step's loop start where the last QP ended.  Oracles: spies on the step,
+    the search and every linear solve, and the same solve with every QP
+    started cold."""
+
+    @staticmethod
+    def _binding(ncfg):
+        # At rest, a goal 3.2 m away under a 0.2 rad tilt limit: the rows
+        # bind, and 17 full steps are corrected.
+        cfg = dataclasses.replace(ncfg, tilt_max=0.2)
+        x0 = hover_state((0.0, 0.0, 5.0)).as_vector()
+        return cfg, x0, hold_refs([3.0, 1.0, 5.0, 0.0], cfg.horizon)
+
+    def test_corrections_reuse_the_step_factors(self, ncfg, params, monkeypatch):
+        """A correction runs the active-set loop on its step's factors: no
+        step is formed inside a line search, and the only linear systems
+        solved there are the loop's Schur blocks, so no ``H`` is factored.
+        The counts of corrections and passes match the calls."""
+        cfg, x0, refs = self._binding(ncfg)
+        step, search, linsolve = nmpc._gauss_newton_direction, nmpc._line_search, np.linalg.solve
+        searching, systems, calls = [], [], Counter()
+
+        def stepped(*args):
+            assert not searching, "a line search formed a step"
+            d, mu, working, qp = step(*args)
+
+            def corrected(*qp_args):
+                calls["corrections"] += 1
+                return qp(*qp_args)
+            return d, mu, working, corrected
+
+        def searched(*args):
+            searching.append(True)
+            try:
+                return search(*args)
+            finally:
+                searching.pop()
+
+        def solved(a, b):
+            if searching:
+                systems.append((a.shape, b.shape))
+            return linsolve(a, b)
+
+        monkeypatch.setattr(nmpc, "_gauss_newton_direction", stepped)
+        monkeypatch.setattr(nmpc, "_line_search", searched)
+        monkeypatch.setattr(np.linalg, "solve", solved)
+        sol = solve(x0, refs, None, cfg, params)
+        assert sol.converged and sol.corrections == calls["corrections"] >= 1
+        assert systems and all(len(rhs) == 1 and lhs[0] <= 2 * cfg.horizon
+                               for lhs, rhs in systems)
+        assert sol.qp_passes >= sol.iterations + sol.corrections
+
+    def test_a_step_holds_no_reference_cycle(self, ncfg, params):
+        """Dropping a step frees its factors at once, with the collector off:
+        a cycle through the QP would keep every iterate's factors until a
+        collection (on ``dash_nmpc`` it raised the peak RSS by 0.9 MB)."""
+        cfg, x0, refs = self._binding(ncfg)
+        flight = nmpc._cost_parts(x0, hover_inputs(cfg.horizon), refs, cfg, params)
+        _, tilt, step = _step_qp(flight, refs, cfg, params)
+        step[3](tilt[0], step[2])
+        qp = weakref.ref(step[3])
+        gc.disable()
+        try:
+            del step
+            assert qp() is None
+        finally:
+            gc.enable()
+
+    def test_warm_starts_change_no_byte_and_save_passes(self, ncfg, params, monkeypatch):
+        cfg, x0, refs = self._binding(ncfg)
+        warm = solve(x0, refs, None, cfg, params)
+        step = nmpc._gauss_newton_direction
+
+        def cold(*args):
+            # solve passes the start working set 13th.
+            d, mu, working, qp = step(*args[:12], None, *args[13:])
+            return d, mu, working, lambda slack, start: qp(slack, None)
+
+        monkeypatch.setattr(nmpc, "_gauss_newton_direction", cold)
+        expected = solve(x0, refs, None, cfg, params)
+        assert np.array_equal(warm.u, expected.u)
+        assert np.array_equal(warm.states, expected.states)
+        fields = ("cost", "iterations", "converged", "evaluations", "line_searches",
+                  "corrections")
+        assert [getattr(warm, f) for f in fields] == [getattr(expected, f) for f in fields]
+        # 142 passes against 265 here.
+        assert warm.qp_passes < 0.6 * expected.qp_passes
 
 
 class TestEvaluateCost:
@@ -768,7 +860,7 @@ class TestSensitivityStack:
         grad = nmpc._adjoint_gradient(flight.states, a_steps, b_steps, u, refs, cfg)
         return cfg, flight, a_steps, b_steps, grad
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_smooth_cases())
     def test_gradient_matches_central_differences(self, case, ncfg, params):
         x0, u, refs, _ = case
@@ -790,7 +882,7 @@ class TestSensitivityStack:
         scale = max(1.0, float(np.abs(g_fd).max()))
         assert np.abs(grad - g_fd).max() <= 1e-5 * scale
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_smooth_cases())
     def test_gradient_matches_a_backward_costate_recursion(self, case, ncfg, params):
         _, u, refs, _ = case
@@ -811,13 +903,13 @@ class TestSensitivityStack:
             lam = a_steps[j].T @ lam
         assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_smooth_cases(), damping=st.sampled_from([1e-9, 1e-3, 1.0]))
     def test_direction_is_the_kkt_point_of_the_tilt_qp(self, case, damping, ncfg, params):
         cfg, flight, a_steps, b_steps, grad = self._setup(case, ncfg, params)
         h_mat, g, slack, rows = _tilt_qp(flight, a_steps, b_steps, grad, cfg, damping)
-        d, mu = nmpc._gauss_newton_direction(flight.states, a_steps, b_steps, grad, cfg,
-                                             None, None, None, damping)
+        d, mu, _, _ = nmpc._gauss_newton_direction(flight.states, a_steps, b_steps, grad, cfg,
+                                                   None, None, None, damping)
         d = d.reshape(-1)
         working = mu != 0.0
         # Stationarity: H d + g + A^T mu = 0.
@@ -845,6 +937,39 @@ class TestSensitivityStack:
         assert objective(d) <= objective(oracle.x) + 1e-8 * max(1.0, abs(objective(d)))
         assert np.abs(d - oracle.x).max() <= 1e-4 * max(1.0, float(np.abs(d).max()))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_smooth_cases(), data=st.data())
+    def test_warm_starts_and_corrections_give_the_cold_bytes(self, case, data, ncfg, params):
+        """From any start working set the step and multipliers are the cold
+        start's bit for bit; from the cold loop's final set the loop ends
+        in one pass; and a correction through the step's factors is a fresh
+        step at the corrected slack."""
+        x0, u, refs, _ = case
+        cfg, flight, a_steps, b_steps, grad = self._setup(case, ncfg, params)
+        args = (flight.states, a_steps, b_steps, grad, cfg, None, None, None, 1e-9)
+        d, mu, working, qp = nmpc._gauss_newton_direction(*args)
+        rows = 2 * u.shape[0]
+        start = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+        for begin in (start, working):
+            tally = Counter()
+            warm = nmpc._gauss_newton_direction(*args, start=begin, tally=tally)
+            assert np.array_equal(warm[0], d) and np.array_equal(warm[1], mu)
+            assert np.array_equal(warm[2], working)
+        # The last start was the final set; a zero step may be a failed loop.
+        assert tally["qp_passes"] == 1 or not (d.any() or mu.any())
+        # The slack at the full step, flown, less the step's linear part.
+        _, a_mat = nmpc._tilt_rows(nmpc._attitudes(flight.states),
+                                   nmpc._sensitivities(a_steps, b_steps), cfg)
+        trial = nmpc._project(u + d, cfg)
+        flown = nmpc._cost_parts(x0, trial, refs, cfg, params)
+        assume(flown is not None)
+        true = np.column_stack((flown.g_roll, flown.g_pitch)).reshape(-1)
+        corrected = true - a_mat @ (trial - u).reshape(-1)
+        fresh = nmpc._gauss_newton_direction(*args, tilt=(corrected, a_mat))
+        for begin in (None, start, working):
+            got = qp(corrected, begin)
+            assert np.array_equal(got[0], fresh[0]) and np.array_equal(got[1], fresh[1])
+
     def test_singular_working_rows_give_no_step(self, ncfg):
         """With zero Jacobians no input moves the tilt, so every row of a
         state past the limit is in the working set with an all-zero Schur
@@ -852,11 +977,36 @@ class TestSensitivityStack:
         n = 3
         x = hover_state((0.0, 0.0, 5.0)).as_vector()
         x[QUAT_SLICE] = euler_to_quat(EulerAngles(ncfg.tilt_max + 0.2, 0.0, 0.0))
-        d, mu = nmpc._gauss_newton_direction(
+        d, mu, working, qp = nmpc._gauss_newton_direction(
             np.tile(x, (n + 1, 1)), np.zeros((n, 13, 13)), np.zeros((n, 13, 4)),
             np.ones((n, 4)), ncfg, None, None, None, 1e-9)
         assert np.array_equal(d, np.zeros((n, 4)))
         assert np.array_equal(mu, np.zeros(2 * n))
+        assert np.array_equal(working, np.tile([True, False], n)) and qp is not None
+        # A warm start meets the same dependent rows, runs again cold and
+        # also gives no step.
+        tally = Counter()
+        again = nmpc._gauss_newton_direction(
+            np.tile(x, (n + 1, 1)), np.zeros((n, 13, 13)), np.zeros((n, 13, 4)),
+            np.ones((n, 4)), ncfg, None, None, None, 1e-9, start=~working, tally=tally)
+        assert np.array_equal(again[0], d) and np.array_equal(again[1], mu)
+        assert tally["qp_passes"] == 2
+
+    def test_singular_h_gives_no_step(self, ncfg):
+        """With no weights, no damping and zero Jacobians ``H`` is all zero:
+        its factorization fails, the step is zero and there is no QP to
+        correct with."""
+        n = 3
+        cfg = dataclasses.replace(ncfg, r_c=0.0, r_roll=0.0, r_pitch=0.0, r_yaw=0.0)
+        x = hover_state((0.0, 0.0, 5.0)).as_vector()
+        tally = Counter()
+        d, mu, working, qp = nmpc._gauss_newton_direction(
+            np.tile(x, (n + 1, 1)), np.zeros((n, 13, 13)), np.zeros((n, 13, 4)),
+            np.ones((n, 4)), cfg, None, None, None, 0.0, tally=tally)
+        assert np.array_equal(d, np.zeros((n, 4)))
+        assert np.array_equal(mu, np.zeros(2 * n))
+        assert working is None and qp is None
+        assert tally["qp_passes"] == 0
 
 
 class TestSolve:
@@ -879,6 +1029,8 @@ class TestSolve:
         sol = solve(x0, refs, None, ncfg, params)
         assert sol.converged
         assert (sol.iterations, sol.evaluations, sol.line_searches) == (1, 1, 0)
+        # One QP, solved in one pass with no working row, and no correction.
+        assert (sol.qp_passes, sol.corrections) == (1, 0)
 
     @pytest.mark.parametrize("box", [(1.0, 15.0), (-5.0, -1.0)])
     def test_box_exact_when_hover_lies_outside_it(self, ncfg, params, box):
@@ -1049,7 +1201,8 @@ class TestNmpcController:
         ctl._warm = np.full((ncfg.horizon, 4), 1e8)
         ctl.step(x, refs)
         assert ctl.failures == 1
-        for name in ("iterations", "converged", "evaluations", "line_searches"):
+        for name in ("iterations", "converged", "evaluations", "line_searches", "qp_passes",
+                     "corrections"):
             assert getattr(ctl, name) == sum(getattr(s, name) for s in solutions)
 
     def test_failure_fallback_is_hover(self, cfg, ncfg):

@@ -79,12 +79,25 @@ def test_compare_reports_counts_and_geometric_mean(tool, tmp_path, capsys):
         paths.append(str(path))
     assert tool.main(["--compare", *paths]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["converged: 2 -> 3 of 3",
+    assert out == ["identical in every field: 1 of 3",
+                   "converged: 2 -> 3 of 3",
                    "evaluations: 66 -> 29",
                    "beyond the tilt slack: 1 -> 0",
                    "geometric-mean cost ratio new/old: 1.0000",
                    "more than 1 % cheaper: new on 1, old on 1"]
     report = tool.compare(old, old)
-    assert report["cost_ratio"] == 1.0
+    assert report["cost_ratio"] == 1.0 and report["identical"] == 3
     with pytest.raises(ValueError, match="3 and 2 instances"):
         tool.compare(old, new[:2])
+
+
+def test_identical_counts_only_records_equal_in_every_field(tool):
+    # A record differing in one field only, of any kind, is not identical;
+    # the float fields compare exactly.
+    base = {"converged": True, "iterations": 4, "evaluations": 9, "worst_excess": -0.1,
+            "cost": 2.0}
+    changed = [base | {"converged": False}, base | {"iterations": 5},
+               base | {"evaluations": 10}, base | {"worst_excess": math.nextafter(-0.1, 0.0)},
+               base | {"cost": math.nextafter(2.0, 3.0)}]
+    assert tool.compare([base] * 6, [base, *changed])["identical"] == 1
+    assert tool.compare([base] * 6, [dict(base) for _ in range(6)])["identical"] == 6

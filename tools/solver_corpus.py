@@ -17,10 +17,12 @@ A run solves every instance with the default configuration at
 roll or pitch beyond the tilt limit, rad) and ``cost``.  To measure another
 version of the package, put its ``src`` first on ``PYTHONPATH``.
 
-``--compare`` prints the converged counts of both runs, their total cost
-evaluations and how many instances end beyond the solver's tilt slack, the
-geometric mean of the per-instance cost ratios NEW/OLD and how many
-instances each run solved more than 1 % cheaper.
+``--compare`` prints how many instances the two runs solved identically
+(equal in every field), the converged counts of both runs, their total
+cost evaluations and how many instances end beyond the solver's tilt slack,
+the geometric mean of the per-instance cost ratios NEW/OLD and how many
+instances each run solved more than 1 % cheaper.  A change that claims to
+keep the solver's results shows all instances identical.
 """
 
 from __future__ import annotations
@@ -78,13 +80,14 @@ def solve_corpus(count: int = 160, max_iters: int = 50) -> list[dict]:
 
 
 def compare(old: list[dict], new: list[dict]) -> dict:
-    """Converged counts, total evaluations and instances beyond the tilt
-    slack of each run, the geometric-mean cost ratio NEW/OLD and the
-    instances each run solved more than 1 % cheaper."""
+    """The instances equal in every field, the converged counts, total
+    evaluations and instances beyond the tilt slack of each run, the
+    geometric-mean cost ratio NEW/OLD and the instances each run solved
+    more than 1 % cheaper."""
     if len(old) != len(new):
         raise ValueError(f"the runs cover {len(old)} and {len(new)} instances")
     ratios = [b["cost"] / a["cost"] for a, b in zip(old, new)]
-    report = {"instances": len(old)}
+    report = {"instances": len(old), "identical": sum(a == b for a, b in zip(old, new))}
     for name, run in (("old", old), ("new", new)):
         report[f"converged_{name}"] = sum(r["converged"] for r in run)
         report[f"evaluations_{name}"] = sum(r["evaluations"] for r in run)
@@ -111,6 +114,7 @@ def main(argv=None) -> int:
             with open(path, encoding="utf-8") as fh:
                 runs.append(json.load(fh))
         report = compare(*runs)
+        print(f"identical in every field: {report['identical']} of {report['instances']}")
         print(f"converged: {report['converged_old']} -> {report['converged_new']}"
               f" of {report['instances']}")
         print(f"evaluations: {report['evaluations_old']} -> {report['evaluations_new']}")
