@@ -24,9 +24,9 @@ Pipeline per solve:
    stack ``S_j = dx_{j+1}/du``, and the exact gradient is one product over
    it, ``2 R u + sum_j S_j^T g_j``;
 4. the search direction is an SQP step (Nocedal & Wright, *Numerical
-   Optimization*, 2nd ed., §16.5 and ch. 18): a Gauss-Newton QP on the
-   tracking rows of the same stack, with each roll/pitch term a linearized
-   constraint, factored once and solved by a warm-started active-set loop;
+   Optimization*, 2nd ed., §16.5 and ch. 18): a QP on ``H = H_GN + S``, the
+   tracking rows' Gauss-Newton matrix plus a per-solve secant term (zero at
+   the first step), each roll/pitch term a linearized constraint;
 5. a projected Armijo line search accepts steps on one l1 merit, tracking
    plus ``nu`` times the summed tilt excess, where ``nu`` is twice the
    largest QP multiplier so far in the solve; a full step rejected past
@@ -46,6 +46,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,9 +109,10 @@ class NmpcSolution:
     converged : bool
         True if the solve stopped on its decrease tolerance with the
         predicted tilt inside the limit plus slack.
-    evaluations, line_searches, qp_passes, corrections : int
+    evaluations, line_searches, qp_passes, corrections, reversals, anchor_wins : int
         Horizon passes begun (cut short or not), line searches run,
-        active-set passes over all QPs and second-order corrections made.
+        active-set passes over all QPs, second-order corrections made, steps
+        reversing the one before (cosine below -0.9) and hover-anchor wins.
     """
 
     u: np.ndarray
@@ -119,10 +121,12 @@ class NmpcSolution:
     cost: float
     iterations: int
     converged: bool
-    evaluations: int
-    line_searches: int
-    qp_passes: int
-    corrections: int
+    evaluations: int = 0
+    line_searches: int = 0
+    qp_passes: int = 0
+    corrections: int = 0
+    reversals: int = 0
+    anchor_wins: int = 0
 
     @property
     def first_input(self) -> AerialInput:
@@ -297,9 +301,8 @@ def tilt_penalty(states: np.ndarray, cfg: NmpcConfig) -> float:
 def _cost_parts(x0, u, refs, cfg: NmpcConfig, params: VehicleParams, cut=None):
     """The :class:`_Flight` of one :func:`_horizon_pass`, or None.
 
-    The record is kept so the solver builds its Jacobians from it and never
-    flies an accepted iterate again.  Divergent or overflowing trajectories,
-    and passes ended by ``cut``, give None so the caller rejects them.
+    Divergent or overflowing trajectories, and passes ended by ``cut``,
+    give None so the caller rejects them.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -542,15 +545,46 @@ def _braking_inputs(
     return u
 
 
+def _gn_hessian(angles, stack, cfg: NmpcConfig, damping: float) -> np.ndarray:
+    """``H_GN = diag(2R) + damping I + 2 J^T W J``: tracking rows ``J``, Q weights ``W``."""
+    n, m = stack.shape[0], stack.shape[2]
+    # Rows per step: x, y, z, yaw.
+    rows = np.concatenate((stack[:, :3], angles[1][:, :1] @ stack[:, QUAT_SLICE]), axis=1)
+    j_mat = rows.reshape(4 * n, m)
+    h_mat = (2.0 * np.tile(cfg.q_diag, n) * j_mat.T) @ j_mat
+    h_mat[np.diag_indices(m)] += 2.0 * np.tile(cfg.r_diag, n) + damping
+    return h_mat
+
+
+def _secant_update(secant, h_gn, step, y):
+    """``(H, S)`` after an accepted ``step``: Dennis, Gay & Welsch's update of the
+    secant term ``S`` (NL2SOL, ACM TOMS 7(3), 1981), with NL2SOL's sizing ``t``,
+    so ``H = H_GN + S`` has ``H s = y``.  None is zero, ``y.s <= 0`` keeps ``S``,
+    and an ``H`` with no Cholesky factor gives ``(H_GN, None)``."""
+    if (ys := float(y @ step)) > 0.0:
+        secant = np.zeros_like(h_gn) if secant is None else secant
+        v, s_step = y - h_gn @ step, secant @ step  # v: y# = y - H_GN s, then y# - t S s.
+        curv = abs(float(step @ s_step))
+        t = min(1.0, abs(float(step @ v)) / curv) if curv > 0.0 else 1.0
+        v -= t * s_step
+        vy = np.outer(v / ys, y)
+        secant = t * secant + (vy + vy.T - (float(v @ step) / (ys * ys)) * np.outer(y, y))
+    if secant is not None:
+        with suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(h_mat := h_gn + secant)
+            return h_mat, secant
+    return h_gn, None
+
+
 def _gauss_newton_direction(
     states, a_steps, b_steps, grad, cfg: NmpcConfig, lam_r, lam_p, weight, damping,
-    angles=None, stack=None, tilt=None, start=None, tally=None,
+    angles=None, stack=None, tilt=None, start=None, tally=None, hessian=None,
 ):
-    """SQP step: the Gauss-Newton QP with the tilt limit as constraints.
+    """SQP step: the QP on ``H`` with the tilt limit as constraints.
 
-    ``H = diag(2R) + damping I + 2 J^T W J`` from the output rows ``J``
-    (position, and yaw through the quaternion) of the sensitivity stack and
-    the Q weights ``W``; one constraint ``s_i + a_i . d <= 0`` per roll and
+    ``H`` is ``hessian``, which ``solve`` passes as ``H_GN`` plus the secant
+    term, or else the Gauss-Newton matrix of :func:`_gn_hessian` at
+    ``damping``; one constraint ``s_i + a_i . d <= 0`` per roll and
     pitch term (:func:`_tilt_rows`, or ``tilt``).  Factored once: one solve
     gives ``d0 = -H^-1 grad`` and ``H^-1 A^T``, then ``S = A H^-1 A^T``.
     ``qp(s, start)`` runs the primal-dual active-set loop from the working
@@ -576,11 +610,7 @@ def _gauss_newton_direction(
     slack, a_mat = _tilt_rows(angles, stack, cfg) if tilt is None else tilt
     n, m = grad.shape[0], grad.size
     tally = Counter() if tally is None else tally
-    # Rows per step: x, y, z, yaw.
-    rows = np.concatenate((stack[:, :3], angles[1][:, :1] @ stack[:, QUAT_SLICE]), axis=1)
-    j_mat = rows.reshape(4 * n, m)
-    h_mat = (2.0 * np.tile(cfg.q_diag, n) * j_mat.T) @ j_mat
-    h_mat[np.diag_indices(m)] += 2.0 * np.tile(cfg.r_diag, n) + damping
+    h_mat = _gn_hessian(angles, stack, cfg, damping) if hessian is None else hessian
     try:
         solved = np.linalg.solve(h_mat, np.column_stack((-grad.reshape(m), a_mat.T)))
     except np.linalg.LinAlgError:  # A singular H.
@@ -711,7 +741,7 @@ def solve(
         if warm_start.shape != (n, 4):
             raise ValueError(f"warm start must have shape ({n}, 4)")
 
-    tally = Counter(evaluations=1, line_searches=0, qp_passes=0, corrections=0)
+    tally = Counter(evaluations=1)
     warm_u = hover_u if warm_start is None else _project(warm_start, cfg)
     warm = _cost_parts(x0, warm_u, refs, cfg, params)
     if warm is None:
@@ -744,9 +774,10 @@ def solve(
         if hover is not None and (hover_rank := rank(hover)) < best_rank:
             current = best = hover
             best_rank = hover_rank
+            tally["anchor_wins"] = 1
 
     # The merit's weight: twice the largest QP multiplier so far.
-    nu, converged, working = 0.0, False, None  # The first QP starts cold.
+    nu, converged, working, secant, last = 0.0, False, None, None, None  # A cold first QP.
     for iterations in range(1, cfg.max_iters + 1):
         # The current iterate was flown by the evaluation that chose it; one
         # sensitivity stack feeds the gradient, the tilt rows and the step,
@@ -757,9 +788,13 @@ def solve(
         tilt = _tilt_rows(angles, stack, cfg)
         grad = _adjoint_gradient(current.states, a_steps, b_steps, current.u, refs, cfg,
                                  angles=angles, stack=stack)
+        h_mat = _gn_hessian(angles, stack, cfg, 1e-9)
+        if last is not None:
+            h_mat, secant = _secant_update(secant, h_mat, last[0],
+                                           grad.reshape(-1) + tilt[1].T @ last[2] - last[1])
         d, mu, working, qp = _gauss_newton_direction(current.states, a_steps, b_steps, grad,
                                                      cfg, None, None, None, 1e-9, angles,
-                                                     stack, tilt, working, tally)
+                                                     stack, tilt, working, tally, h_mat)
         nu = max(nu, 2.0 * float(mu.max()))
         cost = _merit(current, nu)
         # Stop on a negligible model decrease of the full step (with no
@@ -770,6 +805,10 @@ def solve(
             hit = _line_search(x0, current.u, d, grad, cost, refs, cfg, params, tilt, nu,
                                tally, qp, working)
         if hit is not None:
+            s = (hit[0].u - current.u).reshape(-1)
+            if last is not None and s @ last[0] < -0.9 * math.sqrt((s @ s) * (last[0] @ last[0])):
+                tally["reversals"] += 1
+            last = (s, grad.reshape(-1) + tilt[1].T @ mu, mu)  # Step, Lagrangian gradient, mu.
             current, trial_cost, working = hit
             if (hit_rank := rank(current)) < best_rank:
                 best, best_rank = current, hit_rank
@@ -812,7 +851,7 @@ class NmpcController:
         self.failures = 0
         # Running sums over the solves that returned.
         self.iterations = self.converged = self.evaluations = self.line_searches = 0
-        self.qp_passes = self.corrections = 0
+        self.qp_passes = self.corrections = self.reversals = self.anchor_wins = 0
 
     def reset(self) -> None:
         self._warm = None
@@ -824,13 +863,12 @@ class NmpcController:
             sol = solve(x, refs, self._warm, self._cfg, self._params)
         except SolverFailureError as exc:
             self.failures += 1
-            self.last_solution = None
-            self._warm = None
+            self.reset()
             log.warning("solver failure (%s); falling back to hover input", exc)
             return AerialInput(c=GRAVITY, torque=np.zeros(3))
         self.last_solution = sol
         for name in ("iterations", "converged", "evaluations", "line_searches", "qp_passes",
-                     "corrections"):
+                     "corrections", "reversals", "anchor_wins"):
             setattr(self, name, getattr(self, name) + getattr(sol, name))
         # Shift by one period, duplicating the final input.
         self._warm = np.vstack([sol.u[1:], sol.u[-1:]])

@@ -14,7 +14,10 @@ scipy's SLSQP solving the same QP independently.  A warm-started QP, and
 a correction through its step's factors, are checked bit for bit against
 the cold start and a fresh step, and a whole solve against the same solve
 with every QP started cold.  The merit weight is checked against the
-multipliers the steps return.
+multipliers the steps return.  The secant term of the QP matrix is checked
+against the secant equation, the update written out as the paper states
+it, a Cholesky factor of every QP matrix, and the same solves with the term
+disabled.
 """
 
 import dataclasses
@@ -490,11 +493,15 @@ class TestBrakingFallback:
 
 class TestSolverCounts:
     """``evaluations`` and ``line_searches`` are the passes and searches a
-    solve made.  Oracle: counting wrappers around the two functions."""
+    solve made, ``reversals`` its accepted steps at a cosine below -0.9 with
+    the one before, and ``anchor_wins`` whether it descended from hover.
+    Oracle: counting wrappers around the cost pass and the line search,
+    which see every searched iterate and every accepted one."""
 
     def test_counts_match_the_calls(self, ncfg, params, monkeypatch):
         calls = Counter()
-        hover_passes = []
+        hover_passes, searches = [], []
+        hover = hover_inputs(ncfg.horizon)
 
         def counted(name):
             inner = getattr(nmpc, name)
@@ -502,9 +509,25 @@ class TestSolverCounts:
             def wrapper(*args):
                 calls[name] += 1
                 if name == "_cost_parts":
-                    hover_passes.append(np.array_equal(args[1], hover_inputs(ncfg.horizon)))
-                return inner(*args)
+                    hover_passes.append(np.array_equal(args[1], hover))
+                hit = inner(*args)
+                if name == "_line_search":
+                    searches.append((args[1], hit))
+                return hit
             return wrapper
+
+        def check(sol, warm_start):
+            assert (sol.evaluations, sol.line_searches) == (calls["_cost_parts"],
+                                                            calls["_line_search"])
+            steps = [(hit[0].u - u).reshape(-1) for u, hit in searches if hit is not None]
+            cosines = [a @ b / math.sqrt((a @ a) * (b @ b)) for a, b in zip(steps, steps[1:])]
+            assert sol.reversals == sum(c < -0.9 for c in cosines)
+            # The first search starts from the iterate the solve descends from.
+            won = warm_start is not None and np.array_equal(searches[0][0], hover)
+            assert sol.anchor_wins == won
+            calls.clear()
+            hover_passes.clear()
+            searches.clear()
 
         for name in ("_cost_parts", "_line_search"):
             monkeypatch.setattr(nmpc, name, counted(name))
@@ -512,15 +535,20 @@ class TestSolverCounts:
         cold = solve(x0, refs, None, ncfg, params)
         # A cold start flies the hover anchor once, as its warm start.
         assert hover_passes[0] and sum(hover_passes) == 1
-        assert (cold.evaluations, cold.line_searches) == (calls["_cost_parts"],
-                                                          calls["_line_search"])
         assert cold.line_searches >= 1
-        calls.clear()
-        hover_passes.clear()
+        check(cold, None)
         warm = solve(cold.states[1], refs, np.vstack([cold.u[1:], cold.u[-1:]]), ncfg, params)
         assert sum(hover_passes) == 1
-        assert (warm.evaluations, warm.line_searches) == (calls["_cost_parts"],
-                                                          calls["_line_search"])
+        check(warm, warm)
+        # A wild warm start loses to the anchor; this cold start reverses once.
+        wild = np.full((ncfg.horizon, 4), 2.0)
+        anchored = solve(x0, refs, wild, ncfg, params)
+        check(anchored, wild)
+        assert anchored.anchor_wins == 1
+        x0, refs = random_instance(np.random.default_rng(1), ncfg)
+        reversing = solve(x0, refs, None, ncfg, params)
+        check(reversing, None)
+        assert reversing.reversals == 1
 
 
 class TestMeritWeight:
@@ -678,6 +706,175 @@ class TestQpReuse:
         assert [getattr(warm, f) for f in fields] == [getattr(expected, f) for f in fields]
         # 142 passes against 265 here.
         assert warm.qp_passes < 0.6 * expected.qp_passes
+
+
+@st.composite
+def _hard_solves(draw):
+    """A solve that takes several iterations: a tilted, spinning, moving
+    state, a goal up to 6 m away and a tight or the default tilt limit,
+    started cold or from a random warm start, at a budget of 15."""
+    euler = EulerAngles(*draw(st.lists(_finite(-0.6, 0.6), min_size=3, max_size=3)))
+    x0 = np.array([
+        0.0, 0.0, 5.0,
+        *draw(st.lists(_finite(-3.0, 3.0), min_size=3, max_size=3)),
+        *euler_to_quat(euler),
+        *draw(st.lists(_finite(-1.5, 1.5), min_size=3, max_size=3)),
+    ])
+    goal = [*draw(st.lists(_finite(-6.0, 6.0), min_size=2, max_size=2)),
+            draw(_finite(2.0, 8.0)), draw(_finite(-2.0, 2.0))]
+    cfg = NmpcConfig(tilt_max=draw(st.sampled_from([0.2, math.pi / 6])), max_iters=15)
+    warm = draw(st.one_of(st.none(), st.just(0.5), st.just(2.0)))
+    if warm is not None:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        warm = rng.uniform(-warm, warm, (cfg.horizon, 4))
+    return x0, hold_refs(goal, cfg.horizon), warm, cfg
+
+
+def _dgw(secant, h_gn, s, y):
+    """Dennis, Gay & Welsch's update with NL2SOL's sizing, written out as
+    the paper states it: the term after step ``s``, or ``secant`` kept."""
+    ys = y @ s
+    if ys <= 0.0:
+        return secant
+    if secant is None:
+        secant = np.zeros_like(h_gn)
+    y_sharp = y - h_gn @ s
+    curv = abs(s @ secant @ s)
+    t = min(1.0, abs(s @ y_sharp) / curv) if curv > 0.0 else 1.0
+    v = y_sharp - t * secant @ s
+    return (t * secant + (np.outer(v, y) + np.outer(y, v)) / ys
+            - (v @ s) * np.outer(y, y) / ys**2)
+
+
+class TestSecantTerm:
+    """The QP of each SQP step after the first uses ``H = H_GN + S``, with
+    ``S`` a per-solve structured secant term (Dennis-Gay-Welsch).  Oracles:
+    the secant equation ``(H_GN + S) s = y`` with ``y`` the change of the
+    Lagrangian's gradient, rebuilt here from the steps' own gradients, rows
+    and multipliers; the update written out as the paper states it;
+    ``np.linalg.cholesky``; and the same solves with the term disabled."""
+
+    @staticmethod
+    def _spied(monkeypatch):
+        """Spies on the update and the step; returns their event list."""
+        update, step = nmpc._secant_update, nmpc._gauss_newton_direction
+        events = []
+
+        def updated(secant, h_gn, s, y):
+            h_mat, new = update(secant, h_gn, s, y)
+            events.append(("update", secant, new, h_gn, s, y, h_mat))
+            return h_mat, new
+
+        def stepped(*args):
+            result = step(*args)
+            events.append(("step", args, result))
+            return result
+
+        monkeypatch.setattr(nmpc, "_secant_update", updated)
+        monkeypatch.setattr(nmpc, "_gauss_newton_direction", stepped)
+        return events
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=_hard_solves())
+    def test_a_taken_update_meets_the_secant_equation(self, case, params):
+        x0, refs, warm, cfg = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            events = self._spied(monkeypatch)
+            nmpc.solve(x0, refs, warm, cfg, params)
+        steps = [e[1:] for e in events if e[0] == "step"]
+        updates = [e[1:] for e in events if e[0] == "update"]
+        # One update before every step after the first.
+        assert len(updates) == len(steps) - 1
+        for (args, (_, mu, _, _)), (after, _), (given, new, h_gn, s, y, _) in zip(
+                steps, steps[1:], updates):
+            # y: the Lagrangian gradient's change along s at the step's mu.
+            grad, rows = args[3].reshape(-1), args[11][1]
+            assert np.array_equal(y, after[3].reshape(-1) + after[11][1].T @ mu
+                                  - (grad + rows.T @ mu))
+            if y @ s <= 0.0:
+                assert new is given or new is None
+            elif new is not None:
+                residual = np.linalg.norm((h_gn + new) @ s - y)
+                assert residual <= 1e-9 * np.linalg.norm(y)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=_hard_solves())
+    def test_every_qp_matrix_is_positive_definite(self, case, params):
+        x0, refs, warm, cfg = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            events = self._spied(monkeypatch)
+            nmpc.solve(x0, refs, warm, cfg, params)
+        for before, event in zip([None, *events], events):
+            if event[0] == "step":
+                np.linalg.cholesky(event[1][14])
+                if before is not None:  # The matrix the update just returned.
+                    assert before[0] == "update" and event[1][14] is before[6]
+
+    def test_the_update_is_dgw_and_an_indefinite_term_is_dropped(self, ncfg, params,
+                                                                  monkeypatch):
+        """Each update is the paper's formula; where ``H_GN + S`` is not
+        positive definite the QP uses ``H_GN`` alone and the next update
+        starts from the zero term."""
+        x0, refs = random_instance(np.random.default_rng(2), ncfg)
+        events = self._spied(monkeypatch)
+        assert solve(x0, refs, None, ncfg, params).iterations >= 3
+        secant, taken, dropped = None, 0, 0
+        for kind, *rest in events:
+            if kind == "step":
+                continue
+            given, new, h_gn, s, y, h_mat = rest
+            assert given is secant
+            expected = _dgw(secant, h_gn, s, y)
+            try:
+                np.linalg.cholesky(h_gn + expected)
+            except np.linalg.LinAlgError:
+                assert new is None and h_mat is h_gn
+                dropped += 1
+            else:
+                scale = np.abs(expected).max()
+                assert np.allclose(new, expected, rtol=0.0, atol=1e-12 * scale)
+                assert np.array_equal(h_mat, h_gn + new)
+                taken += 1
+            secant = new
+        assert taken >= 3 and dropped >= 1
+
+    def test_one_iteration_solves_keep_their_bytes(self, cfg, ncfg, params, monkeypatch):
+        """The first QP of a solve uses ``H_GN`` alone, so a solve that stops
+        after one iteration is the solve with the term disabled, byte for
+        byte, and every solve's first step is too."""
+        ctl = NmpcController(cfg)
+        x = hover_state((0.0, 0.0, 1.0)).as_vector()
+        x[3:6] = (0.4, -0.2, 0.1)
+        problems = []
+        for i in range(30):
+            refs = np.array([[0.4 * (i + j + 1) * ncfg.period, 0.0, 1.0, 0.0]
+                             for j in range(ncfg.horizon)])
+            problems.append((x, refs, ctl._warm))
+            ctl.step(x, refs)
+            x = ctl.last_solution.states[1]
+        step = nmpc._gauss_newton_direction
+        firsts = []
+
+        def stepped(*args):
+            result = step(*args)
+            if args[12] is None:  # The first QP of a solve starts cold, on H_GN.
+                assert np.array_equal(args[14], nmpc._gn_hessian(args[9], args[10], ncfg, 1e-9))
+                firsts.append(result[:3])
+            return result
+
+        monkeypatch.setattr(nmpc, "_gauss_newton_direction", stepped)
+        with_term = [solve(*problem, ncfg, params) for problem in problems]
+        monkeypatch.setattr(nmpc, "_secant_update", lambda secant, h_gn, *args: (h_gn, None))
+        without = [solve(*problem, ncfg, params) for problem in problems]
+        fields = [f.name for f in dataclasses.fields(nmpc.NmpcSolution)]
+        singles = [(a, b) for a, b in zip(with_term, without) if a.iterations == 1]
+        assert singles and max(a.iterations for a in with_term) >= 3
+        for a, b in singles:
+            for name in fields:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert len(firsts) == 2 * len(problems)
+        for a, b in zip(firsts, firsts[len(problems):]):
+            assert all(np.array_equal(p, q) for p, q in zip(a, b))
 
 
 class TestEvaluateCost:
@@ -1197,12 +1394,21 @@ class TestNmpcController:
             ctl.step(x, refs)
             solutions.append(ctl.last_solution)
             x = ctl.last_solution.states[1]
+        # A wild warm start loses to the hover anchor; after a reset, this
+        # cold start reverses a step.
+        ctl._warm = np.full((ncfg.horizon, 4), 2.0)
+        ctl.step(x, refs)
+        solutions.append(ctl.last_solution)
+        ctl.reset()
+        ctl.step(*random_instance(np.random.default_rng(1), ncfg))
+        solutions.append(ctl.last_solution)
+        assert ctl.anchor_wins >= 1 and ctl.reversals >= 1
         # A failed solve adds to the failures only.
         ctl._warm = np.full((ncfg.horizon, 4), 1e8)
         ctl.step(x, refs)
         assert ctl.failures == 1
         for name in ("iterations", "converged", "evaluations", "line_searches", "qp_passes",
-                     "corrections"):
+                     "corrections", "reversals", "anchor_wins"):
             assert getattr(ctl, name) == sum(getattr(s, name) for s in solutions)
 
     def test_failure_fallback_is_hover(self, cfg, ncfg):

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from cyclosim import nmpc
 from cyclosim.config import default_config
 from cyclosim.errors import ConfigError
 from cyclosim.fsm import Medium, SubState
@@ -223,7 +224,26 @@ class TestMiniRuns:
         run(cfg, mini_mission(), controller="nmpc", time_limit=4.0)
         assert len(moved) > 20 and sum(moved) > len(moved) // 2
 
-    def test_two_runs_byte_identical(self, cfg, tmp_path):
+    def test_two_runs_byte_identical(self, cfg, tmp_path, monkeypatch):
+        """Two runs in one process write the same bytes, and every solve's
+        first secant update starts from the zero term: the solver's secant
+        term never outlives its solve."""
+        solve, update = nmpc.solve, nmpc._secant_update
+        fresh, taken = [], []
+
+        def solved(*args):
+            fresh.append(True)
+            return solve(*args)
+
+        def updated(secant, *args):
+            assert secant is None or not fresh
+            fresh.clear()
+            h_mat, new = update(secant, *args)
+            taken.append(new is not None)
+            return h_mat, new
+
+        monkeypatch.setattr(nmpc, "solve", solved)
+        monkeypatch.setattr(nmpc, "_secant_update", updated)
         paths = []
         for name in ("first.csv", "second.csv"):
             log = run(cfg, mini_mission(), controller="nmpc")
@@ -231,6 +251,7 @@ class TestMiniRuns:
             save_log(log, path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert sum(taken) > 100
 
     def test_touch_and_go_rests_level_at_touchdown(self, cfg):
         """Land between two takeoffs: the touchdown tick logs the level,

@@ -66,12 +66,18 @@ def test_four_instances_match_direct_solves(tool, capsys):
 def test_compare_reports_counts_and_geometric_mean(tool, tmp_path, capsys):
     # The first old instance ends beyond the tilt slack; the second new one
     # ends inside the slack but past the limit.
-    old = [{"converged": False, "evaluations": 50, "worst_excess": 0.25, "cost": 4.0},
-           {"converged": True, "evaluations": 7, "worst_excess": -0.1, "cost": 1.0},
-           {"converged": True, "evaluations": 9, "worst_excess": 0.0, "cost": 2.0}]
-    new = [{"converged": True, "evaluations": 12, "worst_excess": -0.3, "cost": 1.0},
-           {"converged": True, "evaluations": 8, "worst_excess": 0.0009, "cost": 4.0},
-           {"converged": True, "evaluations": 9, "worst_excess": 0.0, "cost": 2.0}]
+    old = [{"converged": False, "iterations": 25, "evaluations": 50, "worst_excess": 0.25,
+            "cost": 4.0},
+           {"converged": True, "iterations": 3, "evaluations": 7, "worst_excess": -0.1,
+            "cost": 1.0},
+           {"converged": True, "iterations": 4, "evaluations": 9, "worst_excess": 0.0,
+            "cost": 2.0}]
+    new = [{"converged": True, "iterations": 6, "evaluations": 12, "worst_excess": -0.3,
+            "cost": 1.0},
+           {"converged": True, "iterations": 3, "evaluations": 8, "worst_excess": 0.0009,
+            "cost": 4.0},
+           {"converged": True, "iterations": 4, "evaluations": 9, "worst_excess": 0.0,
+            "cost": 2.0}]
     paths = []
     for name, run in (("old", old), ("new", new)):
         path = tmp_path / f"{name}.json"
@@ -81,6 +87,7 @@ def test_compare_reports_counts_and_geometric_mean(tool, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == ["identical in every field: 1 of 3",
                    "converged: 2 -> 3 of 3",
+                   "iterations: 32 -> 13",
                    "evaluations: 66 -> 29",
                    "beyond the tilt slack: 1 -> 0",
                    "geometric-mean cost ratio new/old: 1.0000",
@@ -101,3 +108,25 @@ def test_identical_counts_only_records_equal_in_every_field(tool):
                base | {"cost": math.nextafter(2.0, 3.0)}]
     assert tool.compare([base] * 6, [base, *changed])["identical"] == 1
     assert tool.compare([base] * 6, [dict(base) for _ in range(6)])["identical"] == 6
+
+
+def test_compare_totals_the_iterations_of_both_runs(tool, tmp_path, capsys):
+    # Totals over the records of each run, whatever else changed; a run of
+    # real results carries one iteration count per instance.
+    base = {"converged": True, "evaluations": 9, "worst_excess": -0.1, "cost": 2.0}
+    old = [base | {"iterations": k} for k in (1, 50, 7)]
+    new = [base | {"iterations": k} for k in (1, 12, 9)]
+    report = tool.compare(old, new)
+    assert (report["iterations_old"], report["iterations_new"]) == (58, 22)
+    assert report["identical"] == 1
+    paths = []
+    for name, run in (("old", old), ("new", new)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(run))
+        paths.append(str(path))
+    assert tool.main(["--compare", *paths]) == 0
+    assert "iterations: 58 -> 22" in capsys.readouterr().out.splitlines()
+    assert tool.main(["--count", "2", "--max-iters", "3"]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    assert tool.compare(solved, solved)["iterations_new"] == sum(
+        r["iterations"] for r in solved) <= 6

@@ -19,10 +19,11 @@ version of the package, put its ``src`` first on ``PYTHONPATH``.
 
 ``--compare`` prints how many instances the two runs solved identically
 (equal in every field), the converged counts of both runs, their total
-cost evaluations and how many instances end beyond the solver's tilt slack,
-the geometric mean of the per-instance cost ratios NEW/OLD and how many
-instances each run solved more than 1 % cheaper.  A change that claims to
-keep the solver's results shows all instances identical.
+iterations and cost evaluations and how many instances end beyond the
+solver's tilt slack, the geometric mean of the per-instance cost ratios
+NEW/OLD and how many instances each run solved more than 1 % cheaper.
+A change that claims to keep the solver's results shows all instances
+identical.
 """
 
 from __future__ import annotations
@@ -81,15 +82,16 @@ def solve_corpus(count: int = 160, max_iters: int = 50) -> list[dict]:
 
 def compare(old: list[dict], new: list[dict]) -> dict:
     """The instances equal in every field, the converged counts, total
-    evaluations and instances beyond the tilt slack of each run, the
-    geometric-mean cost ratio NEW/OLD and the instances each run solved
-    more than 1 % cheaper."""
+    iterations and evaluations and instances beyond the tilt slack of each
+    run, the geometric-mean cost ratio NEW/OLD and the instances each run
+    solved more than 1 % cheaper."""
     if len(old) != len(new):
         raise ValueError(f"the runs cover {len(old)} and {len(new)} instances")
     ratios = [b["cost"] / a["cost"] for a, b in zip(old, new)]
     report = {"instances": len(old), "identical": sum(a == b for a, b in zip(old, new))}
     for name, run in (("old", old), ("new", new)):
         report[f"converged_{name}"] = sum(r["converged"] for r in run)
+        report[f"iterations_{name}"] = sum(r["iterations"] for r in run)
         report[f"evaluations_{name}"] = sum(r["evaluations"] for r in run)
         report[f"beyond_slack_{name}"] = sum(r["worst_excess"] > _TILT_SLACK for r in run)
     return report | {
@@ -117,6 +119,7 @@ def main(argv=None) -> int:
         print(f"identical in every field: {report['identical']} of {report['instances']}")
         print(f"converged: {report['converged_old']} -> {report['converged_new']}"
               f" of {report['instances']}")
+        print(f"iterations: {report['iterations_old']} -> {report['iterations_new']}")
         print(f"evaluations: {report['evaluations_old']} -> {report['evaluations_new']}")
         print(f"beyond the tilt slack: {report['beyond_slack_old']} ->"
               f" {report['beyond_slack_new']}")
