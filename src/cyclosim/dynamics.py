@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import GRAVITY, Config
 from .errors import DivergenceError, SaturationError
-from .geometry import _vector
+from .geometry import _vector, quat_from_yaw
 
 __all__ = [
     "VehicleParams",
@@ -157,15 +157,7 @@ class VehicleState:
         x = np.asarray(x, dtype=float)
         if x.shape != (STATE_DIM,):
             raise ValueError(f"state vector must have shape ({STATE_DIM},)")
-        q = x[QUAT_SLICE]
-        # One pass (a finite sum means finite entries); a vector that fails
-        # gets the field-by-field constructor's error.
-        if not math.isfinite(sum(x.tolist())) or abs(math.hypot(*q.tolist()) ** 2 - 1.0) > 1e-6:
-            return cls(x[0:3], x[3:6], q, x[10:13])
-        state = object.__new__(cls)
-        state.__dict__.update(position=x[0:3], velocity=x[3:6], quaternion=q,
-                              body_rates=x[10:13])
-        return state
+        return cls(x[0:3], x[3:6], x[QUAT_SLICE], x[10:13])
 
 
 def hover_state(position, yaw: float = 0.0) -> VehicleState:
@@ -173,7 +165,7 @@ def hover_state(position, yaw: float = 0.0) -> VehicleState:
     return VehicleState(
         position=np.asarray(position, dtype=float),
         velocity=np.zeros(3),
-        quaternion=np.array([math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)]),
+        quaternion=quat_from_yaw(yaw),
         body_rates=np.zeros(3),
     )
 

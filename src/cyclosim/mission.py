@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
@@ -257,17 +258,23 @@ def _segment_from_record(rec) -> Segment:
     except ValueError:
         raise MissionError(f"unknown action '{rec['action']}'") from None
     hold = rec.get("hold", 0.0)
-    if not isinstance(hold, (int, float)) or isinstance(hold, bool):
+    if not _number(hold):
         raise MissionError("hold must be a number")
     return Segment(medium=medium, action=action, target=_point(rec["target"], "target"),
                    hold=float(hold))
 
 
+def _number(value) -> bool:
+    """Whether a YAML value is a number float() takes: booleans are not, nor is
+    an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
 def _point(value, name: str) -> np.ndarray:
-    """A YAML (x, y, z) value as an array; booleans are not numbers here."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
+    """A YAML (x, y, z) value as an array of three ``_number`` values."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(map(_number, value)):
         raise MissionError(f"{name} must be a 3-number list")
     return np.array(value, dtype=float)
 

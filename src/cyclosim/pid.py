@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GRAVITY, Config, PidChannelGains, PidConfig
-from .dynamics import AerialInput, VehicleState
+from .dynamics import QUAT_SLICE, STATE_DIM, AerialInput
 from .geometry import quat_roll_pitch, quat_yaw, wrap_angle
 
 __all__ = [
@@ -191,21 +191,19 @@ class CascadePid:
         self._pos_states = (PidChannelState(), PidChannelState(), PidChannelState())
         self._att_states = (PidChannelState(), PidChannelState(), PidChannelState())
 
-    def step(
-        self,
-        state: VehicleState,
-        ref_position,
-        ref_yaw: float,
-        dt: float,
-    ) -> AerialInput:
-        """One controller update at the controller rate."""
+    def step(self, x, ref_position, ref_yaw: float, dt: float) -> AerialInput:
+        """One controller update at the controller rate on the 13-state ``x``."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (STATE_DIM,):
+            raise ValueError(f"x must have shape ({STATE_DIM},)")
         rx, ry, rz = _three(ref_position, "ref_position")
-        px, py, pz = state.position.tolist()
-        yaw = quat_yaw(state.quaternion)
+        px, py, pz = x[0:3].tolist()
+        q = x[QUAT_SLICE]
+        yaw = quat_yaw(q)
         (c, roll_ref, pitch_ref), self._pos_states = position_loop(
             (rx - px, ry - py, rz - pz), yaw, self._pos_states, self._pid, dt
         )
-        roll, pitch = quat_roll_pitch(state.quaternion)
+        roll, pitch = quat_roll_pitch(q)
         torque, self._att_states = attitude_loop(
             (roll_ref - roll, pitch_ref - pitch, ref_yaw - yaw), self._att_states, self._pid, dt
         )

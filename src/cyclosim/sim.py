@@ -37,16 +37,16 @@ from .dynamics import (
     AquaticInput,
     TerrestrialInput,
     VehicleParams,
-    VehicleState,
     _planar_rates,
     _planar_rk4,
     allocate,
     aquatic_rotor_speeds,
     aerial_step,
     forward_mix,
+    hover_state,
     step_rk4,  # noqa: F401  unused; perfbench's tracer looks it up (test_tracer_names)
 )
-from .errors import DivergenceError, MissionError
+from .errors import DivergenceError
 from .fsm import (
     EventKind,
     Medium,
@@ -232,14 +232,6 @@ def _drive_aquatic(pose: np.ndarray, ref: np.ndarray, cruise: float) -> AquaticI
     return AquaticInput(speed=0.0 if dist <= 0.05 else speed, steering=steer)
 
 
-def _resting_state(x: float, y: float, yaw: float) -> np.ndarray:
-    """The level, motionless 13-state at ``(x, y)`` on the surface."""
-    x13 = np.zeros(13)
-    x13[0:2] = (x, y)
-    x13[6:10] = quat_from_yaw(yaw)
-    return x13
-
-
 class _Runner:
     """Mutable loop state for one run; ``run`` drives it tick by tick."""
 
@@ -258,6 +250,7 @@ class _Runner:
         self.gen = ReferenceGenerator(mission, scfg)
         self.controller = NmpcController(config) if controller == "nmpc" else CascadePid(config)
 
+        # The armed segment: -1 until __init__'s last line arms segment 0.
         self.seg_idx = -1
         self.seg_t0 = 0.0
         self.stable_since: float | None = None
@@ -277,6 +270,8 @@ class _Runner:
         self.rows = np.empty((_FIRST_ROWS, _ROW_WIDTH))
         self.n_rows = 0
         self.modes: list[ModeState] = []
+        if mission.segments:
+            self.advance(0, 0.0)
 
     # -- state access -------------------------------------------------
 
@@ -296,13 +291,15 @@ class _Runner:
         old = self.mode
         new = step_fsm(old, event)
         if event.kind is EventKind.GEAR_CONFIGURED:
-            self.x13 = _resting_state(*self.pose.tolist())
+            x, y, yaw = self.pose.tolist()
+            self.x13 = hover_state((x, y, 0.0), yaw).as_vector()
         elif event.kind is EventKind.ENTERED_WATER:
             self.pose = np.array([self.x13[0], self.x13[1], quat_yaw(self.x13[6:10])])
             self.x13 = None
             self.rates = (0.0, 0.0)
         elif event.kind is EventKind.TOUCHED_DOWN:
-            self.x13 = _resting_state(self.x13[0], self.x13[1], quat_yaw(self.x13[6:10]))
+            self.x13 = hover_state((self.x13[0], self.x13[1], 0.0),
+                                   quat_yaw(self.x13[6:10])).as_vector()
         if new.substate is SubState.TAKEOFF and old.substate is not SubState.TAKEOFF:
             self.controller.reset()
             self.force_solve = True
@@ -346,22 +343,17 @@ class _Runner:
 
     def progress(self, t: float) -> bool:
         """Advance the mission at tick ``t``; True when the route is done."""
-        guard = len(self.mission.segments) + 2
-        for _ in range(guard):
-            if self.seg_idx < 0:
-                if not self.mission.segments:
-                    return True
-                self.advance(0, t)
-                continue
-            if not self.segment_complete(t):
-                return False
+        if self.seg_idx < 0:
+            return True
+        # Each pass advances one segment or returns, so the loop ends.
+        while self.segment_complete(t):
             if self.seg_idx == len(self.mission.segments) - 1:
                 return True
             event = self.plan[self.seg_idx].completion
             if event is not None:
                 self.emit(event, t)
             self.advance(self.seg_idx + 1, t)
-        raise MissionError("mission made no progress within one tick")
+        return False
 
     # -- controllers ----------------------------------------------------
 
@@ -381,8 +373,7 @@ class _Runner:
             u = _drive_aquatic(self.pose, ref, scfg.cruise_water)
             self.rates = _planar_rates(u, self.params)
         elif not solver:
-            state = VehicleState.from_vector(self.x13)
-            self.aerial_u = self.controller.step(state, ref[:3], ref[3], self.tick)
+            self.aerial_u = self.controller.step(self.x13, ref[:3], ref[3], self.tick)
         elif k % self.nmpc_every == 0 or self.force_solve:
             # Output j is one period after input j: rows 1..N.
             refs = self.gen.preview(t, self.cfg.nmpc.horizon + 1, self.cfg.nmpc.period)[1:]

@@ -19,7 +19,7 @@ from cyclosim.errors import MissionError
 from cyclosim.fsm import Medium
 from cyclosim.mission import Action, Mission, Segment, save_mission
 from cyclosim.sim import SegmentMetrics, TrackingMetrics
-from test_mission import BAD_MISSION_FILES
+from test_mission import BAD_MISSION_FILES, HUGE
 
 pytestmark = pytest.mark.usefixtures("keep_env_clean")
 
@@ -117,7 +117,8 @@ class TestValidateFsm:
 
 class TestMalformedStart:
     @pytest.mark.parametrize("command", ["simulate", "validate-fsm"])
-    @pytest.mark.parametrize("start", ["abc", "{x: 1}", "[true, 0, 0]", "[1, 2]"])
+    @pytest.mark.parametrize("start", ["abc", "{x: 1}", "[true, 0, 0]", "[1, 2]",
+                                       pytest.param(f"[{HUGE}, 0, 0]", id="huge_int")])
     def test_parse_error(self, tmp_path, capsys, command, start):
         """The start point gets the target's check: a parse error, exit 3."""
         path = tmp_path / "start.yaml"

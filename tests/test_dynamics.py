@@ -348,7 +348,9 @@ class TestRk4:
     def test_divergence_error_carries_state(self):
         f = lambda s, _u: s * 1e9  # blows up fast
         x = np.array([1.0])
-        with pytest.raises(DivergenceError) as exc_info:
+        # The blow-up overflows on purpose; only the DivergenceError matters.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as exc_info:
             for _ in range(200):
                 x = step_rk4(f, x, None, 0.05)
         assert exc_info.value.state is not None

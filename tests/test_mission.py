@@ -31,6 +31,8 @@ from cyclosim.mission import (
 
 
 _FIRST = "segments:\n  - {medium: aerial, action: takeoff, target: [100, 0, 5]}\n"
+# An integer past the float range: float() of it raises OverflowError.
+HUGE = "1" + "0" * 400
 
 # Mission files the loader rejects, each with its MissionError's message;
 # a record error names the record's index.
@@ -48,6 +50,10 @@ BAD_MISSION_FILES = [
                  "segment 1: hold must be a number", id="hold"),
     pytest.param(_FIRST + "  - {medium: aerial, action: hover, target: [100, 0, 5], hold: true}\n",
                  "segment 1: hold must be a number", id="hold_bool"),
+    pytest.param(_FIRST + f"  - {{medium: aerial, action: hover, target: [100, 0, 5], hold: {HUGE}}}\n",
+                 "segment 1: hold must be a number", id="hold_huge_int"),
+    pytest.param(_FIRST + f"  - {{medium: aerial, action: hover, target: [100, 0, {HUGE}]}}\n",
+                 "segment 1: target must be a 3-number list", id="target_huge_int"),
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclosim.config import GRAVITY, PidChannelGains, PidConfig, default_config
-from cyclosim.dynamics import VehicleParams, VehicleState, aerial_step, hover_state
+from cyclosim.dynamics import VehicleParams, aerial_step, hover_state
 from cyclosim.geometry import quat_roll_pitch, quat_yaw, wrap_angle
 from cyclosim.pid import CascadePid, PidChannelState, attitude_loop, pid_step, position_loop
 
@@ -161,8 +161,7 @@ class TestClosedLoop:
         t = 0.0
         ts, zs = [], []
         while t < duration:
-            s = VehicleState.from_vector(x)
-            u = ctrl.step(s, np.asarray(ref, dtype=float), yaw_ref, cfg.sim.controller_period)
+            u = ctrl.step(x, np.asarray(ref, dtype=float), yaw_ref, cfg.sim.controller_period)
             u_vec = _as_vector(u)
             for _ in range(n_sub):
                 x = aerial_step(x, u_vec, p, cfg.dt)
@@ -194,8 +193,7 @@ class TestClosedLoop:
         ctrl = CascadePid(cfg)
         x = hover_state((0.0, 0.0, 1.0)).as_vector()
         for _ in range(600):
-            s = VehicleState.from_vector(x)
-            u = _as_vector(ctrl.step(s, np.array([0.0, 0.0, 1.0]), math.pi / 2, 0.01))
+            u = _as_vector(ctrl.step(x, np.array([0.0, 0.0, 1.0]), math.pi / 2, 0.01))
             for _ in range(10):
                 x = aerial_step(x, u, p, cfg.dt)
         yaw = 2.0 * math.atan2(x[9], x[6])
@@ -205,7 +203,7 @@ class TestClosedLoop:
     def test_reset_clears_memory(self):
         cfg = default_config()
         ctrl = CascadePid(cfg)
-        s = hover_state((0.0, 0.0, 0.0))
+        s = hover_state((0.0, 0.0, 0.0)).as_vector()
         ref = np.array([0.0, 0.0, 1.0])
         first = ctrl.step(s, ref, 0.0, 0.01)
         second = ctrl.step(s, ref, 0.0, 0.01)
@@ -213,6 +211,12 @@ class TestClosedLoop:
         ctrl.reset()
         again = ctrl.step(s, ref, 0.0, 0.01)
         assert again.c == pytest.approx(first.c)
+
+    def test_rejects_a_state_that_is_not_13_long(self):
+        ctrl = CascadePid(default_config())
+        for n in (12, 14):
+            with pytest.raises(ValueError, match=r"x must have shape \(13,\)"):
+                ctrl.step(np.zeros(n), np.zeros(3), 0.0, 0.01)
 
 
 def _array_cascade(cfg: PidConfig, pos_states, att_states, x, ref, ref_yaw, dt):
@@ -270,7 +274,7 @@ class TestFloatCascade:
             x = hover_state(position).as_vector()
             q = np.array(quat)
             x[6:10] = q / math.sqrt(float(q @ q))
-            got = ctrl.step(VehicleState.from_vector(x), np.array(ref), ref_yaw, 0.01)
+            got = ctrl.step(x, np.array(ref), ref_yaw, 0.01)
             c, torque, pos_states, att_states = _array_cascade(
                 cfg.pid, pos_states, att_states, x, ref, ref_yaw, 0.01)
             assert _bits([got.c, *got.torque]) == _bits([c, *torque])

@@ -284,6 +284,30 @@ class TestMiniRuns:
         assert np.array_equal(row[10:13], np.zeros(3))
         assert log.state[-1, 2] > 4.0
 
+    def test_segments_done_at_the_start_all_advance_in_the_first_tick(self, cfg):
+        """Two drives to the start point are done at t = 0: the first tick
+        fires all five plan events, logs the third drive, and driving goes on."""
+        start = np.array([10.0, 0.0, 0.0])
+        goal = np.array([20.0, 0.0, 0.0])
+        mission = Mission(
+            segments=(
+                Segment(Medium.TERRESTRIAL, Action.DRIVE, start),
+                Segment(Medium.TERRESTRIAL, Action.DRIVE, start),
+                Segment(Medium.TERRESTRIAL, Action.DRIVE, goal),
+            ),
+            start=start,
+        )
+        log = run(cfg, mission, controller="pid")
+        assert log.completed
+        assert [(t, event) for t, _, event, _ in log.transitions] == [
+            (0.0, "command(drive)"), (0.0, "reached_waypoint(0)"), (0.0, "command(drive)"),
+            (0.0, "reached_waypoint(1)"), (0.0, "command(drive)"),
+        ]
+        assert (log.medium[0], log.substate[0], log.segment[0]) == ("terrestrial", "driving", 2)
+        assert set(log.substate) == {"driving"} and set(log.segment.tolist()) == {2}
+        assert len(log) > 1
+        assert math.dist(log.state[-1, 0:3], goal) < cfg.sim.arrival_radius
+
 
 class TestRunEndings:
     def test_empty_mission_is_immediately_complete(self, cfg):
