@@ -82,6 +82,18 @@ _FLARE_ALTITUDE = 2.0
 _FLARE_SPEED = 0.5
 
 
+def _waypoint(value, message: str) -> np.ndarray:
+    """``value`` as a read-only float (x, y, z), or MissionError(message)."""
+    try:
+        point = np.array(value, dtype=float).reshape(-1)
+    except OverflowError:
+        raise MissionError(message) from None
+    if point.shape != (3,) or not np.isfinite(point).all():
+        raise MissionError(message)
+    point.flags.writeable = False
+    return point
+
+
 @dataclass(frozen=True)
 class Segment:
     """One mission leg: do ``action`` in ``medium`` toward ``target``.
@@ -114,12 +126,9 @@ class Segment:
     hold: float = 0.0
 
     def __post_init__(self):
-        target = np.asarray(self.target, dtype=float).reshape(-1).copy()
-        if target.shape != (3,) or not np.all(np.isfinite(target)):
-            raise MissionError("segment target must be a finite (x, y, z) waypoint")
-        target.flags.writeable = False
+        target = _waypoint(self.target, "segment target must be a finite (x, y, z) waypoint")
         object.__setattr__(self, "target", target)
-        if not math.isfinite(self.hold) or self.hold < 0.0:
+        if not 0.0 <= self.hold <= sys.float_info.max:  # An int past the range too.
             raise MissionError("segment hold must be finite and nonnegative")
         if self.action is Action.DRIVE:
             if self.medium is Medium.AERIAL:
@@ -148,11 +157,8 @@ class Mission:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        start = np.asarray(self.start, dtype=float).reshape(-1).copy()
-        if start.shape != (3,) or not np.all(np.isfinite(start)):
-            raise MissionError("mission start must be a finite (x, y, z) point")
-        start.flags.writeable = False
-        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "start",
+                           _waypoint(self.start, "mission start must be a finite (x, y, z) point"))
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -48,6 +48,8 @@ import math
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -183,10 +185,7 @@ class _Flight(NamedTuple):
     @property
     def outputs(self) -> np.ndarray:
         """(N, 4) outputs: position and yaw after each step."""
-        outputs = np.empty((len(self.yaws), 4))
-        outputs[:, :3] = self.states[1:, :3]
-        outputs[:, 3] = self.yaws
-        return outputs
+        return np.column_stack((self.states[1:, :3], self.yaws))
 
     @property
     def worst(self) -> float:
@@ -331,30 +330,28 @@ def _penalty_cost(flight: _Flight, weight: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Varying entries of the (13, 17) derivative Jacobian [df/dx | df/du] as
-# (row, column, term), with the term a column of the table _stage_jacobians
-# builds: 0-3 2cq, 4-7 -2cq (q = qw, qx, qy, qz), 8-9 -4c(qx, qy), 10-12
-# 0.5w, 13-15 -0.5w, 16-19 0.5q, 20-23 -0.5q, 24-29 gyroscopic, 30-32
-# R(q) e_z, 33-35 J^-1.
+# Each nonzero entry of the (13, 17) derivative Jacobian [df/dx | df/du] as
+# (row, column, feature, sign): a stage feature _stage_jacobians builds, or its
+# negation.  Features: 0 one, 1-4 2cq, 5-6 -4c(qx, qy), 7-10 0.5q (q = qw, qx,
+# qy, qz), 11-13 0.5w, 14-19 gyroscopic, 20-22 R(q) e_z, 23-25 J^-1.
 _JAC_ENTRIES = (
-    # d(c * R(q) e_z)/dq
-    (3, 6, 2), (3, 7, 3), (3, 8, 0), (3, 9, 1), (4, 6, 5), (4, 7, 4), (4, 8, 3),
-    (4, 9, 2), (5, 7, 8), (5, 8, 9),
-    # d(0.5 Omega(w) q)/dq
-    (6, 7, 13), (6, 8, 14), (6, 9, 15), (7, 6, 10), (7, 8, 12), (7, 9, 14),
-    (8, 6, 11), (8, 7, 15), (8, 9, 10), (9, 6, 12), (9, 7, 11), (9, 8, 13),
-    # d(0.5 Omega(w) q)/dw
-    (6, 10, 21), (6, 11, 22), (6, 12, 23), (7, 10, 16), (7, 11, 23), (7, 12, 18),
-    (8, 10, 19), (8, 11, 16), (8, 12, 21), (9, 10, 22), (9, 11, 17), (9, 12, 16),
-    # d(J^-1 (tau - w x J w))/dw
-    (10, 11, 24), (10, 12, 25), (11, 10, 26), (11, 12, 27), (12, 10, 28), (12, 11, 29),
-    # input block: d(c * R(q) e_z)/dc and J^-1
-    (3, 13, 30), (4, 13, 31), (5, 13, 32), (10, 14, 33), (11, 15, 34), (12, 16, 35),
+    # d(p)/dv and d(c * R(q) e_z)/dq
+    (0, 3, 0, 1), (1, 4, 0, 1), (2, 5, 0, 1), (3, 6, 3, 1), (3, 7, 4, 1), (3, 8, 1, 1),
+    (3, 9, 2, 1), (4, 6, 2, -1), (4, 7, 1, -1), (4, 8, 4, 1), (4, 9, 3, 1), (5, 7, 5, 1),
+    (5, 8, 6, 1),
+    # d(0.5 Omega(w) q)/dq, then /dw
+    (6, 7, 11, -1), (6, 8, 12, -1), (6, 9, 13, -1), (7, 6, 11, 1), (7, 8, 13, 1), (7, 9, 12, -1),
+    (8, 6, 12, 1), (8, 7, 13, -1), (8, 9, 11, 1), (9, 6, 13, 1), (9, 7, 12, 1), (9, 8, 11, -1),
+    (6, 10, 8, -1), (6, 11, 9, -1), (6, 12, 10, -1), (7, 10, 7, 1), (7, 11, 10, -1), (7, 12, 9, 1),
+    (8, 10, 10, 1), (8, 11, 7, 1), (8, 12, 8, -1), (9, 10, 9, -1), (9, 11, 8, 1), (9, 12, 7, 1),
+    # d(J^-1 (tau - w x J w))/dw, and the input block: d(c * R(q) e_z)/dc and J^-1
+    (10, 11, 14, 1), (10, 12, 15, 1), (11, 10, 16, 1), (11, 12, 17, 1), (12, 10, 18, 1),
+    (12, 11, 19, 1), (3, 13, 20, 1), (4, 13, 21, 1), (5, 13, 22, 1), (10, 14, 23, 1),
+    (11, 15, 24, 1), (12, 16, 25, 1),
 )
-_JAC_POS = np.array([i * (STATE_DIM + 4) + j for i, j, _ in _JAC_ENTRIES])
-_JAC_TERM = np.array([term for _, _, term in _JAC_ENTRIES])
-# Body-rate component each gyroscopic term multiplies (wx, wy, wz = 0, 1, 2).
-_GYRO_RATE = np.array([2, 1, 2, 0, 1, 0])
+_JAC_TABLE = np.zeros((26, STATE_DIM * (STATE_DIM + 4)))
+for _row, _col, _feature, _sign in _JAC_ENTRIES:
+    _JAC_TABLE[_feature, _row * (STATE_DIM + 4) + _col] = _sign
 _EYE_STATE = np.eye(STATE_DIM)
 _EYE_QUAT = np.eye(4)
 
@@ -364,33 +361,26 @@ def _stage_jacobians(stages, thrusts, jx: float, jy: float, jz: float) -> np.nda
 
     ``stages`` holds the four stage attitudes ``(qw, qx, qy, qz, wx, wy, wz)``
     of each step and ``thrusts`` each step's collective thrust.  Returns an
-    (n, 4, 13, 17) stack of blocks [df/dx | df/du]; each term is the scalar
-    formula's float operation applied to all stages at once (a negated
-    term is the exact negation of the rounded product).
+    (n, 4, 13, 17) stack of blocks [df/dx | df/du]: one product of the stage
+    features (each the scalar formula's float operation) with ``_JAC_TABLE``,
+    so each entry is exactly one feature or its negation.
     """
     n = len(thrusts)
-    s = np.array(stages)
-    q, w = s[:, :4], s[:, 4:]
+    s = np.fromiter(chain.from_iterable(stages), float, 28 * n).reshape(4 * n, 7)
     qw, qx, qy, qz = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    c = np.repeat(thrusts, 4)
-    terms = np.empty((4 * n, 36))
-    terms[:, 0:4] = (2.0 * q) * c[:, None]
-    terms[:, 4:8] = -terms[:, 0:4]
-    terms[:, 8:10] = (-4.0 * s[:, 1:3]) * c[:, None]
-    terms[:, 10:13] = 0.5 * w
-    terms[:, 13:16] = -terms[:, 10:13]
-    terms[:, 16:20] = 0.5 * q
-    terms[:, 20:24] = -terms[:, 16:20]
+    c = np.repeat(thrusts, 4)[:, None]
+    features = np.ones((4 * n, 26))  # Column 0 stays one.
+    features[:, 1:5] = (2.0 * s[:, :4]) * c
+    features[:, 5:7] = (-4.0 * s[:, 1:3]) * c
+    features[:, 7:14] = 0.5 * s
     gyro = np.array([-(jz - jy), -(jz - jy), -(jx - jz), -(jx - jz), -(jy - jx), -(jy - jx)])
-    terms[:, 24:30] = (gyro * w[:, _GYRO_RATE]) / np.array([jx, jx, jy, jy, jz, jz])
-    terms[:, 30] = 2.0 * (qx * qz + qw * qy)
-    terms[:, 31] = 2.0 * (qy * qz - qw * qx)
-    terms[:, 32] = 1.0 - 2.0 * (qx * qx + qy * qy)
-    terms[:, 33:36] = (1.0 / jx, 1.0 / jy, 1.0 / jz)
-    m = np.zeros((n, 4, STATE_DIM, STATE_DIM + 4))
-    m[:, :, 0, 3] = m[:, :, 1, 4] = m[:, :, 2, 5] = 1.0
-    m.reshape(4 * n, -1)[:, _JAC_POS] = terms[:, _JAC_TERM]
-    return m
+    rates = s[:, [6, 5, 6, 4, 5, 4]]  # wz, wy, wz, wx, wy, wx: one per gyroscopic term.
+    features[:, 14:20] = (gyro * rates) / np.array([jx, jx, jy, jy, jz, jz])
+    features[:, 20] = 2.0 * (qx * qz + qw * qy)
+    features[:, 21] = 2.0 * (qy * qz - qw * qx)
+    features[:, 22] = 1.0 - 2.0 * (qx * qx + qy * qy)
+    features[:, 23:26] = (1.0 / jx, 1.0 / jy, 1.0 / jz)
+    return (features @ _JAC_TABLE).reshape(n, 4, STATE_DIM, STATE_DIM + 4)
 
 
 def _step_jacobians(flight: _Flight, h: float, params: VehicleParams):
@@ -400,15 +390,17 @@ def _step_jacobians(flight: _Flight, h: float, params: VehicleParams):
     renormalization, so they match the integrator exactly.  Each depends
     only on its own step's stages, so all are formed at once.
     """
-    jx, jy, jz = params.inertia.tolist()
-    # State and input sensitivities chained through the stages together:
-    # each m holds [d(k)/dx | d(k)/du] as one block per step.
-    jac = _stage_jacobians(flight.stages, flight.thrusts, jx, jy, jz)
-    m1, m2, m3, m4 = jac[:, 0], jac[:, 1], jac[:, 2], jac[:, 3]
-    d2 = m2 + (0.5 * h) * (m2[:, :, :STATE_DIM] @ m1)
-    d3 = m3 + (0.5 * h) * (m3[:, :, :STATE_DIM] @ d2)
-    d4 = m4 + h * (m4[:, :, :STATE_DIM] @ d3)
-    total = (h / 6.0) * (m1 + 2.0 * d2 + 2.0 * d3 + d4)
+    # State and input sensitivities chained through the stages m_k = [d(k)/dx |
+    # d(k)/du] together: d_k = m_k + c_k (m_k[:, :, :13] @ d_(k-1)), in place.
+    jac = _stage_jacobians(flight.stages, flight.thrusts, *params.inertia.tolist())
+    d = [jac[:, 0]]
+    for k, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+        p = jac[:, k, :, :STATE_DIM] @ d[-1]
+        d.append(np.add(jac[:, k], np.multiply(p, c, out=p), out=p))
+    total = np.add(d[0], np.multiply(d[1], 2.0, out=d[1]), out=d[1])
+    total += np.multiply(d[2], 2.0, out=d[2])
+    total += d[3]
+    total *= h / 6.0
     a_steps = _EYE_STATE + total[:, :, :STATE_DIM]
     b_steps = total[:, :, STATE_DIM:]
     q_hats = flight.states[1:, QUAT_SLICE]
@@ -460,10 +452,9 @@ def _sensitivities(a_steps, b_steps) -> np.ndarray:
     columns of later inputs stay zero and are not multiplied."""
     n = len(b_steps)
     stack = np.zeros((n, STATE_DIM, 4 * n))
-    for j in range(n):
-        if j:
-            np.matmul(a_steps[j], stack[j - 1, :, : 4 * j], out=stack[j, :, : 4 * j])
-        stack[j, :, 4 * j : 4 * j + 4] = b_steps[j]
+    stack.reshape(n, STATE_DIM, n, 4)[range(n), :, range(n)] = b_steps
+    for j in range(1, n):
+        np.matmul(a_steps[j], stack[j - 1, :, : 4 * j], out=stack[j, :, : 4 * j])
     return stack
 
 
@@ -492,11 +483,8 @@ def _adjoint_gradient(
     and ``weight`` are unread; ``perfbench/kernels.py`` passes them.
     """
     n = u.shape[0]
-    if angles is None:
-        angles = _attitudes(states)
-    if stack is None:
-        stack = _sensitivities(a_steps, b_steps)
-    values, grads = angles
+    values, grads = _attitudes(states) if angles is None else angles
+    stack = _sensitivities(a_steps, b_steps) if stack is None else stack
     yaw_coef = [2.0 * cfg.q_yaw * wrap_angle(e) for e in (values[:, 0] - refs[:, 3]).tolist()]
     g = np.zeros((n, STATE_DIM))
     g[:, :3] = 2.0 * cfg.q_diag[:3] * (states[1:, :3] - refs[:, :3])
@@ -545,14 +533,23 @@ def _braking_inputs(
     return u
 
 
+@lru_cache(maxsize=8)
+def _constants(cfg: NmpcConfig, n: int):
+    """``2 Q`` and ``2 R`` tiled over ``n`` steps, and the hover inputs on the thrust box."""
+    hover = _project(hover_inputs(n), cfg)
+    hover.flags.writeable = False  # Shared by the solves with cfg, which may return it as u.
+    return 2.0 * np.tile(cfg.q_diag, n), 2.0 * np.tile(cfg.r_diag, n), hover
+
+
 def _gn_hessian(angles, stack, cfg: NmpcConfig, damping: float) -> np.ndarray:
     """``H_GN = diag(2R) + damping I + 2 J^T W J``: tracking rows ``J``, Q weights ``W``."""
     n, m = stack.shape[0], stack.shape[2]
+    two_q, two_r, _ = _constants(cfg, n)
     # Rows per step: x, y, z, yaw.
     rows = np.concatenate((stack[:, :3], angles[1][:, :1] @ stack[:, QUAT_SLICE]), axis=1)
     j_mat = rows.reshape(4 * n, m)
-    h_mat = (2.0 * np.tile(cfg.q_diag, n) * j_mat.T) @ j_mat
-    h_mat[np.diag_indices(m)] += 2.0 * np.tile(cfg.r_diag, n) + damping
+    h_mat = (two_q * j_mat.T) @ j_mat
+    h_mat.flat[:: m + 1] += two_r + damping
     return h_mat
 
 
@@ -582,22 +579,24 @@ def _gauss_newton_direction(
 ):
     """SQP step: the QP on ``H`` with the tilt limit as constraints.
 
-    ``H`` is ``hessian``, which ``solve`` passes as ``H_GN`` plus the secant
-    term, or else the Gauss-Newton matrix of :func:`_gn_hessian` at
-    ``damping``; one constraint ``s_i + a_i . d <= 0`` per roll and
-    pitch term (:func:`_tilt_rows`, or ``tilt``).  Factored once: one solve
-    gives ``d0 = -H^-1 grad`` and ``H^-1 A^T``, then ``S = A H^-1 A^T``.
-    ``qp(s, start)`` runs the primal-dual active-set loop from the working
-    set ``start``, or cold from the rows ``d0`` violates: each pass takes
-    the working rows W as equalities, ``mu_W = S_WW^-1 (s + A d0)_W`` and
-    ``d = d0 - H^-1 A_W^T mu_W``, and moves every misplaced row: out of W at
-    ``mu <= 0``, into it where ``d`` violates the row.  That can cycle, so
-    after ``_ACTIVE_SET_PASSES`` passes per horizon step a pass moves only
-    the first misplaced row (Murty's least-index rule, finite for the
-    positive definite ``S``; K. G. Murty, Opsearch 11, 1974), for at most
-    ``2 N^2`` passes.  A warm loop that meets dependent rows or Murty's
-    phase runs again cold; both end on the unique KKT point's working set,
-    with the same bytes (Ferreau, Bock & Diehl, 2008).
+    ``H`` is ``hessian`` (``solve`` passes ``H_GN`` plus the secant term),
+    else the Gauss-Newton matrix of :func:`_gn_hessian` at ``damping``; one
+    constraint ``s_i + a_i . d <= 0`` per roll and pitch term
+    (:func:`_tilt_rows`, or ``tilt``).  One solve gives ``d0 = -H^-1 grad``;
+    rows neither violated at ``d0`` nor in ``start`` do not enter the KKT
+    system (Nocedal & Wright, §16.5), so with none ``qp(s, start)`` returns
+    ``d0`` in one pass.  Else its first call forms ``H^-1 A^T`` (a second
+    solve) and ``S = A H^-1 A^T`` for later calls too, and the primal-dual
+    active-set loop runs from ``start``, or cold from the rows ``d0``
+    violates: each pass takes the working rows W as equalities, ``mu_W =
+    S_WW^-1 (s + A d0)_W`` and ``d = d0 - H^-1 A_W^T mu_W``, and moves every
+    misplaced row: out of W at ``mu <= 0``, into it where ``d`` violates it.
+    That can cycle, so after ``_ACTIVE_SET_PASSES`` passes per horizon step
+    a pass moves only the first misplaced row (Murty's least-index rule,
+    finite for the positive definite ``S``; K. G. Murty, Opsearch 11, 1974),
+    for at most ``2 N^2`` passes.  A warm loop that meets dependent rows or
+    Murty's phase runs again cold; both end on the unique KKT point's
+    working set, with the same bytes (Ferreau, Bock & Diehl, 2008).
 
     Returns ``(d, mu, working, qp)``: ``qp(s, start)`` at the tilt slack,
     then ``qp``.  A singular ``H`` (no ``qp``), or dependent rows in a cold
@@ -612,17 +611,24 @@ def _gauss_newton_direction(
     tally = Counter() if tally is None else tally
     h_mat = _gn_hessian(angles, stack, cfg, damping) if hessian is None else hessian
     try:
-        solved = np.linalg.solve(h_mat, np.column_stack((-grad.reshape(m), a_mat.T)))
+        d0 = np.linalg.solve(h_mat, -grad.reshape(m))
     except np.linalg.LinAlgError:  # A singular H.
         return np.zeros_like(grad), np.zeros_like(slack), start, None
-    d0, h_inv_at = solved[:, 0], solved[:, 1:]
-    schur, a_d0 = a_mat @ h_inv_at, a_mat @ d0
+    a_d0 = a_mat @ d0
+    factors = []  # H^-1 A^T and S, once a row binds.
 
     def qp(slack, start):
         # Each row's linearized slack at d0; at d it is this less S mu.
         at_d0 = slack + a_d0
+        violated = at_d0 > 0.0
+        if not (violated.any() or start is not None and start.any()):
+            tally["qp_passes"] += 1
+            return d0.reshape(n, 4).copy(), np.zeros_like(slack), violated
+        if not factors:
+            factors.extend((h_inv_at := np.linalg.solve(h_mat, a_mat.T), a_mat @ h_inv_at))
+        h_inv_at, schur = factors
         for warm in (False,) if start is None else (True, False):
-            working = start.copy() if warm else at_d0 > 0.0
+            working = start.copy() if warm else violated
             try:
                 for passes in range((_ACTIVE_SET_PASSES + 2 * n) * n):
                     tally["qp_passes"] += 1
@@ -651,7 +657,7 @@ def _gauss_newton_direction(
 
 def _project(u: np.ndarray, cfg: NmpcConfig) -> np.ndarray:
     out = np.array(u, dtype=float, copy=True)
-    out[:, 0] = np.clip(out[:, 0], cfg.accel_min, cfg.accel_max)
+    out[:, 0] = np.minimum(np.maximum(out[:, 0], cfg.accel_min), cfg.accel_max)  # np.clip, sooner.
     return out
 
 
@@ -735,7 +741,7 @@ def solve(
         raise ValueError(f"x0 must have shape ({STATE_DIM},)")
     n = cfg.horizon
     refs = _check_refs(refs, n)
-    hover_u = _project(hover_inputs(n), cfg)
+    hover_u = _constants(cfg, n)[2]
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.shape != (n, 4):

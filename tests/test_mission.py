@@ -115,6 +115,18 @@ class TestSegmentValidation:
         with pytest.raises(MissionError):
             Mission(segments=(), start=np.array([0.0, np.inf, 0.0]))
 
+    def test_integers_past_the_float_range_raise_mission_error(self):
+        """The constructors give their own message, not float()'s
+        OverflowError, for an int past the float range."""
+        huge = int(HUGE)
+        hover = (Medium.AERIAL, Action.HOVER)
+        with pytest.raises(MissionError, match="^segment hold must be finite and nonnegative$"):
+            Segment(*hover, np.array([150.0, 0.0, 5.0]), hold=huge)
+        with pytest.raises(MissionError, match=r"^segment target must be a finite \(x, y, z\)"):
+            Segment(*hover, [150, 0, huge])
+        with pytest.raises(MissionError, match=r"^mission start must be a finite \(x, y, z\)"):
+            Mission(segments=(), start=[huge, 0, 0])
+
 
 class TestBuiltinMission:
     def test_exact_route(self, mission):

@@ -17,7 +17,9 @@ with every QP started cold.  The merit weight is checked against the
 multipliers the steps return.  The secant term of the QP matrix is checked
 against the secant equation, the update written out as the paper states
 it, a Cholesky factor of every QP matrix, and the same solves with the term
-disabled.
+disabled.  The stage Jacobians are checked bit for bit against every term
+formed by its own float operation and scattered entry by entry, and the
+step's lazy factors against spies on every linear solve.
 """
 
 import dataclasses
@@ -258,6 +260,88 @@ class TestHorizonPass:
         assert np.array_equal(got.outputs, expected.outputs)
         assert (got.cost, got.iterations, got.converged) == (
             expected.cost, expected.iterations, expected.converged)
+
+
+# The stage Jacobians entry by entry: each varying entry of [df/dx | df/du]
+# as (row, column, term), with the term a column of the table
+# _term_jacobians builds: 0-3 2cq, 4-7 -2cq (q = qw, qx, qy, qz), 8-9
+# -4c(qx, qy), 10-12 0.5w, 13-15 -0.5w, 16-19 0.5q, 20-23 -0.5q, 24-29
+# gyroscopic, 30-32 R(q) e_z, 33-35 J^-1.
+_TERM_ENTRIES = (
+    # d(c * R(q) e_z)/dq
+    (3, 6, 2), (3, 7, 3), (3, 8, 0), (3, 9, 1), (4, 6, 5), (4, 7, 4), (4, 8, 3),
+    (4, 9, 2), (5, 7, 8), (5, 8, 9),
+    # d(0.5 Omega(w) q)/dq
+    (6, 7, 13), (6, 8, 14), (6, 9, 15), (7, 6, 10), (7, 8, 12), (7, 9, 14),
+    (8, 6, 11), (8, 7, 15), (8, 9, 10), (9, 6, 12), (9, 7, 11), (9, 8, 13),
+    # d(0.5 Omega(w) q)/dw
+    (6, 10, 21), (6, 11, 22), (6, 12, 23), (7, 10, 16), (7, 11, 23), (7, 12, 18),
+    (8, 10, 19), (8, 11, 16), (8, 12, 21), (9, 10, 22), (9, 11, 17), (9, 12, 16),
+    # d(J^-1 (tau - w x J w))/dw
+    (10, 11, 24), (10, 12, 25), (11, 10, 26), (11, 12, 27), (12, 10, 28), (12, 11, 29),
+    # input block: d(c * R(q) e_z)/dc and J^-1
+    (3, 13, 30), (4, 13, 31), (5, 13, 32), (10, 14, 33), (11, 15, 34), (12, 16, 35),
+)
+
+
+def _term_jacobians(stages, thrusts, jx, jy, jz):
+    """The (n, 4, 13, 17) stage Jacobians with each term formed by its own
+    float operation (a negated term is the exact negation of the rounded
+    product) and scattered entry by entry into zeros."""
+    n = len(thrusts)
+    s = np.array(stages)
+    q, w = s[:, :4], s[:, 4:]
+    qw, qx, qy, qz = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+    c = np.repeat(thrusts, 4)
+    terms = np.empty((4 * n, 36))
+    terms[:, 0:4] = (2.0 * q) * c[:, None]
+    terms[:, 4:8] = -terms[:, 0:4]
+    terms[:, 8:10] = (-4.0 * s[:, 1:3]) * c[:, None]
+    terms[:, 10:13] = 0.5 * w
+    terms[:, 13:16] = -terms[:, 10:13]
+    terms[:, 16:20] = 0.5 * q
+    terms[:, 20:24] = -terms[:, 16:20]
+    gyro = np.array([-(jz - jy), -(jz - jy), -(jx - jz), -(jx - jz), -(jy - jx), -(jy - jx)])
+    rates = w[:, [2, 1, 2, 0, 1, 0]]
+    terms[:, 24:30] = (gyro * rates) / np.array([jx, jx, jy, jy, jz, jz])
+    terms[:, 30] = 2.0 * (qx * qz + qw * qy)
+    terms[:, 31] = 2.0 * (qy * qz - qw * qx)
+    terms[:, 32] = 1.0 - 2.0 * (qx * qx + qy * qy)
+    terms[:, 33:36] = (1.0 / jx, 1.0 / jy, 1.0 / jz)
+    m = np.zeros((n, 4, 13, 17))
+    m[:, :, 0, 3] = m[:, :, 1, 4] = m[:, :, 2, 5] = 1.0
+    for row, col, term in _TERM_ENTRIES:
+        m[:, :, row, col] = terms[:, term].reshape(n, 4)
+    return m
+
+
+class TestStageJacobians:
+    """The stage Jacobians are one product of stage features with a
+    constant table.  Oracle: every term formed by its own float operation
+    and scattered entry by entry (``_term_jacobians``)."""
+
+    def test_each_table_column_takes_one_feature_or_its_negation(self):
+        """Each block entry is then exactly one feature, in every float range:
+        a factor of 2 or 0.5 after rounding would differ from the term in
+        the subnormal range."""
+        table = nmpc._JAC_TABLE
+        assert table.shape == (26, 13 * 17)
+        for column in table.T:
+            nonzero = column[column != 0.0]
+            assert len(nonzero) <= 1
+            assert set(nonzero.tolist()) <= {1.0, -1.0}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_horizon_cases())
+    def test_one_product_matches_the_term_table_bit_for_bit(self, case, ncfg, params):
+        x0, u, refs, period = case
+        flight = nmpc._cost_parts(x0, u, refs, dataclasses.replace(ncfg, period=period), params)
+        assume(flight is not None)
+        inertia = params.inertia.tolist()
+        got = nmpc._stage_jacobians(flight.stages, flight.thrusts, *inertia)
+        expected = _term_jacobians(flight.stages, flight.thrusts, *inertia)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def _same_parts(got, expected):
@@ -619,10 +703,11 @@ class TestMeritWeight:
 
 
 class TestQpReuse:
-    """Each SQP step factors its QP once; its correction and the next
-    step's loop start where the last QP ended.  Oracles: spies on the step,
-    the search and every linear solve, and the same solve with every QP
-    started cold."""
+    """Each SQP step solves ``H d0 = -g`` once and forms its QP factors at
+    most once, when a row first binds; its correction and the next step's
+    loop start where the last QP ended.  Oracles: spies on the step, the
+    search and every linear solve, and the same solve with every QP started
+    cold."""
 
     @staticmethod
     def _binding(ncfg):
@@ -635,7 +720,8 @@ class TestQpReuse:
     def test_corrections_reuse_the_step_factors(self, ncfg, params, monkeypatch):
         """A correction runs the active-set loop on its step's factors: no
         step is formed inside a line search, and the only linear systems
-        solved there are the loop's Schur blocks, so no ``H`` is factored.
+        solved there are the loop's Schur blocks, so no ``H`` is factored
+        (every corrected step here has a binding row, so its factors exist).
         The counts of corrections and passes match the calls."""
         cfg, x0, refs = self._binding(ncfg)
         step, search, linsolve = nmpc._gauss_newton_direction, nmpc._line_search, np.linalg.solve
@@ -670,6 +756,69 @@ class TestQpReuse:
         assert systems and all(len(rhs) == 1 and lhs[0] <= 2 * cfg.horizon
                                for lhs, rhs in systems)
         assert sol.qp_passes >= sol.iterations + sol.corrections
+
+    @staticmethod
+    def _free_step(ncfg, params, monkeypatch):
+        """A step at rest toward a goal 0.1 m away under the default tilt
+        limit, where no row binds, with a log of the shapes of every linear
+        system solved."""
+        x0 = hover_state((0.0, 0.0, 5.0)).as_vector()
+        refs = hold_refs([0.1, 0.0, 5.0, 0.0], ncfg.horizon)
+        flight = nmpc._cost_parts(x0, hover_inputs(ncfg.horizon), refs, ncfg, params)
+        linsolve, systems = np.linalg.solve, []
+
+        def solved(a, b):
+            systems.append((a.shape, b.shape))
+            return linsolve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solved)
+        tally = Counter()
+        a_steps, b_steps = nmpc._step_jacobians(flight, ncfg.period, params)
+        grad = nmpc._adjoint_gradient(flight.states, a_steps, b_steps, flight.u, refs, ncfg)
+        args = (flight.states, a_steps, b_steps, grad, ncfg, None, None, None, 1e-9)
+        return args, tally, systems
+
+    def test_a_step_with_no_binding_row_solves_once(self, ncfg, params, monkeypatch):
+        """Rows that neither bind at ``d0`` nor start in the working set do
+        not enter the KKT system: the step is ``d0`` from one solve with one
+        right-hand side, in one pass, with no multiplier and no working row."""
+        args, tally, systems = self._free_step(ncfg, params, monkeypatch)
+        d, mu, working, qp = nmpc._gauss_newton_direction(*args, tally=tally)
+        m = d.size
+        assert systems == [((m, m), (m,))]
+        assert d.any() and not mu.any() and not working.any() and qp is not None
+        assert tally["qp_passes"] == 1
+        h_mat = nmpc._gn_hessian(nmpc._attitudes(args[0]), nmpc._sensitivities(*args[1:3]),
+                                 ncfg, 1e-9)
+        assert np.array_equal(d.reshape(-1), np.linalg.solve(h_mat, -args[3].reshape(-1)))
+
+    def test_a_binding_correction_forms_the_factors_once(self, ncfg, params, monkeypatch):
+        """A correction through a free step's ``qp`` that makes rows bind
+        forms ``H^-1 A^T`` once, at its first binding call, and gives the
+        bytes of the same call on a second step of the same QP whose factors
+        a binding call formed first."""
+        args, tally, systems = self._free_step(ncfg, params, monkeypatch)
+        d, _, working, qp = nmpc._gauss_newton_direction(*args, tally=tally)
+        slack, a_mat = nmpc._tilt_rows(nmpc._attitudes(args[0]),
+                                       nmpc._sensitivities(*args[1:3]), ncfg)
+        m = d.size
+        at_d = a_mat @ d.reshape(-1)
+        binding = []
+        for rows in ([0, 1], [2]):  # Rows violated by 1e-3 at d0.
+            bind = slack.copy()
+            bind[rows] = 1e-3 - at_d[rows]
+            binding.append(bind)
+        del systems[:]
+        got = [qp(bind, working) for bind in binding]
+        factored = [rhs for lhs, rhs in systems if lhs == (m, m)]
+        assert factored == [(m, a_mat.shape[0])]
+        assert all(g[1].any() and g[2].any() for g in got)
+        # A second step whose factors the second slack formed first.
+        _, _, _, again = nmpc._gauss_newton_direction(*args)
+        again(binding[1], working)
+        expected = again(binding[0], working)
+        assert np.array_equal(got[0][0], expected[0]) and np.array_equal(got[0][1], expected[1])
+        assert np.array_equal(got[0][2], expected[2])
 
     def test_a_step_holds_no_reference_cycle(self, ncfg, params):
         """Dropping a step frees its factors at once, with the collector off:
