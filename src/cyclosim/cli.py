@@ -66,9 +66,12 @@ def _fail(message: str, code: int) -> int:
 
 def _seconds(text: str) -> float:
     """argparse type for a finite, positive number of seconds."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+        raise argparse.ArgumentTypeError(f"expected a finite, positive number, got {text}")
     return value
 
 
@@ -215,9 +218,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _fmt_cell(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.4f}"
+    return "inf" if math.isinf(value) else f"{value:.4f}"
 
 
 def _comparison_table(mission: Mission, left: str, right: str,
@@ -236,8 +237,7 @@ def _comparison_table(mission: Mission, left: str, right: str,
     for i, seg in enumerate(mission.segments):
         if seg.medium is not Medium.AERIAL:
             continue
-        ls = left_by_index.get(i)
-        rs = right_by_index.get(i)
+        ls, rs = left_by_index.get(i), right_by_index.get(i)
         if ls is None or rs is None:
             continue
         for axis in range(3):

@@ -143,7 +143,7 @@ class TransitionEvent:
             if not isinstance(self.payload, CommandId):
                 raise ValueError("COMMAND events require a CommandId payload")
         elif self.kind is EventKind.REACHED_WAYPOINT:
-            if self.payload is not None and not isinstance(self.payload, int):
+            if self.payload is not None and type(self.payload) is not int:
                 raise ValueError(
                     "REACHED_WAYPOINT payload must be a waypoint index or None"
                 )

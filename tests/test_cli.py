@@ -236,7 +236,7 @@ class TestSimulate:
         assert (tmp_path / "mini_pid.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
-    @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1", "abc"])
     def test_bad_duration_limit_is_usage_error(
         self, mini_path, tmp_path, capsys, command, limit
     ):
@@ -246,7 +246,9 @@ class TestSimulate:
                 "--duration-limit", limit, "--out", str(tmp_path),
             ])
         assert exc.value.code == 2
-        assert "--duration-limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"argument --duration-limit: expected a finite, positive number, got {limit}"
+                in err)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])

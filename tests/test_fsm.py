@@ -176,6 +176,10 @@ class TestTransitionEvent:
         assert TransitionEvent(K.REACHED_WAYPOINT).payload is None
         with pytest.raises(ValueError):
             TransitionEvent(K.REACHED_WAYPOINT, payload=C.DRIVE)
+        # bool is a subclass of int, but True is no waypoint index.
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="waypoint index or None"):
+                TransitionEvent(K.REACHED_WAYPOINT, payload=flag)
 
     def test_other_kinds_reject_payload(self):
         for kind in (K.HOVER_STABLE, K.TOUCHED_DOWN, K.ENTERED_WATER, K.GEAR_CONFIGURED):

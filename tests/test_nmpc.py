@@ -503,12 +503,12 @@ def _diverging_braking(*args):
     raise DivergenceError("braking sequence diverged")
 
 
-_CORPUS = Path(__file__).resolve().parents[1] / "tools" / "solver_corpus.py"
+_CORPUS = Path(__file__).resolve().parents[1] / "tools" / "solve_ab.py"
 
 
 def _corpus_instance(k, horizon):
-    """Instance ``k`` of ``tools/solver_corpus.py`` as ``(x0, refs, warm)``."""
-    spec = importlib.util.spec_from_file_location("solver_corpus", _CORPUS)
+    """Instance ``k`` of ``tools/solve_ab.py``'s corpus as ``(x0, refs, warm)``."""
+    spec = importlib.util.spec_from_file_location("solve_ab", _CORPUS)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     return list(corpus.instances(k + 1, horizon))[k]
