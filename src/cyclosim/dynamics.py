@@ -41,23 +41,10 @@ from .errors import DivergenceError, SaturationError
 from .geometry import _vector, quat_from_yaw
 
 __all__ = [
-    "VehicleParams",
-    "VehicleState",
-    "AerialInput",
-    "TerrestrialInput",
-    "AquaticInput",
-    "ActuatorCommand",
-    "STATE_DIM",
-    "QUAT_SLICE",
-    "AQUATIC_DRAG_GAIN",
-    "aerial_derivative",
-    "terrestrial_derivative",
-    "aquatic_derivative",
-    "step_rk4",
-    "aerial_step",
-    "allocate",
-    "forward_mix",
-    "aquatic_rotor_speeds",
+    "VehicleParams", "VehicleState", "AerialInput", "TerrestrialInput", "AquaticInput",
+    "ActuatorCommand", "STATE_DIM", "QUAT_SLICE", "AQUATIC_DRAG_GAIN",
+    "aerial_derivative", "terrestrial_derivative", "aquatic_derivative",
+    "step_rk4", "aerial_step", "allocate", "forward_mix", "aquatic_rotor_speeds",
     "hover_state",
 ]
 
@@ -135,21 +122,14 @@ class VehicleState:
     body_rates: np.ndarray
 
     def __post_init__(self):
-        for name, dim in (
-            ("position", 3),
-            ("velocity", 3),
-            ("quaternion", 4),
-            ("body_rates", 3),
-        ):
+        for name, dim in (("position", 3), ("velocity", 3), ("quaternion", 4), ("body_rates", 3)):
             object.__setattr__(self, name, _vector(getattr(self, name), dim, name))
         n = math.hypot(*self.quaternion.tolist()) ** 2
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"quaternion norm^2 = {n!r}, expected 1")
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.position, self.velocity, self.quaternion, self.body_rates]
-        )
+        return np.concatenate([self.position, self.velocity, self.quaternion, self.body_rates])
 
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "VehicleState":
@@ -162,12 +142,7 @@ class VehicleState:
 
 def hover_state(position, yaw: float = 0.0) -> VehicleState:
     """Stationary state at ``position`` with the given heading."""
-    return VehicleState(
-        position=np.asarray(position, dtype=float),
-        velocity=np.zeros(3),
-        quaternion=quat_from_yaw(yaw),
-        body_rates=np.zeros(3),
-    )
+    return VehicleState(position, np.zeros(3), quat_from_yaw(yaw), np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -298,9 +273,7 @@ def _planar_derivative(pose, u, kind: type, p: VehicleParams) -> np.ndarray:
     return np.array([speed * math.cos(heading), speed * math.sin(heading), turn])
 
 
-def terrestrial_derivative(
-    pose: np.ndarray, u: TerrestrialInput, p: VehicleParams
-) -> np.ndarray:
+def terrestrial_derivative(pose: np.ndarray, u: TerrestrialInput, p: VehicleParams) -> np.ndarray:
     """Differential-drive kinematics on the ground plane.
 
     ``pose`` is ``[x, y, heading]``; forward speed is the wheel-speed mean,
@@ -309,9 +282,7 @@ def terrestrial_derivative(
     return _planar_derivative(pose, u, TerrestrialInput, p)
 
 
-def aquatic_derivative(
-    pose: np.ndarray, u: AquaticInput, p: VehicleParams
-) -> np.ndarray:
+def aquatic_derivative(pose: np.ndarray, u: AquaticInput, p: VehicleParams) -> np.ndarray:
     """Surface-craft kinematics: rear drive with a steering angle.
 
     ``pose`` is ``[x, y, heading]``; heading rate is
@@ -568,9 +539,20 @@ def allocate(u: AerialInput, p: VehicleParams, strict: bool = True) -> ActuatorC
     -------
     ActuatorCommand
         Rotor speeds (rad/s, FL/FR/RL/RR) and servo angle (rad).
+
+    Raises
+    ------
+    SaturationError
+        In both modes, for a yaw torque with no rear-pair thrust to tilt;
+        with ``strict``, also for a command beyond the actuator limits.
     """
-    tx, ty, tz = u.torque.tolist()
-    b0 = p.mass * u.c
+    speeds, servo = _allocation(u.c, *u.torque.tolist(), p, strict)
+    return ActuatorCommand(rotor_speeds=np.array(speeds), servo=servo)
+
+
+def _allocation(c, tx, ty, tz, p: VehicleParams, strict: bool) -> tuple:
+    """:func:`allocate` in floats: the rotor speeds as a list, and the servo."""
+    b0 = p.mass * c
     b1 = tx / p.arm
     b2 = ty / p.arm
     # Thrusts from the orthogonal mixing rows (M^-1 = M^T / 4).
@@ -578,18 +560,14 @@ def allocate(u: AerialInput, p: VehicleParams, strict: bool = True) -> ActuatorC
     t2 = 0.25 * (b0 - b1 - b2)
     t3 = 0.25 * (b0 + b1 + b2)
     t4 = 0.25 * (b0 - b1 + b2)
-
     rear = t3 + t4
     if abs(rear) * p.arm < 1e-9:
         if abs(tz) > 1e-12:
-            raise SaturationError(
-                "yaw torque demanded with no rear-pair thrust to tilt",
-                channels=["servo"],
-            )
+            raise SaturationError("yaw torque demanded with no rear-pair thrust to tilt",
+                                  channels=["servo"])
         servo = 0.0
     else:
         servo = tz / (p.arm * rear)
-
     speeds = []
     clipped: list[str] = []
     for i, t in enumerate((t1, t2, t3, t4)):
@@ -601,12 +579,10 @@ def allocate(u: AerialInput, p: VehicleParams, strict: bool = True) -> ActuatorC
     if abs(servo) > p.servo_max:
         clipped.append("servo")
         servo = math.copysign(p.servo_max, servo)
-
     if clipped and strict:
-        raise SaturationError(
-            f"actuator limits exceeded on: {', '.join(clipped)}", channels=clipped
-        )
-    return ActuatorCommand(rotor_speeds=np.array(speeds), servo=servo)
+        raise SaturationError(f"actuator limits exceeded on: {', '.join(clipped)}",
+                              channels=clipped)
+    return speeds, servo
 
 
 def forward_mix(cmd: ActuatorCommand, p: VehicleParams) -> AerialInput:
@@ -616,15 +592,22 @@ def forward_mix(cmd: ActuatorCommand, p: VehicleParams) -> AerialInput:
     floats with the rounding of the array form ``k_f * w * |w|``: the
     collective sum runs in numpy's order for four entries, from ``+0.0``.
     """
+    c, *torque = _mix(cmd.rotor_speeds.tolist(), cmd.servo, p)
+    return AerialInput(c=c, torque=np.array(torque))
+
+
+def _mix(speeds: list, servo: float, p: VehicleParams) -> list:
+    """:func:`forward_mix` in floats: ``[c, tau_x, tau_y, tau_z]``; ValueError,
+    as from :class:`AerialInput`, when ``c`` rounds below zero."""
     kf = p.k_f
-    w0, w1, w2, w3 = cmd.rotor_speeds.tolist()
+    w0, w1, w2, w3 = speeds
     t0, t1 = kf * w0 * abs(w0), kf * w1 * abs(w1)
     t2, t3 = kf * w2 * abs(w2), kf * w3 * abs(w3)
     c = (0.0 + t0 + t1 + t2 + t3) / p.mass
-    tau_x = p.arm * (t0 - t1 + t2 - t3)
-    tau_y = p.arm * (-t0 - t1 + t2 + t3)
-    tau_z = p.arm * cmd.servo * (t2 + t3)
-    return AerialInput(c=c, torque=np.array([tau_x, tau_y, tau_z]))
+    if c < 0.0:
+        raise ValueError("collective thrust c must be >= 0")
+    return [c, p.arm * (t0 - t1 + t2 - t3), p.arm * (-t0 - t1 + t2 + t3),
+            p.arm * servo * (t2 + t3)]
 
 
 def aquatic_rotor_speeds(speed: float, p: VehicleParams) -> np.ndarray:

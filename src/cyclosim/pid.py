@@ -10,7 +10,8 @@ primitive:
 The derivative is a backward difference on the error and is zero on the
 first step after a reset. The integral accumulator is clamped symmetrically
 (anti-windup). All saturations in the loops are silent: commands are clipped
-and execution continues.  Every update computes in plain Python floats.
+and execution continues.  Every update computes in plain Python floats, on
+lists of channel memory that ``CascadePid`` keeps between its steps.
 """
 
 from __future__ import annotations
@@ -78,18 +79,23 @@ def pid_step(
     (float, PidChannelState)
         Control output and the updated channel memory.
     """
+    memory = [state.integral, state.prev_error]
+    output = _channel(memory, 0, gains, error, dt, windup_limit)
+    return output, PidChannelState(*memory)
+
+
+def _channel(memory: list, i: int, gains, error: float, dt: float, windup: float) -> float:
+    """:func:`pid_step`, checks included, on the channel whose integral and
+    previous error are ``memory[i]`` and ``memory[i + 1]``: updates both."""
     if not (math.isfinite(error) and math.isfinite(dt)):
         raise ValueError("error and dt must be finite")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    integral = state.integral + error * dt
-    integral = max(-windup_limit, min(windup_limit, integral))
-    if state.prev_error is None:
-        derivative = 0.0
-    else:
-        derivative = (error - state.prev_error) / dt
-    output = gains.p * error + gains.i * integral + gains.d * derivative
-    return output, PidChannelState(integral=integral, prev_error=error)
+    integral = max(-windup, min(windup, memory[i] + error * dt))
+    prev = memory[i + 1]
+    derivative = 0.0 if prev is None else (error - prev) / dt
+    memory[i], memory[i + 1] = integral, error
+    return gains.p * error + gains.i * integral + gains.d * derivative
 
 
 def _three(values, name: str) -> list:
@@ -124,18 +130,23 @@ def position_loop(
     -------
     ((c, roll_ref, pitch_ref), new_states)
     """
-    ex, ey, ez = _three(position_error, "position_error")
-    windup = cfg.windup_limit
-    ax, state_x = pid_step(states[0], cfg.x, ex, dt, windup)
-    ay, state_y = pid_step(states[1], cfg.y, ey, dt, windup)
-    az, state_z = pid_step(states[2], cfg.z, ez, dt, windup)
+    memory = [v for s in states for v in (s.integral, s.prev_error)]
+    refs = _position(memory, *_three(position_error, "position_error"), yaw, cfg, dt)
+    return refs, tuple(PidChannelState(*memory[i:i + 2]) for i in (0, 2, 4))
 
+
+def _position(memory: list, ex, ey, ez, yaw: float, cfg: PidConfig, dt: float) -> tuple:
+    """:func:`position_loop` on floats, with the x, y and z channels' memory
+    in ``memory`` (see :func:`_channel`): ``(c, roll_ref, pitch_ref)``."""
+    windup = cfg.windup_limit
+    ax = _channel(memory, 0, cfg.x, ex, dt, windup)
+    ay = _channel(memory, 2, cfg.y, ey, dt, windup)
+    az = _channel(memory, 4, cfg.z, ez, dt, windup)
     c = GRAVITY + az
     c_max = _C_MAX_G * GRAVITY
     if c < 0.0 or c > c_max:
         log.debug("thrust command %.3f clipped to [0, %.3f]", c, c_max)
         c = max(0.0, min(c_max, c))
-
     cy, sy = math.cos(yaw), math.sin(yaw)
     pitch_ref = (ax * cy + ay * sy) / GRAVITY
     roll_ref = (ax * sy - ay * cy) / GRAVITY
@@ -144,7 +155,7 @@ def position_loop(
         log.debug("attitude reference clipped to +/-%.3f rad", lim)
     pitch_ref = max(-lim, min(lim, pitch_ref))
     roll_ref = max(-lim, min(lim, roll_ref))
-    return (c, roll_ref, pitch_ref), (state_x, state_y, state_z)
+    return c, roll_ref, pitch_ref
 
 
 def attitude_loop(
@@ -164,19 +175,25 @@ def attitude_loop(
     (torque, new_states)
         ``torque`` is a 3-tuple of floats.
     """
-    e_roll, e_pitch, e_yaw = _three(attitude_error, "attitude_error")
-    e_yaw = wrap_angle(e_yaw)
+    memory = [v for s in states for v in (s.integral, s.prev_error)]
+    torque = _attitude(memory, *_three(attitude_error, "attitude_error"), cfg, dt)
+    return torque, tuple(PidChannelState(*memory[i:i + 2]) for i in (0, 2, 4))
+
+
+def _attitude(memory: list, e_roll, e_pitch, e_yaw, cfg: PidConfig, dt: float) -> tuple:
+    """:func:`attitude_loop` on floats, with the roll, pitch and yaw channels'
+    memory in ``memory`` (see :func:`_channel`): the three torques."""
     windup = cfg.windup_limit
-    tx, state_roll = pid_step(states[0], cfg.roll, e_roll, dt, windup)
-    ty, state_pitch = pid_step(states[1], cfg.pitch, e_pitch, dt, windup)
-    tz, state_yaw = pid_step(states[2], cfg.yaw, e_yaw, dt, windup)
+    tx = _channel(memory, 0, cfg.roll, e_roll, dt, windup)
+    ty = _channel(memory, 2, cfg.pitch, e_pitch, dt, windup)
+    tz = _channel(memory, 4, cfg.yaw, wrap_angle(e_yaw), dt, windup)
     torque = (tx, ty, tz)
     lim = cfg.torque_limit
     if max(abs(tx), abs(ty), abs(tz)) > lim:
         log.debug("torque command clipped to +/-%.3f N*m", lim)
         # As np.clip: a NaN stays NaN (and AerialInput rejects it).
         torque = tuple(min(max(t, -lim), lim) for t in torque)
-    return torque, (state_roll, state_pitch, state_yaw)
+    return torque
 
 
 class CascadePid:
@@ -188,11 +205,12 @@ class CascadePid:
 
     def reset(self) -> None:
         """Clear all channel memory (integrals and derivative history)."""
-        self._pos_states = (PidChannelState(), PidChannelState(), PidChannelState())
-        self._att_states = (PidChannelState(), PidChannelState(), PidChannelState())
+        # Integral and previous error of each channel, as _channel keeps them.
+        self._pos_memory, self._att_memory = [0.0, None] * 3, [0.0, None] * 3
 
     def step(self, x, ref_position, ref_yaw: float, dt: float) -> AerialInput:
-        """One controller update at the controller rate on the 13-state ``x``."""
+        """One controller update at the controller rate on the 13-state ``x``:
+        shapes are checked here, and then only each channel's error and ``dt``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (STATE_DIM,):
             raise ValueError(f"x must have shape ({STATE_DIM},)")
@@ -200,11 +218,9 @@ class CascadePid:
         px, py, pz = x[0:3].tolist()
         q = x[QUAT_SLICE]
         yaw = quat_yaw(q)
-        (c, roll_ref, pitch_ref), self._pos_states = position_loop(
-            (rx - px, ry - py, rz - pz), yaw, self._pos_states, self._pid, dt
-        )
+        c, roll_ref, pitch_ref = _position(self._pos_memory, rx - px, ry - py, rz - pz, yaw,
+                                           self._pid, dt)
         roll, pitch = quat_roll_pitch(q)
-        torque, self._att_states = attitude_loop(
-            (roll_ref - roll, pitch_ref - pitch, ref_yaw - yaw), self._att_states, self._pid, dt
-        )
+        torque = _attitude(self._att_memory, roll_ref - roll, pitch_ref - pitch, ref_yaw - yaw,
+                           self._pid, dt)
         return AerialInput(c=c, torque=torque)

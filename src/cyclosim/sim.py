@@ -37,14 +37,15 @@ from .dynamics import (
     AquaticInput,
     TerrestrialInput,
     VehicleParams,
+    _allocation,
+    _mix,
     _planar_rates,
     _planar_rk4,
-    allocate,
     aquatic_rotor_speeds,
     aerial_step,
-    forward_mix,
     hover_state,
-    step_rk4,  # noqa: F401  unused; perfbench's tracer looks it up (test_tracer_names)
+    # Unread here; perfbench's tracer looks them up (test_tracer_names).
+    allocate, forward_mix, step_rk4,  # noqa: F401
 )
 from .errors import DivergenceError
 from .fsm import (
@@ -387,18 +388,17 @@ class _Runner:
         """Realize the held command as the applied wrench, rotors and servo.
 
         Aerial commands pass through allocation with clipping and back
-        through the forward mix, so the wrench the plant integrates and the
-        logged one both honor the actuator limits.
+        through the forward mix (their float halves), so the wrench the
+        plant integrates and the logged one both honor the actuator limits.
         """
         mode = self.mode
         self.applied = self.rotors = _IDLE
         self.servo = mode.servo
         if mode.medium is Medium.AERIAL:
-            cmd = allocate(self.aerial_u, self.params, strict=False)
-            applied = forward_mix(cmd, self.params)
-            self.applied = np.array([applied.c, *applied.torque.tolist()])
-            self.rotors = cmd.rotor_speeds
-            self.servo = cmd.servo
+            u = self.aerial_u
+            speeds, self.servo = _allocation(u.c, *u.torque.tolist(), self.params, strict=False)
+            self.applied = np.array(_mix(speeds, self.servo, self.params))
+            self.rotors = np.array(speeds)
         elif mode.medium is Medium.AQUATIC:
             # An aquatic command's forward speed is its surge speed.
             self.rotors = aquatic_rotor_speeds(self.rates[0], self.params)
@@ -511,15 +511,16 @@ def run(config: Config, mission: Mission, controller: str = "pid",
         If ``config`` fails :func:`~cyclosim.config.validate`: a key out of
         its range, over a work cap, or a period not a whole multiple of the
         next.
+    SaturationError, ValueError
+        Not caught: a yaw torque with no rear-pair thrust to tilt (see
+        ``allocate``), or a mixed collective thrust rounded below zero.
     """
     if controller not in ("pid", "nmpc"):
         raise ValueError(f"unknown controller '{controller}'")
     limit = _time_limit(validate(config), time_limit)
     runner = _Runner(config, mission, controller)
 
-    completed = False
-    time_limit_hit = False
-    diverged = False
+    completed = time_limit_hit = diverged = False
     k = 0
     while True:
         t = k * runner.tick

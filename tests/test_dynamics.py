@@ -5,10 +5,11 @@ mixing-matrix inverse for the allocation map, principal-axis spin constancy.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclosim.config import default_config
@@ -36,6 +37,9 @@ from cyclosim.dynamics import (
     terrestrial_derivative,
 )
 from cyclosim.errors import DivergenceError, SaturationError
+from cyclosim.fsm import Medium
+from cyclosim.mission import Action, Mission, Segment
+from cyclosim.sim import _Runner
 from test_geometry import check_vector_argument
 
 G = 9.81
@@ -495,6 +499,36 @@ class TestFloatMixing:
            servo=_signed(-1.0, 1.0), p=_MIX_PARAMS)
     def test_forward_mix_matches_on_any_command(self, speeds, servo, p):
         _check_forward_mix(ActuatorCommand(rotor_speeds=np.array(speeds), servo=servo), p)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(c=_signed(0.0, 100.0), tau=st.tuples(_signed(-5.0, 5.0), _signed(-5.0, 5.0),
+                                                _signed(-2.0, 2.0)), p=_MIX_PARAMS)
+    @example(c=0.0, tau=(0.0, 0.0, 0.1), p=VehicleParams())  # no rear-pair thrust
+    @example(c=0.0, tau=(0.1, 0.07, 0.0), p=VehicleParams())  # c rounds below zero
+    @example(c=100.0, tau=(1.0, -1.0, 0.0), p=VehicleParams())  # rotors clipped
+    @example(c=1.0, tau=(0.0, 0.0, 2.0), p=VehicleParams())  # servo clipped
+    @example(c=-0.0, tau=(-0.0, 0.0, -0.0), p=VehicleParams())
+    def test_runner_mixing_is_the_public_round_trip(self, c, tau, p):
+        # The runner mixes in floats; it must apply, log and raise exactly
+        # what allocate(strict=False) and forward_mix give, signs included.
+        runner = _Runner(default_config(), Mission(segments=(Segment(
+            Medium.AERIAL, Action.TAKEOFF, np.array([100.0, 0.0, 5.0])),),
+            start=np.array([100.0, 0.0, 0.0])), "pid")
+        assert runner.mode.medium is Medium.AERIAL
+        runner.params = p
+        runner.aerial_u = u = AerialInput(c=c, torque=np.array(tau))
+        try:
+            cmd = allocate(u, p, strict=False)
+            wrench = forward_mix(cmd, p)
+        except (SaturationError, ValueError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as got:
+                runner.actuate()
+            assert getattr(got.value, "channels", None) == getattr(exc, "channels", None)
+            return
+        runner.actuate()
+        assert _same_bits(runner.applied, [wrench.c, *wrench.torque])
+        assert _same_bits(runner.rotors, cmd.rotor_speeds)
+        assert _same_bits(runner.servo, cmd.servo)
 
     def test_all_negative_zero_rotors_give_positive_zero_thrust(self, params):
         cmd = ActuatorCommand(rotor_speeds=np.array([-0.0] * 4), servo=0.0)

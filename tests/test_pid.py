@@ -219,6 +219,21 @@ class TestClosedLoop:
                 ctrl.step(np.zeros(n), np.zeros(3), 0.0, 0.01)
 
 
+    def test_checks_the_reference_shape_and_each_channel(self):
+        # step checks shapes once; each channel still checks its error and dt.
+        ctrl = CascadePid(default_config())
+        s = hover_state((0.0, 0.0, 1.0)).as_vector()
+        with pytest.raises(ValueError, match=r"ref_position must have shape \(3,\)"):
+            ctrl.step(s, np.zeros(4), 0.0, 0.01)
+        with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
+            ctrl.step(s, np.zeros(3), 0.0, 0.0)
+        with pytest.raises(ValueError, match="error and dt must be finite"):
+            ctrl.step(s, np.zeros(3), math.nan, 0.01)
+        s[0] = math.inf
+        with pytest.raises(ValueError, match="error and dt must be finite"):
+            ctrl.step(s, np.zeros(3), 0.0, 0.01)
+
+
 def _array_cascade(cfg: PidConfig, pos_states, att_states, x, ref, ref_yaw, dt):
     """One cascade update in array form, the reference for the float path:
     ``(c, torque, position states, attitude states)``."""
@@ -278,5 +293,6 @@ class TestFloatCascade:
             c, torque, pos_states, att_states = _array_cascade(
                 cfg.pid, pos_states, att_states, x, ref, ref_yaw, 0.01)
             assert _bits([got.c, *got.torque]) == _bits([c, *torque])
-            assert ctrl._pos_states == pos_states
-            assert ctrl._att_states == att_states
+            # The float memory holds each channel's PidChannelState fields.
+            assert ctrl._pos_memory == [v for s in pos_states for v in (s.integral, s.prev_error)]
+            assert ctrl._att_memory == [v for s in att_states for v in (s.integral, s.prev_error)]

@@ -22,6 +22,7 @@ from cyclosim.fsm import Medium, SubState
 from cyclosim.geometry import wrap_angle
 from cyclosim.mission import Action, Mission, ReferenceGenerator, Segment, builtin_mission
 from cyclosim.nmpc import NmpcController
+from cyclosim.pid import CascadePid
 from cyclosim.sim import (
     LOG_COLUMNS,
     RunLog,
@@ -307,6 +308,55 @@ class TestMiniRuns:
         assert set(log.substate) == {"driving"} and set(log.segment.tolist()) == {2}
         assert len(log) > 1
         assert math.dist(log.state[-1, 0:3], goal) < cfg.sim.arrival_radius
+
+
+class TestBenchmarkHooks:
+    """``perfbench`` times and traces a run through ``CascadePid.step``,
+    ``NmpcController.step`` and ``ReferenceGenerator.step``, rebound by
+    name; a runner that went around them would blind it silently."""
+
+    @pytest.mark.parametrize("controller", ["pid", "nmpc"])
+    def test_each_tick_calls_the_timed_steps(self, cfg, monkeypatch, controller):
+        pid_step, nmpc_step = CascadePid.step, NmpcController.step
+        ref_step = ReferenceGenerator.step
+        pid_ticks, solves, ref_ticks = [], [], []
+
+        def counted_ref(gen, *args):
+            ref_ticks.append(len(ref_ticks))
+            return ref_step(gen, *args)
+
+        def counted_pid(ctl, *args):
+            pid_ticks.append(ref_ticks[-1])
+            return pid_step(ctl, *args)
+
+        def counted_nmpc(ctl, *args):
+            out = nmpc_step(ctl, *args)
+            solves.append((ref_ticks[-1], ctl.last_solution.iterations, ctl))
+            return out
+
+        monkeypatch.setattr(ReferenceGenerator, "step", counted_ref)
+        monkeypatch.setattr(CascadePid, "step", counted_pid)
+        monkeypatch.setattr(NmpcController, "step", counted_nmpc)
+        log = run(cfg, mini_mission(), controller=controller, time_limit=3.0)
+        # One reference step per tick, and a controller step on each tick
+        # the controller serves: every aerial pid tick, every solver period.
+        assert ref_ticks == list(range(len(log)))
+        aerial = [k for k in range(len(log)) if log.medium[k] == "aerial"]
+        assert len(aerial) > 200
+        if controller == "pid":
+            assert pid_ticks == aerial and solves == []
+            assert not log.iters.any()
+            return
+        every = round(cfg.nmpc.period / cfg.sim.controller_period)
+        assert pid_ticks == []
+        assert [k for k, _, _ in solves] == [k for k in aerial if k % every == 0]
+        # The logged iterations are each solve's, held until the next one.
+        solved = {k: n for k, n, _ in solves}
+        held = 0
+        for k in aerial:
+            held = solved.get(k, held)
+            assert log.iters[k] == held
+        assert sum(solved.values()) == solves[-1][2].iterations > 0
 
 
 class TestRunEndings:
