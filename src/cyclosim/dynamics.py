@@ -593,19 +593,19 @@ def forward_mix(cmd: ActuatorCommand, p: VehicleParams) -> AerialInput:
     collective sum runs in numpy's order for four entries, from ``+0.0``.
     """
     c, *torque = _mix(cmd.rotor_speeds.tolist(), cmd.servo, p)
+    if c < 0.0:
+        raise ValueError("collective thrust c must be >= 0")
     return AerialInput(c=c, torque=np.array(torque))
 
 
 def _mix(speeds: list, servo: float, p: VehicleParams) -> list:
-    """:func:`forward_mix` in floats: ``[c, tau_x, tau_y, tau_z]``; ValueError,
-    as from :class:`AerialInput`, when ``c`` rounds below zero."""
+    """:func:`forward_mix` in floats: ``[c, tau_x, tau_y, tau_z]``, unchecked,
+    so ``c`` may round below zero."""
     kf = p.k_f
     w0, w1, w2, w3 = speeds
     t0, t1 = kf * w0 * abs(w0), kf * w1 * abs(w1)
     t2, t3 = kf * w2 * abs(w2), kf * w3 * abs(w3)
     c = (0.0 + t0 + t1 + t2 + t3) / p.mass
-    if c < 0.0:
-        raise ValueError("collective thrust c must be >= 0")
     return [c, p.arm * (t0 - t1 + t2 - t3), p.arm * (-t0 - t1 + t2 + t3),
             p.arm * servo * (t2 + t3)]
 

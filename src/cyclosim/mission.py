@@ -150,15 +150,17 @@ class Segment:
 
 @dataclass(frozen=True)
 class Mission:
-    """Ordered segments plus the start position of the vehicle."""
+    """Ordered segments plus the start point, which must lie on the surface (z = 0)."""
 
     segments: tuple[Segment, ...]
     start: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "start",
-                           _waypoint(self.start, "mission start must be a finite (x, y, z) point"))
+        start = _waypoint(self.start, "mission start must be a finite (x, y, z) point")
+        if start[2] != 0.0:
+            raise MissionError("mission start must lie on the surface")
+        object.__setattr__(self, "start", start)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -389,7 +391,7 @@ def mission_plan(mission: Mission) -> tuple[SegmentPlan, ...]:
     """
     segments = mission.segments
     state = initial_state()
-    start_z = float(mission.start[2])
+    start_z = 0.0  # Every mission starts on the surface.
     plan = []
     for i, seg in enumerate(segments):
         wanted = _in_progress_mode(seg, start_z)

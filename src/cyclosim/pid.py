@@ -10,15 +10,14 @@ primitive:
 The derivative is a backward difference on the error and is zero on the
 first step after a reset. The integral accumulator is clamped symmetrically
 (anti-windup). All saturations in the loops are silent: commands are clipped
-and execution continues.  Every update computes in plain Python floats, on
-lists of channel memory that ``CascadePid`` keeps between its steps.
+and execution continues.  ``CascadePid`` runs both loops in plain floats
+(``_position`` and ``_attitude`` over ``_channel``) on its channel memory.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +25,7 @@ from .config import GRAVITY, Config, PidChannelGains, PidConfig
 from .dynamics import QUAT_SLICE, STATE_DIM, AerialInput
 from .geometry import quat_roll_pitch, quat_yaw, wrap_angle
 
-__all__ = [
-    "PidChannelState",
-    "pid_step",
-    "position_loop",
-    "attitude_loop",
-    "CascadePid",
-]
+__all__ = ["CascadePid"]
 
 log = logging.getLogger(__name__)
 
@@ -40,53 +33,16 @@ log = logging.getLogger(__name__)
 _C_MAX_G = 3.0
 
 
-@dataclass(frozen=True)
-class PidChannelState:
-    """Per-channel controller memory.
+def _channel(memory: list, i: int, gains: PidChannelGains, error: float, dt: float,
+             windup: float) -> float:
+    """One discrete PID update of the channel whose integral and previous
+    error are ``memory[i]`` and ``memory[i + 1]``; updates both.
 
-    ``prev_error`` is None right after a reset, which makes the first
-    derivative term zero by definition.
+    ``error`` (reference minus measurement) and ``dt`` (s since the last
+    update) must be finite and ``dt`` positive, else ValueError.  The
+    rectangle-rule integral is clamped to ``[-windup, windup]``; a previous
+    error of None (after a reset) makes the derivative term zero.
     """
-
-    integral: float = 0.0
-    prev_error: float | None = None
-
-
-def pid_step(
-    state: PidChannelState,
-    gains: PidChannelGains,
-    error: float,
-    dt: float,
-    windup_limit: float = 1.0,
-) -> tuple[float, PidChannelState]:
-    """One discrete PID update for a single channel.
-
-    Parameters
-    ----------
-    state : PidChannelState
-        Channel memory from the previous step.
-    gains : PidChannelGains
-        Proportional/integral/derivative gains.
-    error : float
-        Current error (reference minus measurement).
-    dt : float
-        Time since the previous update, s; must be positive.
-    windup_limit : float
-        Symmetric clamp applied to the integral accumulator.
-
-    Returns
-    -------
-    (float, PidChannelState)
-        Control output and the updated channel memory.
-    """
-    memory = [state.integral, state.prev_error]
-    output = _channel(memory, 0, gains, error, dt, windup_limit)
-    return output, PidChannelState(*memory)
-
-
-def _channel(memory: list, i: int, gains, error: float, dt: float, windup: float) -> float:
-    """:func:`pid_step`, checks included, on the channel whose integral and
-    previous error are ``memory[i]`` and ``memory[i + 1]``: updates both."""
     if not (math.isfinite(error) and math.isfinite(dt)):
         raise ValueError("error and dt must be finite")
     if dt <= 0.0:
@@ -106,18 +62,12 @@ def _three(values, name: str) -> list:
     return values.tolist()
 
 
-def position_loop(
-    position_error,
-    yaw: float,
-    states: tuple[PidChannelState, PidChannelState, PidChannelState],
-    cfg: PidConfig,
-    dt: float,
-):
-    """Outer loop: position error (any length-3 sequence) to thrust and
-    attitude references.
+def _position(memory: list, ex, ey, ez, yaw: float, cfg: PidConfig, dt: float) -> tuple:
+    """Outer loop: position error to ``(c, roll_ref, pitch_ref)``, with the
+    x, y and z channels' memory in ``memory`` (see :func:`_channel`).
 
-    The three channel PIDs produce a desired world acceleration
-    ``(ax, ay, az)``. Vertical: ``c = g + az`` (clipped to [0, 3g]).
+    The three channel PIDs give a desired world acceleration
+    ``(ax, ay, az)``.  Vertical: ``c = g + az``, clipped to [0, 3g].
     Horizontal: small-angle inversion of the thrust direction, rotated by
     the current yaw::
 
@@ -125,19 +75,7 @@ def position_loop(
         roll_ref  = (ax sin(yaw) - ay cos(yaw)) / g
 
     both clipped to ``cfg.tilt_limit``.
-
-    Returns
-    -------
-    ((c, roll_ref, pitch_ref), new_states)
     """
-    memory = [v for s in states for v in (s.integral, s.prev_error)]
-    refs = _position(memory, *_three(position_error, "position_error"), yaw, cfg, dt)
-    return refs, tuple(PidChannelState(*memory[i:i + 2]) for i in (0, 2, 4))
-
-
-def _position(memory: list, ex, ey, ez, yaw: float, cfg: PidConfig, dt: float) -> tuple:
-    """:func:`position_loop` on floats, with the x, y and z channels' memory
-    in ``memory`` (see :func:`_channel`): ``(c, roll_ref, pitch_ref)``."""
     windup = cfg.windup_limit
     ax = _channel(memory, 0, cfg.x, ex, dt, windup)
     ay = _channel(memory, 2, cfg.y, ey, dt, windup)
@@ -158,31 +96,13 @@ def _position(memory: list, ex, ey, ez, yaw: float, cfg: PidConfig, dt: float) -
     return c, roll_ref, pitch_ref
 
 
-def attitude_loop(
-    attitude_error,
-    states: tuple[PidChannelState, PidChannelState, PidChannelState],
-    cfg: PidConfig,
-    dt: float,
-):
-    """Inner loop: attitude error (roll, pitch, yaw; any length-3 sequence)
-    to body torques.
-
-    The yaw component is wrapped to (-pi, pi] before the PID so the vehicle
-    always turns the short way. Torques are clipped to ``cfg.torque_limit``.
-
-    Returns
-    -------
-    (torque, new_states)
-        ``torque`` is a 3-tuple of floats.
-    """
-    memory = [v for s in states for v in (s.integral, s.prev_error)]
-    torque = _attitude(memory, *_three(attitude_error, "attitude_error"), cfg, dt)
-    return torque, tuple(PidChannelState(*memory[i:i + 2]) for i in (0, 2, 4))
-
-
 def _attitude(memory: list, e_roll, e_pitch, e_yaw, cfg: PidConfig, dt: float) -> tuple:
-    """:func:`attitude_loop` on floats, with the roll, pitch and yaw channels'
-    memory in ``memory`` (see :func:`_channel`): the three torques."""
+    """Inner loop: attitude error (roll, pitch, yaw) to the three body
+    torques, with the roll, pitch and yaw channels' memory in ``memory``
+    (see :func:`_channel`).  The yaw error is wrapped to (-pi, pi] before
+    its PID, so the vehicle always turns the short way; the torques are
+    clipped to ``cfg.torque_limit``.
+    """
     windup = cfg.windup_limit
     tx = _channel(memory, 0, cfg.roll, e_roll, dt, windup)
     ty = _channel(memory, 2, cfg.pitch, e_pitch, dt, windup)

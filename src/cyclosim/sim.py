@@ -390,6 +390,8 @@ class _Runner:
         Aerial commands pass through allocation with clipping and back
         through the forward mix (their float halves), so the wrench the
         plant integrates and the logged one both honor the actuator limits.
+        A mixed collective below zero is rounding (each opposite thrust pair
+        of a ``c >= 0`` allocation sums to at least zero) and applies as ``+0.0``.
         """
         mode = self.mode
         self.applied = self.rotors = _IDLE
@@ -397,7 +399,10 @@ class _Runner:
         if mode.medium is Medium.AERIAL:
             u = self.aerial_u
             speeds, self.servo = _allocation(u.c, *u.torque.tolist(), self.params, strict=False)
-            self.applied = np.array(_mix(speeds, self.servo, self.params))
+            mixed = _mix(speeds, self.servo, self.params)
+            if mixed[0] < 0.0:
+                mixed[0] = 0.0
+            self.applied = np.array(mixed)
             self.rotors = np.array(speeds)
         elif mode.medium is Medium.AQUATIC:
             # An aquatic command's forward speed is its surge speed.
@@ -511,9 +516,8 @@ def run(config: Config, mission: Mission, controller: str = "pid",
         If ``config`` fails :func:`~cyclosim.config.validate`: a key out of
         its range, over a work cap, or a period not a whole multiple of the
         next.
-    SaturationError, ValueError
-        Not caught: a yaw torque with no rear-pair thrust to tilt (see
-        ``allocate``), or a mixed collective thrust rounded below zero.
+    SaturationError
+        Not caught: a yaw torque with no rear-pair thrust to tilt (``allocate``).
     """
     if controller not in ("pid", "nmpc"):
         raise ValueError(f"unknown controller '{controller}'")

@@ -131,6 +131,22 @@ class TestMalformedStart:
         assert last.startswith("error:")
         assert "start must be a 3-number list" in last
 
+    @pytest.mark.parametrize("command", ["simulate", "validate-fsm"])
+    def test_raised_start_is_parse_error(self, tmp_path, capsys, command):
+        """The vehicle starts parked on the surface, so a start above it is
+        rejected before any run: exit 3, and no output directory."""
+        path = tmp_path / "start.yaml"
+        path.write_text("start: [20, 0, 7]\n"
+                        "segments:\n"
+                        "- {medium: terrestrial, action: drive, target: [30, 0, 0]}\n")
+        argv = [command, "--mission", str(path)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        _, last = _last_line(capsys)
+        assert last == f"error: mission file {path}: mission start must lie on the surface"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulate:
     def test_mini_mission_completes(self, mini_path, tmp_path, capsys):

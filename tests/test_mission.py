@@ -115,6 +115,13 @@ class TestSegmentValidation:
         with pytest.raises(MissionError):
             Mission(segments=(), start=np.array([0.0, np.inf, 0.0]))
 
+    @pytest.mark.parametrize("z", [7.0, -0.5, 1e-9])
+    def test_mission_start_on_the_surface(self, z):
+        # The vehicle starts parked at z = 0 whatever the start says.
+        with pytest.raises(MissionError, match="^mission start must lie on the surface$"):
+            Mission(segments=(), start=[20.0, 0.0, z])
+        assert Mission(segments=(), start=[20.0, 0.0, -0.0]).start[2] == 0.0
+
     def test_integers_past_the_float_range_raise_mission_error(self):
         """The constructors give their own message, not float()'s
         OverflowError, for an int past the float range."""
@@ -370,6 +377,18 @@ class TestMissionFiles:
         )
         with pytest.raises(MissionError,
                            match="segment 1: land segment targets must lie on the surface"):
+            load_mission(path)
+
+    def test_raised_start_is_rejected(self, tmp_path):
+        path = tmp_path / "raised_start.yaml"
+        path.write_text(
+            "start: [20, 0, 7]\n"
+            "segments:\n"
+            "  - {medium: terrestrial, action: drive, target: [30, 0, 0]}\n"
+        )
+        with pytest.raises(MissionError,
+                           match=f"^mission file {re.escape(str(path))}: mission start must lie"
+                                 " on the surface$"):
             load_mission(path)
 
     @pytest.mark.parametrize("value", ["0", "{}", "false", "''", "7"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cyclosim.config import GRAVITY, PidChannelGains, PidConfig, default_config
 from cyclosim.dynamics import VehicleParams, aerial_step, hover_state
 from cyclosim.geometry import quat_roll_pitch, quat_yaw, wrap_angle
-from cyclosim.pid import CascadePid, PidChannelState, attitude_loop, pid_step, position_loop
+from cyclosim.pid import CascadePid, _attitude, _channel, _position, _three
 
 G = 9.81
 
@@ -20,73 +20,74 @@ def _as_vector(u) -> np.ndarray:
     return np.array([u.c, u.torque[0], u.torque[1], u.torque[2]])
 
 
-def fresh_states():
-    return (PidChannelState(), PidChannelState(), PidChannelState())
+def fresh_memory() -> list:
+    """Three channels' memory right after a reset: integral 0, no previous error."""
+    return [0.0, None] * 3
 
 
 class TestPidStep:
+    """The channel update ``_channel`` on its own memory pair."""
+
     def test_pure_proportional(self):
-        out, _ = pid_step(PidChannelState(), PidChannelGains(4.0, 0.0, 0.0), 0.1, 0.01)
+        out = _channel([0.0, None], 0, PidChannelGains(4.0, 0.0, 0.0), 0.1, 0.01, 1.0)
         assert out == pytest.approx(0.4)
 
     def test_integral_rectangle_rule(self):
         # Frozen: Ki=1, e=1 held for 10 steps of dt=0.1 -> output 1.0.
-        state = PidChannelState()
+        memory = [0.0, None]
         gains = PidChannelGains(0.0, 1.0, 0.0)
         for _ in range(10):
-            out, state = pid_step(state, gains, 1.0, 0.1)
+            out = _channel(memory, 0, gains, 1.0, 0.1, 1.0)
         assert out == pytest.approx(1.0)
 
     def test_derivative_zero_on_first_step(self):
         gains = PidChannelGains(0.0, 0.0, 2.0)
-        out, state = pid_step(PidChannelState(), gains, 5.0, 0.01)
-        assert out == 0.0
-        out, _ = pid_step(state, gains, 5.5, 0.01)
+        memory = [0.0, None]
+        assert _channel(memory, 0, gains, 5.0, 0.01, 1.0) == 0.0
+        assert memory[1] == 5.0
+        out = _channel(memory, 0, gains, 5.5, 0.01, 1.0)
         assert out == pytest.approx(2.0 * 0.5 / 0.01)
 
     def test_windup_clamp(self):
-        state = PidChannelState()
         gains = PidChannelGains(0.0, 1.0, 0.0)
+        memory = [0.0, None]
         for _ in range(30):
-            out, state = pid_step(state, gains, 1.0, 0.1, windup_limit=1.0)
-        assert state.integral == 1.0
+            out = _channel(memory, 0, gains, 1.0, 0.1, 1.0)
+        assert memory[0] == 1.0
         assert out == pytest.approx(1.0)
         # And the clamp is symmetric.
-        state = PidChannelState()
+        memory = [0.0, None]
         for _ in range(30):
-            out, state = pid_step(state, gains, -1.0, 0.1, windup_limit=1.0)
-        assert state.integral == -1.0
+            _channel(memory, 0, gains, -1.0, 0.1, 1.0)
+        assert memory[0] == -1.0
 
     def test_linear_in_error_without_memory(self):
         gains = PidChannelGains(3.0, 0.0, 0.0)
         rng = np.random.default_rng(3)
         for _ in range(20):
             e = float(rng.normal())
-            out, _ = pid_step(PidChannelState(), gains, e, 0.01)
-            assert out == pytest.approx(3.0 * e)
+            assert _channel([0.0, None], 0, gains, e, 0.01, 1.0) == pytest.approx(3.0 * e)
 
     def test_rejects_bad_dt_and_nan(self):
-        with pytest.raises(ValueError):
-            pid_step(PidChannelState(), PidChannelGains(1, 0, 0), 0.0, 0.0)
-        with pytest.raises(ValueError):
-            pid_step(PidChannelState(), PidChannelGains(1, 0, 0), math.nan, 0.01)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            _channel([0.0, None], 0, PidChannelGains(1, 0, 0), 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="error and dt must be finite"):
+            _channel([0.0, None], 0, PidChannelGains(1, 0, 0), math.nan, 0.01, 1.0)
 
 
 class TestPositionLoop:
+    """The outer loop ``_position``."""
+
     def test_altitude_error_raises_thrust(self):
         cfg = PidConfig(z=PidChannelGains(2.0, 0.0, 0.0))
-        (c, roll_ref, pitch_ref), _ = position_loop(
-            np.array([0.0, 0.0, 1.0]), 0.0, fresh_states(), cfg, 0.01
-        )
+        c, roll_ref, pitch_ref = _position(fresh_memory(), 0.0, 0.0, 1.0, 0.0, cfg, 0.01)
         assert c == pytest.approx(G + 2.0)
         assert roll_ref == 0.0
         assert pitch_ref == 0.0
 
     def test_large_error_clamps_tilt_exactly(self):
         cfg = PidConfig(x=PidChannelGains(2.0, 0.0, 0.0))
-        (_, _, pitch_ref), _ = position_loop(
-            np.array([100.0, 0.0, 0.0]), 0.0, fresh_states(), cfg, 0.01
-        )
+        _, _, pitch_ref = _position(fresh_memory(), 100.0, 0.0, 0.0, 0.0, cfg, 0.01)
         assert pitch_ref == cfg.tilt_limit == math.pi / 6
 
     def test_yaw_rotation_of_horizontal_errors(self):
@@ -95,60 +96,68 @@ class TestPositionLoop:
         cfg = PidConfig(
             x=PidChannelGains(1.0, 0.0, 0.0), y=PidChannelGains(1.0, 0.0, 0.0)
         )
-        (_, roll_ref, pitch_ref), _ = position_loop(
-            np.array([1.0, 0.0, 0.0]), math.pi / 2, fresh_states(), cfg, 0.01
-        )
+        _, roll_ref, pitch_ref = _position(fresh_memory(), 1.0, 0.0, 0.0, math.pi / 2, cfg, 0.01)
         assert pitch_ref == pytest.approx(0.0, abs=1e-12)
         assert roll_ref == pytest.approx(1.0 / G)
 
     def test_thrust_never_negative(self):
         cfg = PidConfig(z=PidChannelGains(5.0, 0.0, 0.0))
-        (c, _, _), _ = position_loop(
-            np.array([0.0, 0.0, -100.0]), 0.0, fresh_states(), cfg, 0.01
-        )
+        c, _, _ = _position(fresh_memory(), 0.0, 0.0, -100.0, 0.0, cfg, 0.01)
         assert c == 0.0
 
-
     def test_any_length_3_sequence(self):
+        # A position error given as any length-3 sequence, split by _three,
+        # gives the same command and the same channel memory.
         cfg = PidConfig(x=PidChannelGains(2.0, 0.1, 0.5), z=PidChannelGains(1.0, 0.2, 0.3))
-        expected = position_loop(np.array([0.3, -0.2, 1.0]), 0.4, fresh_states(), cfg, 0.01)
-        for error in ([0.3, -0.2, 1.0], (0.3, -0.2, 1)):
-            assert position_loop(error, 0.4, fresh_states(), cfg, 0.01) == expected
+        expected_memory = fresh_memory()
+        expected = _position(expected_memory, 0.3, -0.2, 1.0, 0.4, cfg, 0.01)
+        for error in (np.array([0.3, -0.2, 1.0]), [0.3, -0.2, 1.0], (0.3, -0.2, 1)):
+            memory = fresh_memory()
+            got = _position(memory, *_three(error, "position_error"), 0.4, cfg, 0.01)
+            assert got == expected
+            assert memory == expected_memory
         for bad in ([0.3, -0.2], np.zeros((3, 1))):
-            with pytest.raises(ValueError, match="position_error must have shape"):
-                position_loop(bad, 0.0, fresh_states(), cfg, 0.01)
+            with pytest.raises(ValueError, match=r"position_error must have shape \(3,\)"):
+                _three(bad, "position_error")
 
 
 class TestAttitudeLoop:
+    """The inner loop ``_attitude``."""
+
     def test_proportional_torque(self):
         cfg = PidConfig(
             roll=PidChannelGains(4.0, 0.0, 0.0),
             pitch=PidChannelGains(4.0, 0.0, 0.0),
             yaw=PidChannelGains(2.0, 0.0, 0.0),
         )
-        torque, _ = attitude_loop(np.array([0.1, 0.0, 0.0]), fresh_states(), cfg, 0.01)
+        torque = _attitude(fresh_memory(), 0.1, 0.0, 0.0, cfg, 0.01)
+        assert isinstance(torque, tuple)
         assert np.allclose(torque, [0.4, 0.0, 0.0])
 
     def test_yaw_error_wrapped(self):
         cfg = PidConfig(yaw=PidChannelGains(2.0, 0.0, 0.0), torque_limit=100.0)
-        torque, _ = attitude_loop(
-            np.array([0.0, 0.0, 3.0 * math.pi / 2.0]), fresh_states(), cfg, 0.01
-        )
+        torque = _attitude(fresh_memory(), 0.0, 0.0, 3.0 * math.pi / 2.0, cfg, 0.01)
         assert torque[2] == pytest.approx(2.0 * (-math.pi / 2.0))
 
     def test_torque_clamped(self):
         cfg = PidConfig(roll=PidChannelGains(100.0, 0.0, 0.0), torque_limit=2.0)
-        torque, _ = attitude_loop(np.array([1.0, 0.0, 0.0]), fresh_states(), cfg, 0.01)
+        torque = _attitude(fresh_memory(), 1.0, 0.0, 0.0, cfg, 0.01)
+        assert isinstance(torque, tuple)
         assert torque[0] == 2.0
 
     def test_any_length_3_sequence(self):
+        # An attitude error given as a tuple or an array, split by _three,
+        # gives the same clipped torque tuple and the same channel memory.
         cfg = PidConfig(roll=PidChannelGains(100.0, 0.0, 0.0), torque_limit=2.0)
-        torque, states = attitude_loop((1.0, -0.01, 4.0), fresh_states(), cfg, 0.01)
+        memory = fresh_memory()
+        torque = _attitude(memory, *_three((1.0, -0.01, 4.0), "attitude_error"), cfg, 0.01)
         assert isinstance(torque, tuple)
-        assert (torque, states) == attitude_loop(
-            np.array([1.0, -0.01, 4.0]), fresh_states(), cfg, 0.01)
-        with pytest.raises(ValueError, match="attitude_error must have shape"):
-            attitude_loop([1.0, 0.0, 0.0, 0.0], fresh_states(), cfg, 0.01)
+        again = fresh_memory()
+        assert torque == _attitude(again, *_three(np.array([1.0, -0.01, 4.0]), "attitude_error"),
+                                   cfg, 0.01)
+        assert memory == again
+        with pytest.raises(ValueError, match=r"attitude_error must have shape \(3,\)"):
+            _three([1.0, 0.0, 0.0, 0.0], "attitude_error")
 
 
 class TestClosedLoop:
@@ -223,8 +232,16 @@ class TestClosedLoop:
         # step checks shapes once; each channel still checks its error and dt.
         ctrl = CascadePid(default_config())
         s = hover_state((0.0, 0.0, 1.0)).as_vector()
-        with pytest.raises(ValueError, match=r"ref_position must have shape \(3,\)"):
-            ctrl.step(s, np.zeros(4), 0.0, 0.01)
+        # Any length-3 sequence is a reference, and gives the same bits.
+        commands = []
+        for ref in (np.array([0.3, -0.2, 2.0]), [0.3, -0.2, 2.0], (0.3, -0.2, 2)):
+            ctrl.reset()
+            u = ctrl.step(s, ref, 0.4, 0.01)
+            commands.append(_bits([u.c, *u.torque]))
+        assert commands[0] == commands[1] == commands[2]
+        for bad in (np.zeros(4), [0.3, -0.2], np.zeros((3, 1))):
+            with pytest.raises(ValueError, match=r"ref_position must have shape \(3,\)"):
+                ctrl.step(s, bad, 0.0, 0.01)
         with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
             ctrl.step(s, np.zeros(3), 0.0, 0.0)
         with pytest.raises(ValueError, match="error and dt must be finite"):
@@ -234,16 +251,24 @@ class TestClosedLoop:
             ctrl.step(s, np.zeros(3), 0.0, 0.01)
 
 
-def _array_cascade(cfg: PidConfig, pos_states, att_states, x, ref, ref_yaw, dt):
+def _array_channels(gains, memory, err, dt, windup):
+    """Three PID channels at once in array form, independent of ``_channel``:
+    the outputs and the new ``(integrals, previous errors)``.  ``memory`` is
+    None right after a reset."""
+    integral, prev = memory if memory is not None else (np.zeros(3), None)
+    integral = np.clip(integral + err * dt, -windup, windup)
+    derivative = np.zeros(3) if prev is None else (err - prev) / dt
+    kp, ki, kd = (np.array([getattr(g, k) for g in gains]) for k in "pid")
+    return kp * err + ki * integral + kd * derivative, (integral, err)
+
+
+def _array_cascade(cfg: PidConfig, pos_memory, att_memory, x, ref, ref_yaw, dt):
     """One cascade update in array form, the reference for the float path:
-    ``(c, torque, position states, attitude states)``."""
+    ``(c, torque, position memory, attitude memory)``."""
     err = np.asarray(ref, dtype=float) - x[0:3]
     yaw = quat_yaw(x[6:10])
-    accel = np.empty(3)
-    new_pos = []
-    for i, gains in enumerate((cfg.x, cfg.y, cfg.z)):
-        accel[i], st_i = pid_step(pos_states[i], gains, float(err[i]), dt, cfg.windup_limit)
-        new_pos.append(st_i)
+    accel, pos_memory = _array_channels((cfg.x, cfg.y, cfg.z), pos_memory, err, dt,
+                                        cfg.windup_limit)
     c = GRAVITY + accel[2]
     if c < 0.0 or c > 3.0 * GRAVITY:
         c = max(0.0, min(3.0 * GRAVITY, c))
@@ -253,14 +278,16 @@ def _array_cascade(cfg: PidConfig, pos_states, att_states, x, ref, ref_yaw, dt):
     roll, pitch = quat_roll_pitch(x[6:10])
     att_err = np.array([roll_ref - roll, pitch_ref - pitch, ref_yaw - yaw])
     att_err[2] = wrap_angle(float(att_err[2]))
-    torque = np.empty(3)
-    new_att = []
-    for i, gains in enumerate((cfg.roll, cfg.pitch, cfg.yaw)):
-        torque[i], st_i = pid_step(att_states[i], gains, float(att_err[i]), dt, cfg.windup_limit)
-        new_att.append(st_i)
+    torque, att_memory = _array_channels((cfg.roll, cfg.pitch, cfg.yaw), att_memory, att_err,
+                                         dt, cfg.windup_limit)
     if np.abs(torque).max() > cfg.torque_limit:
         torque = np.clip(torque, -cfg.torque_limit, cfg.torque_limit)
-    return c, torque, tuple(new_pos), tuple(new_att)
+    return c, torque, pos_memory, att_memory
+
+
+def _interleaved(memory) -> list:
+    """An array-form ``(integrals, previous errors)`` in ``_channel``'s layout."""
+    return [v for pair in zip(*memory) for v in pair]
 
 
 def _bits(values) -> list:
@@ -284,15 +311,15 @@ class TestFloatCascade:
         # is compared too; large errors clip thrust, tilt and torque.
         cfg = default_config()
         ctrl = CascadePid(cfg)
-        pos_states = att_states = (PidChannelState(),) * 3
+        pos_memory = att_memory = None
         for position, quat, ref, ref_yaw in steps:
             x = hover_state(position).as_vector()
             q = np.array(quat)
             x[6:10] = q / math.sqrt(float(q @ q))
             got = ctrl.step(x, np.array(ref), ref_yaw, 0.01)
-            c, torque, pos_states, att_states = _array_cascade(
-                cfg.pid, pos_states, att_states, x, ref, ref_yaw, 0.01)
+            c, torque, pos_memory, att_memory = _array_cascade(
+                cfg.pid, pos_memory, att_memory, x, ref, ref_yaw, 0.01)
             assert _bits([got.c, *got.torque]) == _bits([c, *torque])
-            # The float memory holds each channel's PidChannelState fields.
-            assert ctrl._pos_memory == [v for s in pos_states for v in (s.integral, s.prev_error)]
-            assert ctrl._att_memory == [v for s in att_states for v in (s.integral, s.prev_error)]
+            # Each channel's integral and previous error, bit for bit.
+            assert _bits(ctrl._pos_memory) == _bits(_interleaved(pos_memory))
+            assert _bits(ctrl._att_memory) == _bits(_interleaved(att_memory))

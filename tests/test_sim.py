@@ -6,11 +6,15 @@ pairs, held inputs between solver ticks) are checked row by row; metric
 definitions are checked on synthetic logs whose answers are computed by
 hand (10 percent overshoot, shift invariance, zero error).  The builtin
 route's checks read the suite's one ``pid`` flight of it (the session
-fixture ``builtin_runs``); the other runs are short.
+fixture ``builtin_runs``), whose two files must hash to the ``pid`` rows of
+``GOLDEN_HASHES.md``; the other runs are short.
 """
 
 import dataclasses
+import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,8 @@ LEGAL_PAIRS = {
     ("aquatic", "static"),
     ("aquatic", "driving"),
 }
+
+GOLDEN_HASHES = Path(__file__).resolve().parents[1] / "GOLDEN_HASHES.md"
 
 BANDS = {"terrestrial": (0.0, 100.0), "aerial": (100.0, 200.0), "aquatic": (200.0, 300.0)}
 
@@ -87,6 +93,17 @@ def mini_mission() -> Mission:
 
 
 class TestBuiltinPidRun:
+    def test_files_match_the_golden_hashes(self, builtin_runs):
+        """The builtin ``pid`` CSV and metrics keep the bytes GOLDEN_HASHES.md
+        records; its ``nmpc`` rows depend on the BLAS build, so they are not
+        checked here."""
+        golden = dict(re.findall(r"^\| `(builtin_pid\S*)` \| `([0-9a-f]{64})` \|$",
+                                 GOLDEN_HASHES.read_text(encoding="utf-8"), re.MULTILINE))
+        assert sorted(golden) == ["builtin_pid.csv", "builtin_pid_metrics.txt"]
+        out = builtin_runs["pid"].out_dir
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in golden} == golden
+
     def test_completes_all_segments(self, pid_log, mission):
         assert pid_log.completed
         assert not pid_log.time_limit_hit
@@ -395,6 +412,27 @@ class TestRunEndings:
         assert not (log.completed or log.time_limit_hit)
         assert log.medium[-1] == "terrestrial"
         assert np.all(np.isfinite(log.state[:, 0:3]))
+
+    @pytest.mark.parametrize("cruise_air", [10.0, 1e6])
+    def test_fast_descent_to_zero_thrust_ends_documented(self, cfg, cruise_air):
+        """A fast descent commands zero collective with roll and pitch
+        torque, whose mix can round below zero: the run applies +0.0 and
+        ends in one of the three documented endings instead of raising."""
+        fast = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, cruise_air=cruise_air))
+        low = np.array([170.0, 5.0, 5.0])
+        mission = Mission(
+            segments=(
+                Segment(Medium.AERIAL, Action.TAKEOFF, np.array([150.0, 0.0, 60.0])),
+                Segment(Medium.AERIAL, Action.FLY_TO, low),
+                Segment(Medium.AERIAL, Action.HOVER, low, hold=1.0),
+            ),
+            start=np.array([150.0, 0.0, 0.0]),
+        )
+        log = run(fast, mission, controller="pid")
+        assert [log.completed, log.time_limit_hit, log.diverged].count(True) == 1
+        c = log.inputs[:, 0]
+        assert (c == 0.0).any()
+        assert not np.signbit(c).any()
 
     def test_unknown_controller_rejected(self, cfg, mission):
         with pytest.raises(ValueError, match="controller"):
