@@ -1,7 +1,8 @@
 """Plant model and integrator tests.
 
 Oracles: closed-form free fall and exponential growth, hand-built linearized
-mixing-matrix inverse for the allocation map, principal-axis spin constancy.
+mixing-matrix inverse for the allocation map, principal-axis spin constancy,
+and scipy's DOP853 at tight tolerances for the plant's local error per tick.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from cyclosim.config import default_config
 from cyclosim.dynamics import (
@@ -38,8 +40,19 @@ from cyclosim.dynamics import (
 )
 from cyclosim.errors import DivergenceError, SaturationError
 from cyclosim.fsm import Medium
+from cyclosim.geometry import EulerAngles, euler_to_quat, quat_yaw
 from cyclosim.mission import Action, Mission, Segment
-from cyclosim.sim import _Runner
+from cyclosim.sim import (
+    _CATCH_UP,
+    _STEER_MAX,
+    _TURN_RATE_MAX,
+    HOVER_POS_TOL,
+    HOVER_SPEED_TOL,
+    HOVER_WINDOW,
+    TOUCHDOWN_DESCENT_TOL,
+    TOUCHDOWN_Z_TOL,
+    _Runner,
+)
 from test_geometry import check_vector_argument
 
 G = 9.81
@@ -358,6 +371,126 @@ class TestRk4:
             for _ in range(200):
                 x = step_rk4(f, x, None, 0.05)
         assert exc_info.value.state is not None
+
+
+_CFG = default_config()
+_TICK = _CFG.sim.controller_period
+# A tick may use 1 % of a guard tolerance over 100 ticks (1 s, twice
+# HOVER_WINDOW) of local errors that all add up in one direction.
+_SHARE = 0.01 / round(1.0 / _TICK)
+POSITION_BUDGET = _SHARE * min(TOUCHDOWN_Z_TOL, HOVER_POS_TOL, _CFG.sim.arrival_radius)
+VELOCITY_BUDGET = _SHARE * min(HOVER_SPEED_TOL, TOUCHDOWN_DESCENT_TOL)
+_MAX_THRUST = 3.0 * G
+# A tilt error turns up to 3 g of thrust sideways for a tick; a rate error
+# tilts the vehicle for a tick.
+ATTITUDE_BUDGET = VELOCITY_BUDGET / (_MAX_THRUST * _TICK)
+RATE_BUDGET = ATTITUDE_BUDGET / _TICK
+_LOG_STRIDE = 10
+
+
+def _reference(rhs, state) -> np.ndarray:
+    """``state`` after one controller tick of ``rhs``, by DOP853."""
+    sol = solve_ivp(lambda _t, s: rhs(s), (0.0, _TICK), state, method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return sol.y[:, -1]
+
+
+def _check_aerial_tick(x, u, params, dt) -> None:
+    got = aerial_step(x, u, params, dt, round(_TICK / dt))
+    err = np.abs(got - _reference(lambda s: aerial_derivative(s, u, params), x))
+    assert err[0:3].max() <= POSITION_BUDGET, err
+    assert err[3:6].max() <= VELOCITY_BUDGET, err
+    # Twice the quaternion distance is the rotation angle between the two.
+    assert 2.0 * np.linalg.norm(err[6:10]) <= ATTITUDE_BUDGET, err
+    assert err[10:13].max() <= RATE_BUDGET, err
+
+
+def _check_surface_tick(pose, speed, turn, dt) -> None:
+    got = _planar_rk4(pose, speed, turn, dt, round(_TICK / dt))
+    planar = lambda s: np.array([speed * math.cos(s[2]), speed * math.sin(s[2]), turn])
+    err = np.abs(got - _reference(planar, pose))
+    assert err[0:2].max() <= POSITION_BUDGET, err
+    assert err[2] <= ATTITUDE_BUDGET, err
+
+
+# The flight envelope: tilt up to both controllers' limits, body rates to
+# 15 rad/s per axis (dash_nmpc peaks at 12), thrust in [0, 3 g] and torques
+# within the PID clamp.
+_TILT_MAX = max(_CFG.pid.tilt_limit, _CFG.nmpc.tilt_max)
+_TORQUE = _finite(-_CFG.pid.torque_limit, _CFG.pid.torque_limit)
+_AERIAL_TICK = st.tuples(
+    st.tuples(*[_finite(-300.0, 300.0)] * 3, *[_finite(-10.0, 10.0)] * 3),
+    _finite(0.0, _TILT_MAX), _finite(-math.pi, math.pi), _finite(-math.pi, math.pi),
+    st.tuples(*[_finite(-15.0, 15.0)] * 3),
+    st.tuples(_finite(0.0, _MAX_THRUST), _TORQUE, _TORQUE, _TORQUE),
+)
+# Surface commands within the drive laws: pursuit speed up to the catch-up
+# factor times cruise, wheel turn rate and rudder angle within their clamps.
+_SURFACE_TICK = st.one_of(
+    st.builds(lambda s, r: TerrestrialInput(s - 0.5 * r * _CFG.track_width,
+                                            s + 0.5 * r * _CFG.track_width),
+              _finite(0.0, _CATCH_UP * _CFG.sim.cruise_ground),
+              _finite(-_TURN_RATE_MAX, _TURN_RATE_MAX)),
+    st.builds(AquaticInput, _finite(0.0, _CATCH_UP * _CFG.sim.cruise_water),
+              _finite(-_STEER_MAX, _STEER_MAX)),
+)
+_DTS = pytest.mark.parametrize("dt", [1e-3, 1e-2], ids=["1ms", "10ms"])
+
+
+class TestStepBudget:
+    """The plant's local error over one controller tick stays within a budget
+    set by the guards, at ``dt`` 1 ms (ten steps a tick) and 10 ms (one).
+
+    Oracle: ``solve_ivp`` (DOP853, rtol and atol 1e-12) from the same state
+    under the same held input.  The guards compare positions and speeds with
+    tolerances, the tightest being 0.05 m (``TOUCHDOWN_Z_TOL``, below
+    ``HOVER_POS_TOL`` and ``sim.arrival_radius``) and 0.1 m/s
+    (``HOVER_SPEED_TOL``, below ``TOUCHDOWN_DESCENT_TOL``).  One tick may
+    err by 1e-4 of each, so 100 ticks of errors in one direction use 1 % of
+    it: 5e-6 m and 1e-5 m/s.  Attitude may err by 1e-5 m/s over 3 g times a
+    tick, 3.4e-5 rad (the surface heading too), and the body rates by that
+    per tick, 3.4e-3 rad/s.  The default ``dt`` is the largest the config
+    allows (``dt <= sim.controller_period``) within this budget.
+    """
+
+    @_DTS
+    def test_builtin_pid_aerial_ticks(self, builtin_runs, dt):
+        log = builtin_runs["pid"].log
+        params = VehicleParams.from_config(_CFG)
+        rows = [k for k, m in enumerate(log.medium) if m == Medium.AERIAL.value]
+        assert len(rows) > 10_000
+        for k in rows[::_LOG_STRIDE]:
+            _check_aerial_tick(log.state[k], log.inputs[k], params, dt)
+
+    @_DTS
+    def test_builtin_pid_surface_ticks(self, builtin_runs, dt):
+        log = builtin_runs["pid"].log
+        rows = [k for k, m in enumerate(log.medium) if m != Medium.AERIAL.value]
+        assert len(rows) > 10_000
+        for k in rows[::_LOG_STRIDE]:
+            px, py, _, vx, vy, _, qw, qx, qy, qz, _, _, turn = log.state[k].tolist()
+            heading = quat_yaw(np.array([qw, qx, qy, qz]))
+            speed = vx * math.cos(heading) + vy * math.sin(heading)
+            _check_surface_tick(np.array([px, py, heading]), speed, turn, dt)
+
+    @_DTS
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tick=_AERIAL_TICK)
+    def test_envelope_aerial_ticks(self, dt, tick):
+        pv, tilt, azimuth, yaw, rates, u = tick
+        q = euler_to_quat(EulerAngles(tilt * math.cos(azimuth), tilt * math.sin(azimuth), yaw))
+        x = np.array([*pv, *q.tolist(), *rates])
+        _check_aerial_tick(x, np.array(u), VehicleParams.from_config(_CFG), dt)
+
+    @_DTS
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pose=st.tuples(_finite(-300.0, 300.0), _finite(-300.0, 300.0),
+                          _finite(-math.pi, math.pi)),
+           u=_SURFACE_TICK)
+    def test_envelope_surface_ticks(self, dt, pose, u):
+        speed, turn = _planar_rates(u, VehicleParams.from_config(_CFG))
+        _check_surface_tick(np.array(pose), speed, turn, dt)
 
 
 class TestVehicleState:
