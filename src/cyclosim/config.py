@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -57,7 +58,7 @@ ENV_CONFIG_VAR = "CYCLOSIM_CONFIG"
 
 GRAVITY = 9.81
 
-# Work caps, far above the defaults (60,000 ticks, 10 substeps, horizon 15,
+# Work caps, far above the defaults (60,000 ticks, 1 substep, horizon 15,
 # 50 iterations).  The run log holds 30 floats a tick, 240 MB at MAX_TICKS.
 MAX_TICKS = 1_000_000
 MAX_SUBSTEPS = 1_000
@@ -157,7 +158,10 @@ class Config:
     arm: float = _positive(0.20)
     rotor_max: float = _positive(1200.0)
     servo_max: float = _positive(math.pi / 4.0)
-    dt: float = _within(1.0e-3, 0, 0.05, open_low=True)
+    # Plant RK4 step, s: the largest dt <= sim.controller_period whose local
+    # error per tick meets the guard-derived budget of the plant tests, so
+    # one step a tick.
+    dt: float = _within(1.0e-2, 0, 0.05, open_low=True)
     pid: PidConfig = field(default_factory=PidConfig)
     nmpc: NmpcConfig = field(default_factory=NmpcConfig)
     sim: SimConfig = field(default_factory=SimConfig)
@@ -227,7 +231,7 @@ def validate(cfg: Config) -> Config:
     if cfg.nmpc.accel_min >= cfg.nmpc.accel_max:
         raise ConfigError("nmpc.accel_min must be below nmpc.accel_max")
     if cfg.sim.controller_period < cfg.dt:
-        raise ConfigError("sim.controller_period must be >= dt")
+        raise ConfigError("sim.controller_period must be >= dt" + _set_dt_too(cfg))
     substeps = cfg.sim.controller_period / cfg.dt
     if substeps > MAX_SUBSTEPS:
         raise ConfigError(f"sim.controller_period over dt is {substeps:.3g} substeps"
@@ -240,6 +244,11 @@ def validate(cfg: Config) -> Config:
     return cfg
 
 
+def _set_dt_too(cfg: Config) -> str:
+    return (f", got sim.controller_period {cfg.sim.controller_period!r} and dt {cfg.dt!r};"
+            " set dt as well, to the period over a whole number of plant steps")
+
+
 def tick_ratios(cfg: Config) -> tuple[int, int]:
     """``(substeps, nmpc_every)``: plant steps per controller tick and ticks
     per solver period.  A ConfigError names the key whose ratio is not a
@@ -247,7 +256,7 @@ def tick_ratios(cfg: Config) -> tuple[int, int]:
     tick = cfg.sim.controller_period
     substeps = round(tick / cfg.dt)
     if abs(substeps * cfg.dt - tick) > 1e-12 or substeps < 1:
-        raise ConfigError(f"sim.controller_period must be a multiple of dt, got {tick!r}")
+        raise ConfigError("sim.controller_period must be a multiple of dt" + _set_dt_too(cfg))
     nmpc_every = round(cfg.nmpc.period / tick)
     if abs(nmpc_every * tick - cfg.nmpc.period) > 1e-12 or nmpc_every < 1:
         raise ConfigError("nmpc.period must be a multiple of sim.controller_period,"
@@ -255,12 +264,24 @@ def tick_ratios(cfg: Config) -> tuple[int, int]:
     return substeps, nmpc_every
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2's floats with an exponent but no
+    dot or no exponent sign, such as ``1e6`` and ``1.5e2``, as numbers; the
+    YAML 1.1 resolver leaves them strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def read_yaml(path, what: str, error: type[Exception]):
     """The parsed YAML file at ``path``; ``error`` names the ``what`` file
     when it cannot be read or is malformed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise error(f"cannot read {what} file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -57,6 +57,14 @@ class TestOverlay:
         assert isinstance(cfg.nmpc.horizon, int)
         assert cfg.sim.hover_hold == 3.5
 
+    @pytest.mark.parametrize("text, value", [("1e6", 1e6), ("1.5e2", 150.0),
+                                             ("2E-1", 0.2), ("1.0e+6", 1e6)])
+    def test_exponent_floats_are_numbers(self, write, text, value):
+        # YAML 1.1 needs a dot and a signed exponent; YAML 1.2 does not.
+        cfg = load_config(write(f"sim:\n  cruise_air: {text}\n"))
+        assert cfg.sim.cruise_air == value
+        assert isinstance(cfg.sim.cruise_air, float)
+
     def test_integer_key_accepts_whole_float(self, write):
         cfg = load_config(write("nmpc:\n  max_iters: 30.0\n"))
         assert cfg.nmpc.max_iters == 30
@@ -211,7 +219,7 @@ class TestTickRatios:
     rejected when it is loaded, naming the key."""
 
     def test_defaults(self):
-        assert config.tick_ratios(default_config()) == (10, 5)
+        assert config.tick_ratios(default_config()) == (1, 5)
 
     @pytest.mark.parametrize("text", ["sim:\n  controller_period: 0.0103\n",
                                       "dt: 0.003\n"])
@@ -219,6 +227,19 @@ class TestTickRatios:
         with pytest.raises(ConfigError, match=r"sim\.controller_period must be a multiple"
                                               r" of dt"):
             load_config(write(text))
+
+    @pytest.mark.parametrize("period, rule", [(0.005, ">= dt"), (0.025, "a multiple of dt")])
+    def test_a_shortened_period_asks_for_dt_as_well(self, write, period, rule):
+        # The default dt is the default period, so a period below it or off
+        # its multiples needs a dt of its own.
+        dt = default_config().dt
+        with pytest.raises(ConfigError, match=re.escape(
+                f"sim.controller_period must be {rule}, got sim.controller_period {period!r}"
+                f" and dt {dt!r}; set dt as well, to the period over a whole number of"
+                " plant steps")):
+            load_config(write(f"sim:\n  controller_period: {period}\n"))
+        cfg = load_config(write(f"dt: 0.005\nsim:\n  controller_period: {period}\n"))
+        assert cfg.sim.controller_period == period
 
     @pytest.mark.parametrize("text", ["nmpc:\n  period: 0.045\n",
                                       "nmpc:\n  period: 0.005\n"])

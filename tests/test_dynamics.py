@@ -375,9 +375,9 @@ class TestRk4:
 
 _CFG = default_config()
 _TICK = _CFG.sim.controller_period
-# A tick may use 1 % of a guard tolerance over 100 ticks (1 s, twice
-# HOVER_WINDOW) of local errors that all add up in one direction.
-_SHARE = 0.01 / round(1.0 / _TICK)
+# A tick may use 1 % of a guard tolerance over twice HOVER_WINDOW (1 s, 100
+# ticks) of local errors that all add up in one direction.
+_SHARE = 0.01 / round(2.0 * HOVER_WINDOW / _TICK)
 POSITION_BUDGET = _SHARE * min(TOUCHDOWN_Z_TOL, HOVER_POS_TOL, _CFG.sim.arrival_radius)
 VELOCITY_BUDGET = _SHARE * min(HOVER_SPEED_TOL, TOUCHDOWN_DESCENT_TOL)
 _MAX_THRUST = 3.0 * G
@@ -453,6 +453,10 @@ class TestStepBudget:
     per tick, 3.4e-3 rad/s.  The default ``dt`` is the largest the config
     allows (``dt <= sim.controller_period``) within this budget.
     """
+
+    def test_budget_is_the_one_stated(self):
+        budgets = (POSITION_BUDGET, VELOCITY_BUDGET, ATTITUDE_BUDGET, RATE_BUDGET)
+        assert budgets == pytest.approx((5e-6, 1e-5, 3.4e-5, 3.4e-3), rel=0.01)
 
     @_DTS
     def test_builtin_pid_aerial_ticks(self, builtin_runs, dt):

@@ -13,12 +13,17 @@ import pytest
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "metrics_diff.py"
 
 
-@pytest.fixture(scope="module")
-def tool():
+def load_tool():
+    """``tools/metrics_diff.py`` as a module."""
     spec = importlib.util.spec_from_file_location("metrics_diff", _TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tool():
+    return load_tool()
 
 
 def _write(path, lines):

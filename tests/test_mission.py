@@ -391,6 +391,19 @@ class TestMissionFiles:
                                  " on the surface$"):
             load_mission(path)
 
+    def test_exponent_floats_are_numbers(self, tmp_path):
+        # YAML 1.2 floats: no dot or no exponent sign, which YAML 1.1 reads
+        # as strings.
+        path = tmp_path / "exponents.yaml"
+        path.write_text(
+            "start: [1.5e2, 0, 0]\n"
+            "segments:\n"
+            "  - {medium: aerial, action: takeoff, target: [1.5e2, 0, 5e0]}\n"
+        )
+        loaded = load_mission(path)
+        assert np.array_equal(loaded.start, [150.0, 0.0, 0.0])
+        assert np.array_equal(loaded.segments[0].target, [150.0, 0.0, 5.0])
+
     @pytest.mark.parametrize("value", ["0", "{}", "false", "''", "7"])
     def test_segments_must_be_a_list(self, tmp_path, value):
         path = tmp_path / "bad.yaml"

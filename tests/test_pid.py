@@ -201,9 +201,10 @@ class TestClosedLoop:
         p = VehicleParams.from_config(cfg)
         ctrl = CascadePid(cfg)
         x = hover_state((0.0, 0.0, 1.0)).as_vector()
+        n_sub = round(cfg.sim.controller_period / cfg.dt)
         for _ in range(600):
             u = _as_vector(ctrl.step(x, np.array([0.0, 0.0, 1.0]), math.pi / 2, 0.01))
-            for _ in range(10):
+            for _ in range(n_sub):
                 x = aerial_step(x, u, p, cfg.dt)
         yaw = 2.0 * math.atan2(x[9], x[6])
         assert abs(yaw - math.pi / 2) < 0.01

@@ -35,6 +35,7 @@ from cyclosim.sim import (
     save_log,
     save_metrics,
 )
+from test_metrics_diff import load_tool
 
 LEGAL_PAIRS = {
     ("terrestrial", "static"),
@@ -192,6 +193,33 @@ class TestMiniRuns:
         log = run(cfg, mini_mission(), controller="pid")
         assert log.completed
         assert log.t[-1] < 60.0
+
+    def test_pid_agrees_at_one_and_ten_plant_steps_a_tick(self, cfg, tmp_path):
+        """Takeoff, ``fly_to`` and land (then a short takeoff, so the landing
+        ends on its touchdown guard) under ``pid``, at ``dt`` 1 ms and at the
+        default: the metrics files give the same transition labels and times
+        and every metric within 1e-3 relative (``tools/metrics_diff.py``)."""
+        mission = Mission(
+            segments=(
+                Segment(Medium.AERIAL, Action.TAKEOFF, np.array([100.0, 0.0, 5.0])),
+                Segment(Medium.AERIAL, Action.FLY_TO, np.array([108.0, 4.0, 6.0])),
+                Segment(Medium.AERIAL, Action.LAND, np.array([108.0, 4.0, 0.0])),
+                Segment(Medium.AERIAL, Action.TAKEOFF, np.array([108.0, 4.0, 2.0])),
+            ),
+            start=np.array([100.0, 0.0, 0.0]),
+        )
+        tool = load_tool()
+        files = []
+        for name, config in (("fine", dataclasses.replace(cfg, dt=1e-3)), ("default", cfg)):
+            log = run(config, mission, controller="pid")
+            assert log.completed
+            path = tmp_path / f"{name}_metrics.txt"
+            save_metrics(compute_metrics(log, mission), log, path)
+            files.append(tool.read_metrics(path))
+        assert sum(key.startswith("transition_") for key in files[0]) == 6
+        (shift, key), changed = tool.compare(*files)
+        assert changed == []
+        assert shift <= 1e-3, key
 
     def test_nmpc_mini_completes_with_diagnostics(self, cfg):
         log = run(cfg, mini_mission(), controller="nmpc")
