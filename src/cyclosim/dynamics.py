@@ -204,13 +204,18 @@ class ActuatorCommand:
 # ---------------------------------------------------------------------------
 
 
-def _rates(qw, qx, qy, qz, wx, wy, wz, c, tx, ty, tz, jx, jy, jz):
-    """Acceleration, quaternion rate and body acceleration as 10 floats:
-    scalar numpy arithmetic is several times slower on this hot path.
+def _aerial_rhs(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndarray:
+    """Aerial state derivative; hot path, no validation.
 
-    The reference copy of the aerial formulas; :func:`_rk4_floats` writes
-    them out inline for each RK4 stage, in the same order."""
-    return (
+    The reference copy of the aerial formulas, computed over plain floats
+    (scalar numpy arithmetic is several times slower); :func:`_rk4_floats`
+    writes them out inline for each RK4 stage, in the same order.
+    """
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = x.tolist()
+    c, tx, ty, tz = u.tolist()
+    jx, jy, jz = p.inertia.tolist()
+    return np.array([
+        vx, vy, vz,
         # v_dot = R(q) @ (0, 0, c) - (0, 0, g): only the third column of R matters.
         2.0 * (qx * qz + qw * qy) * c,
         2.0 * (qy * qz - qw * qx) * c,
@@ -224,13 +229,7 @@ def _rates(qw, qx, qy, qz, wx, wy, wz, c, tx, ty, tz, jx, jy, jz):
         (tx - (jz - jy) * wy * wz) / jx,
         (ty - (jx - jz) * wz * wx) / jy,
         (tz - (jy - jx) * wx * wy) / jz,
-    )
-
-
-def _aerial_rhs(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndarray:
-    """Aerial state derivative; hot path, no validation."""
-    _, _, _, vx, vy, vz, *attitude = x.tolist()
-    return np.array([vx, vy, vz, *_rates(*attitude, *u.tolist(), *p.inertia.tolist())])
+    ])
 
 
 def aerial_derivative(x: np.ndarray, u: np.ndarray, p: VehicleParams) -> np.ndarray:
@@ -344,7 +343,7 @@ def _rk4_floats(s, c, tx, ty, tz, jx, jy, jz, dt):
     ``s`` is the state as 13 floats.  Returns the end state as a 13-tuple,
     quaternion not yet renormalized, and the attitudes
     ``(qw, qx, qy, qz, wx, wy, wz)`` of stages 2-4, which the optimizer's
-    Jacobians need.  The four :func:`_rates` evaluations are unrolled
+    Jacobians need.  The four :func:`_aerial_rhs` evaluations are unrolled
     inline (a call per stage costs more than its arithmetic); each value is
     the operation, in the same order, that :func:`step_rk4` applies to
     ``aerial_derivative`` arrays, so the result is bit for bit the same.
@@ -353,9 +352,9 @@ def _rk4_floats(s, c, tx, ty, tz, jx, jy, jz, dt):
     px, py, pz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz = s
     g = GRAVITY
     h = 0.5 * dt
-    # The gyroscopic inertia differences of _rates, formed once.
+    # The gyroscopic inertia differences of _aerial_rhs, formed once.
     kx, ky, kz = jz - jy, jx - jz, jy - jx
-    # Stage 1: the rates of _rates at the start state.
+    # Stage 1: the rates of _aerial_rhs at the start state.
     a1x = 2.0 * (qx * qz + qw * qy) * c
     a1y = 2.0 * (qy * qz - qw * qx) * c
     a1z = (1.0 - 2.0 * (qx * qx + qy * qy)) * c - g
@@ -543,8 +542,8 @@ def allocate(u: AerialInput, p: VehicleParams, strict: bool = True) -> ActuatorC
     Raises
     ------
     SaturationError
-        In both modes, for a yaw torque with no rear-pair thrust to tilt;
-        with ``strict``, also for a command beyond the actuator limits.
+        With ``strict``, for a command beyond the actuator limits; a yaw
+        torque with no rear-pair thrust to tilt exceeds the servo's.
     """
     speeds, servo = _allocation(u.c, *u.torque.tolist(), p, strict)
     return ActuatorCommand(rotor_speeds=np.array(speeds), servo=servo)
@@ -562,10 +561,9 @@ def _allocation(c, tx, ty, tz, p: VehicleParams, strict: bool) -> tuple:
     t4 = 0.25 * (b0 - b1 + b2)
     rear = t3 + t4
     if abs(rear) * p.arm < 1e-9:
-        if abs(tz) > 1e-12:
-            raise SaturationError("yaw torque demanded with no rear-pair thrust to tilt",
-                                  channels=["servo"])
-        servo = 0.0
+        # No rear-pair thrust to tilt: any yaw torque asks for an unbounded
+        # angle, which the servo clip below saturates.
+        servo = math.copysign(math.inf, tz) if abs(tz) > 1e-12 else 0.0
     else:
         servo = tz / (p.arm * rear)
     speeds = []
@@ -593,8 +591,6 @@ def forward_mix(cmd: ActuatorCommand, p: VehicleParams) -> AerialInput:
     collective sum runs in numpy's order for four entries, from ``+0.0``.
     """
     c, *torque = _mix(cmd.rotor_speeds.tolist(), cmd.servo, p)
-    if c < 0.0:
-        raise ValueError("collective thrust c must be >= 0")
     return AerialInput(c=c, torque=np.array(torque))
 
 

@@ -516,8 +516,6 @@ def run(config: Config, mission: Mission, controller: str = "pid",
         If ``config`` fails :func:`~cyclosim.config.validate`: a key out of
         its range, over a work cap, or a period not a whole multiple of the
         next.
-    SaturationError
-        Not caught: a yaw torque with no rear-pair thrust to tilt (``allocate``).
     """
     if controller not in ("pid", "nmpc"):
         raise ValueError(f"unknown controller '{controller}'")

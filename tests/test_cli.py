@@ -319,6 +319,31 @@ class TestSimulate:
         _, last = _last_line(capsys)
         assert re.fullmatch(r"error: run mini_pid diverged at t=\d+\.\d\d s", last), last
 
+    def test_yaw_with_no_rear_thrust_is_a_divergence(self, tmp_path, capsys):
+        # With no pitch control a fast descent unloads the rear pair while
+        # the yaw loop still asks for torque: the servo clips and the run
+        # ends in a documented way, with both files written.
+        mission = Mission(
+            segments=(
+                Segment(Medium.AERIAL, Action.TAKEOFF, np.array([150.0, 0.0, 60.0])),
+                Segment(Medium.AERIAL, Action.FLY_TO, np.array([170.0, 5.0, 5.0])),
+                Segment(Medium.AERIAL, Action.HOVER, np.array([170.0, 5.0, 5.0]), hold=1.0),
+            ),
+            start=np.array([150.0, 0.0, 0.0]),
+        )
+        mission_path = tmp_path / "descent.yaml"
+        save_mission(mission, mission_path)
+        cfg = tmp_path / "no_pitch.yaml"
+        cfg.write_text("pid: {pitch: {p: 0.0, i: 0.0, d: 0.0}}\nsim: {cruise_air: 100.0}\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--mission", str(mission_path), "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 4
+        _, last = _last_line(capsys)
+        assert re.fullmatch(r"error: run descent_pid diverged at t=\d+\.\d\d s", last), last
+        assert (out / "descent_pid.csv").exists()
+        assert (out / "descent_pid_metrics.txt").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_seed_is_usage_error(self, mini_path, tmp_path, command):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,11 @@ a 0.2 s ``pid`` mission to exactly one of the three endings.  The
 hand-written rejections in ``test_config.py`` restate the ranges
 independently.
 
+Drawn flight configs (PID gains zeroed or scaled, a cruise speed up to
+1000 m/s, the vehicle's mass and actuator limits anywhere in their ranges)
+fly drawn aerial missions for 20 s under ``pid``: no exception escapes
+``run``, and exactly one ending holds.
+
 A config built in code meets the same checks: NaN, either infinity, a bool,
 and a non-whole float for an ``int`` key each make ``validate`` and ``run``
 raise a ConfigError that starts with the dotted key, before any tick.
@@ -21,11 +26,11 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclosim import sim
-from cyclosim.config import default_config, load_config, validate
+from cyclosim.config import PidChannelGains, default_config, load_config, validate
 from cyclosim.errors import ConfigError
 from cyclosim.fsm import Medium
 from cyclosim.mission import Action, Mission, Segment
@@ -132,3 +137,51 @@ def test_code_built_value_is_checked(key, monkeypatch):
             validate(cfg)
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}[ :]"):
             sim.run(cfg, MISSION, "pid", time_limit=0.2)
+
+
+_BASE = default_config()
+
+
+def _gains(default: PidChannelGains):
+    """A channel's gains, each exactly 0 or -1x to 3x its default."""
+    return st.builds(PidChannelGains, *(
+        st.just(0.0) | st.floats(-g, 3.0 * g) for g in
+        (default.p, default.i, default.d)))
+
+
+@st.composite
+def _flight_configs(draw):
+    pid = replace(_BASE.pid, **{f.name: draw(_gains(gains)) for f in fields(_BASE.pid)
+                                if isinstance(gains := getattr(_BASE.pid, f.name),
+                                              PidChannelGains)})
+    vehicle = {key: draw(_inside(*KEYS[key])) for key in ("mass", "rotor_max", "servo_max")}
+    cruise = draw(st.floats(0.5, 1000.0))
+    return replace(_BASE, pid=pid, sim=replace(_BASE.sim, cruise_air=cruise), **vehicle)
+
+
+@st.composite
+def _aerial_missions(draw):
+    """A takeoff to 1-30 m, then up to two fly_to or hover legs."""
+    x, y = draw(st.floats(100.0, 200.0)), draw(st.floats(-10.0, 10.0))
+    legs = [Segment(Medium.AERIAL, Action.TAKEOFF, np.array([x, y, draw(st.floats(1.0, 30.0))]))]
+    for _ in range(draw(st.integers(0, 2))):
+        target = np.array([draw(st.floats(100.0, 200.0)), draw(st.floats(-10.0, 10.0)),
+                           draw(st.floats(1.0, 30.0))])
+        action = draw(st.sampled_from([Action.FLY_TO, Action.HOVER]))
+        legs.append(Segment(Medium.AERIAL, action, target, hold=draw(st.floats(0.0, 2.0))))
+    return Mission(segments=tuple(legs), start=np.array([x, y, 0.0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cfg=_flight_configs(), mission=_aerial_missions())
+# A fast descent with no pitch control leaves the rear pair without thrust
+# while the yaw loop still asks for torque: the servo clips, the run goes on.
+@example(cfg=replace(_BASE, pid=replace(_BASE.pid, pitch=PidChannelGains(0.0, 0.0, 0.0)),
+                     sim=replace(_BASE.sim, cruise_air=100.0)),
+         mission=Mission(segments=(
+             Segment(Medium.AERIAL, Action.TAKEOFF, np.array([150.0, 0.0, 10.0])),
+             Segment(Medium.AERIAL, Action.FLY_TO, np.array([160.0, 5.0, 1.0]))),
+             start=np.array([150.0, 0.0, 0.0])))
+def test_drawn_flight_ends_exactly_one_way(cfg, mission):
+    log = sim.run(cfg, mission, "pid", time_limit=20.0)
+    assert [log.completed, log.time_limit_hit, log.diverged].count(True) == 1

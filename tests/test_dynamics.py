@@ -6,7 +6,6 @@ and scipy's DOP853 at tight tolerances for the plant's local error per tick.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -559,9 +558,8 @@ def _allocate_arrays(u: AerialInput, p: VehicleParams, strict: bool):
     rear = t[2] + t[3]
     tz = float(u.torque[2])
     if abs(rear) * p.arm < 1e-9:
-        if abs(tz) > 1e-12:
-            raise SaturationError("no rear thrust", channels=["servo"])
-        servo = 0.0
+        # No rear-pair thrust: the yaw torque's angle is unbounded, and clipped.
+        servo = math.copysign(math.inf, tz) if abs(tz) > 1e-12 else 0.0
     else:
         servo = tz / (p.arm * rear)
     speeds = np.copysign(np.sqrt(np.abs(t) / p.k_f), t)
@@ -646,23 +644,19 @@ class TestFloatMixing:
     @example(c=1.0, tau=(0.0, 0.0, 2.0), p=VehicleParams())  # servo clipped
     @example(c=-0.0, tau=(-0.0, 0.0, -0.0), p=VehicleParams())
     def test_runner_mixing_is_the_public_round_trip(self, c, tau, p):
-        # The runner mixes in floats; it must apply, log and raise exactly
-        # what allocate(strict=False) and forward_mix give, signs included,
+        # The runner mixes in floats; it must apply and log exactly what
+        # allocate(strict=False) and forward_mix give, signs included,
         # except that a mixed c rounded below zero applies as +0.0 with the
-        # mix's torques where forward_mix raises.
+        # mix's torques where forward_mix raises.  Non-strict allocation
+        # clips every channel, the servo with no rear-pair thrust included,
+        # so it never raises.
         runner = _Runner(default_config(), Mission(segments=(Segment(
             Medium.AERIAL, Action.TAKEOFF, np.array([100.0, 0.0, 5.0])),),
             start=np.array([100.0, 0.0, 0.0])), "pid")
         assert runner.mode.medium is Medium.AERIAL
         runner.params = p
         runner.aerial_u = u = AerialInput(c=c, torque=np.array(tau))
-        try:
-            cmd = allocate(u, p, strict=False)
-        except SaturationError as exc:
-            with pytest.raises(SaturationError, match=f"^{re.escape(str(exc))}$") as got:
-                runner.actuate()
-            assert got.value.channels == exc.channels
-            return
+        cmd = allocate(u, p, strict=False)
         try:
             wrench = forward_mix(cmd, p)
             expected = [wrench.c, *wrench.torque]
@@ -754,6 +748,17 @@ class TestAllocation:
         tau_y = -c * params.mass * params.arm  # rear thrust = 0
         with pytest.raises(SaturationError):
             allocate(AerialInput(c=c, torque=np.array([0.0, tau_y, 0.1])), params)
+
+    @pytest.mark.parametrize("tau_z", [0.1, -0.1])
+    def test_yaw_without_rear_thrust_clips_the_servo(self, params, tau_z):
+        # The angle the torque asks for is unbounded: the servo channel
+        # saturates like any other, in either mode.
+        u = AerialInput(c=0.0, torque=np.array([0.0, 0.0, tau_z]))
+        with pytest.raises(SaturationError, match="^actuator limits exceeded on: servo$"):
+            allocate(u, params)
+        cmd = allocate(u, params, strict=False)
+        assert cmd.servo == math.copysign(params.servo_max, tau_z)
+        assert np.array_equal(cmd.rotor_speeds, np.zeros(4))
 
     def test_actuator_command_validation(self):
         with pytest.raises(ValueError):

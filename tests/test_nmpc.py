@@ -634,6 +634,30 @@ class TestSolverCounts:
         check(reversing, None)
         assert reversing.reversals == 1
 
+    def test_line_search_gives_up_at_the_step_floor(self, ncfg, params, monkeypatch):
+        # Every trial is rejected, along a descent direction whose model
+        # decrease alpha * |grad|^2 stays above the gap floor: the search
+        # halves its step from 1 down to the step floor, then returns None.
+        trials = []
+
+        def rejected(x0, u, refs, cfg, params, cut=None):
+            trials.append(u)
+            return None
+
+        monkeypatch.setattr(nmpc, "_cost_parts", rejected)
+        n = ncfg.horizon
+        u, grad = hover_inputs(n), np.ones((n, 4))
+        tilt = (np.full(2 * n, -1.0), np.zeros((2 * n, 4 * n)))
+        x0 = hover_state((0.0, 0.0, 1.0)).as_vector()
+        refs = hold_refs([0.0, 0.0, 1.0, 0.0], n)
+        tally = Counter()
+        hit = nmpc._line_search(x0, u, -grad, grad, 1.0, refs, ncfg, params, tilt, 0.0,
+                                tally, None, None)
+        assert hit is None
+        alphas = [0.5**k for k in range(64) if 0.5**k >= nmpc._ALPHA_FLOOR]
+        assert tally == Counter(line_searches=1, evaluations=len(alphas))
+        assert [float(-trial[0, 0]) for trial in trials] == alphas
+
 
 class TestMeritWeight:
     """The merit's weight on the tilt excess starts at zero in each solve
