@@ -82,12 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_mission(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--mission",
             default="builtin",
             help="mission YAML path, or 'builtin' for the stock route",
         )
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        add_mission(p)
         p.add_argument(
             "--config",
             default=None,
@@ -133,11 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser(
         "validate-fsm", help="replay the mission's events through the mode machine"
     )
-    val.add_argument(
-        "--mission",
-        default="builtin",
-        help="mission YAML path, or 'builtin' for the stock route",
-    )
+    add_mission(val)
     return parser
 
 

@@ -133,13 +133,11 @@ class Segment:
         if self.action is Action.DRIVE:
             if self.medium is Medium.AERIAL:
                 raise MissionError("drive segments must be terrestrial or aquatic")
-            if target[2] != 0.0:
-                raise MissionError("drive segment targets must lie on the surface")
         elif self.medium is not Medium.AERIAL:
             raise MissionError(f"{self.action.value} segments must be aerial")
-        elif self.action is Action.LAND and target[2] != 0.0:
+        if self.action in (Action.DRIVE, Action.LAND) and target[2] != 0.0:
             # The runner puts the vehicle on the surface at touchdown.
-            raise MissionError("land segment targets must lie on the surface")
+            raise MissionError(f"{self.action.value} segment targets must lie on the surface")
         lo, hi = MEDIUM_BANDS[self.medium]
         if not lo <= target[0] <= hi:
             raise MissionError(
@@ -450,19 +448,11 @@ class ReferenceGenerator:
     def __init__(self, mission: Mission, cfg: SimConfig):
         self._mission = mission
         self._cfg = cfg
-        self._legs: list[tuple[np.ndarray, np.ndarray, float, float]] = []
+        self._legs: list[tuple[np.ndarray, np.ndarray, float | None, float]] = []
         self._t0 = 0.0
         self._end_point = np.array(mission.start, dtype=float)
         self._yaw = 0.0
-        self._action: Action | None = None
         self._index: int | None = None
-
-    def _leg_speed(self, segment: Segment) -> float:
-        if segment.action is Action.DRIVE:
-            if segment.medium is Medium.TERRESTRIAL:
-                return self._cfg.cruise_ground
-            return self._cfg.cruise_water
-        return self._cfg.cruise_air
 
     def activate(self, index: int, t: float, start_point: np.ndarray) -> None:
         """Arm segment ``index`` with its schedule starting at time ``t``.
@@ -479,34 +469,33 @@ class ReferenceGenerator:
             p0 = self._sample(t)[0]
         self._index = index
         target = np.array(seg.target, dtype=float)
-        cruise = self._leg_speed(seg)
-        points: list[tuple[np.ndarray, np.ndarray, float]] = []
+        cfg = self._cfg
+        # Drives are the only surface segments, so the medium names the speed.
+        cruise = {Medium.TERRESTRIAL: cfg.cruise_ground, Medium.AQUATIC: cfg.cruise_water,
+                  Medium.AERIAL: cfg.cruise_air}[seg.medium]
         if seg.action is Action.TAKEOFF:
             top = np.array([p0[0], p0[1], target[2]])
             points = [(p0, top, cruise), (top, target, cruise)]
         elif seg.action is Action.LAND:
+            # A start at or below the flare altitude has no descent leg.
             over = np.array([target[0], target[1], p0[2]])
-            drop = float(p0[2] - target[2])
-            if drop > _FLARE_ALTITUDE:
-                flare = np.array([target[0], target[1], target[2] + _FLARE_ALTITUDE])
-                points = [
-                    (p0, over, cruise),
-                    (over, flare, self._cfg.land_speed),
-                    (flare, target, _FLARE_SPEED),
-                ]
-            else:
-                points = [(p0, over, cruise), (over, target, _FLARE_SPEED)]
+            flare = np.array([target[0], target[1], min(p0[2], target[2] + _FLARE_ALTITUDE)])
+            points = [(p0, over, cruise), (over, flare, cfg.land_speed),
+                      (flare, target, _FLARE_SPEED)]
         else:
             points = [(p0, target, cruise)]
         legs = []
         for a, b, speed in points:
             length = math.dist(a.tolist(), b.tolist())
             if length > 0.0:
-                legs.append((a, b, length, length / speed))
+                step = b - a
+                steers = seg.action is not Action.HOVER \
+                    and math.hypot(step[0], step[1]) > 1e-9 * max(1.0, length)
+                heading = math.atan2(step[1], step[0]) if steers else None
+                legs.append((a, step, heading, length / speed))
         self._legs = legs
         self._t0 = t
         self._end_point = target
-        self._action = seg.action
 
     def _sample(self, t: float) -> tuple[np.ndarray, float | None]:
         """Scheduled position at absolute time ``t`` plus the leg heading.
@@ -515,18 +504,11 @@ class ReferenceGenerator:
         schedule has clamped at the target.
         """
         tau = t - self._t0
-        for a, b, length, duration in self._legs:
+        for a, step, heading, duration in self._legs:
             if tau <= duration:
-                frac = max(tau, 0.0) / duration
-                pos = a + frac * (b - a)
-                heading = None
-                if self._action is not Action.HOVER:
-                    dx, dy = b[0] - a[0], b[1] - a[1]
-                    if math.hypot(dx, dy) > 1e-9 * max(1.0, length):
-                        heading = math.atan2(dy, dx)
-                return pos, heading
+                return a + (max(tau, 0.0) / duration) * step, heading
             tau -= duration
-        return self._end_point.copy(), None
+        return self._end_point, None
 
     def step(self, t: float, dt: float) -> np.ndarray:
         """Reference (x, y, z, yaw) for the tick at time ``t``, advancing yaw."""

@@ -265,6 +265,23 @@ class TestReferenceGenerator:
         mid = gen.step(t_mid, cfg.controller_period)
         assert np.allclose(mid[:3], [200.0, 0.0, 50.0], atol=1e-9)
 
+    @pytest.mark.parametrize("z", [1.5, 2.0, 2.5, 100.0])
+    def test_landing_from_low_and_high_starts(self, mission, cfg, z):
+        """Across at the start height, down at the descent speed to 2 m, then
+        the flare; a start at or below 2 m flares all the way down."""
+        gen = ReferenceGenerator(mission, cfg)
+        gen.activate(6, 0.0, np.array([150.0, 80.0, z]))
+        t_lateral = math.hypot(50.0, 80.0) / cfg.cruise_air
+        t_flare = t_lateral + max(z - 2.0, 0.0) / cfg.land_speed
+        flare = min(z, 2.0)
+        t_end = t_flare + flare / 0.5
+        assert not _schedule_done(gen, t_end - 1e-6)
+        assert _schedule_done(gen, t_end + 1e-6)
+        for frac in (0.0, 0.25, 0.5, 1.0):
+            assert gen.step(frac * t_lateral, cfg.controller_period)[2] == z
+        mid = gen.step(0.5 * (t_flare + t_end), cfg.controller_period)
+        assert np.allclose(mid[:3], [200.0, 0.0, flare / 2.0], atol=1e-9)
+
     def test_yaw_follows_heading_at_bounded_rate(self, mission, cfg):
         gen = ReferenceGenerator(mission, cfg)
         gen.activate(2, 0.0, np.array([100.0, 0.0, 100.0]))
