@@ -64,6 +64,15 @@ MAX_TICKS = 1_000_000
 MAX_SUBSTEPS = 1_000
 MAX_HORIZON = 200
 MAX_ITERS = 1_000
+# Largest RK4 step, s: the upper end of dt and of nmpc.period (the prediction's step).
+MAX_STEP = 0.05
+
+
+def _number(value) -> bool:
+    """An int or float that float() takes: no bool, nor an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def _within(default, low, high=math.inf, open_low=False):
@@ -102,8 +111,7 @@ class PidConfig:
 @dataclass(frozen=True)
 class NmpcConfig:
     horizon: int = _within(15, 2, MAX_HORIZON)
-    # Also the prediction's RK4 step, s, so (0, 0.05] as for dt.
-    period: float = _within(0.05, 0, 0.05, open_low=True)
+    period: float = _within(0.05, 0, MAX_STEP, open_low=True)
     q_x: float = _within(10.0, 0)
     q_y: float = _within(10.0, 0)
     q_z: float = _within(10.0, 0)
@@ -158,10 +166,9 @@ class Config:
     arm: float = _positive(0.20)
     rotor_max: float = _positive(1200.0)
     servo_max: float = _positive(math.pi / 4.0)
-    # Plant RK4 step, s: the largest dt <= sim.controller_period whose local
-    # error per tick meets the guard-derived budget of the plant tests, so
-    # one step a tick.
-    dt: float = _within(1.0e-2, 0, 0.05, open_low=True)
+    # Plant RK4 step, s: one step a tick, whose local error meets the
+    # guard-derived budget of the plant tests.
+    dt: float = _within(SimConfig.controller_period, 0, MAX_STEP, open_low=True)
     pid: PidConfig = field(default_factory=PidConfig)
     nmpc: NmpcConfig = field(default_factory=NmpcConfig)
     sim: SimConfig = field(default_factory=SimConfig)
@@ -191,9 +198,8 @@ def _merge(path: str, base, data: dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{name}: expected a mapping")
             value = _merge(name, getattr(base, key), value)
-        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and abs(value) <= sys.float_info.max):
-            whole = kinds[key] == "int" and value == int(value)
+        elif _number(value):
+            whole = kinds[key] == "int" and float(value).is_integer()
             value = int(value) if whole else float(value)
         updates[key] = value
     return replace(base, **updates)

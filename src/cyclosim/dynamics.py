@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import GRAVITY, Config
+from .config import GRAVITY, MAX_STEP, Config, _number
 from .errors import DivergenceError, SaturationError
 from .geometry import _vector, quat_from_yaw
 
@@ -99,7 +99,7 @@ class VehicleParams:
         object.__setattr__(self, "inertia", inertia)
         for name in (f.name for f in fields(self) if f.name != "inertia"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (_number(value) and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive finite number")
         if not (inertia > 0.0).all():
             raise ValueError("inertia entries must be positive")
@@ -307,7 +307,7 @@ def step_rk4(model, state: np.ndarray, u, dt: float, quat_slice: slice | None = 
     u : object
         Input held constant over the step.
     dt : float
-        Step size, s; must lie in (0, 0.05].
+        Step size, s; must lie in (0, ``MAX_STEP``].
     quat_slice : slice, optional
         If given, that slice of the result is renormalized to unit length
         (used to keep attitude quaternions on the unit sphere).
@@ -317,8 +317,8 @@ def step_rk4(model, state: np.ndarray, u, dt: float, quat_slice: slice | None = 
     DivergenceError
         If the step produces a non-finite state.
     """
-    if not (0.0 < dt <= 0.05):
-        raise ValueError(f"dt must lie in (0, 0.05], got {dt!r}")
+    if not (0.0 < dt <= MAX_STEP):
+        raise ValueError(f"dt must lie in (0, {MAX_STEP}], got {dt!r}")
     k1 = model(state, u)
     k2 = model(state + (0.5 * dt) * k1, u)
     k3 = model(state + (0.5 * dt) * k2, u)
@@ -492,8 +492,8 @@ def aerial_step(x: np.ndarray, u: np.ndarray, p: VehicleParams, dt: float,
     calls bit for bit.  Raises :class:`DivergenceError` at the first bad
     step, with that step's state.
     """
-    if not (0.0 < dt <= 0.05):
-        raise ValueError(f"dt must lie in (0, 0.05], got {dt!r}")
+    if not (0.0 < dt <= MAX_STEP):
+        raise ValueError(f"dt must lie in (0, {MAX_STEP}], got {dt!r}")
     c, tx, ty, tz = u.tolist()
     jx, jy, jz = p.inertia.tolist()
     s = x.tolist()

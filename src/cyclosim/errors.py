@@ -14,13 +14,12 @@ class GimbalLockError(CyclosimError):
 class DivergenceError(CyclosimError):
     """An integration step produced a non-finite state.
 
-    Carries the offending state vector and the simulation time when known.
+    Carries the offending state vector when known.
     """
 
-    def __init__(self, message: str, state=None, t: float | None = None):
+    def __init__(self, message: str, state=None):
         super().__init__(message)
         self.state = state
-        self.t = t
 
 
 class SaturationError(CyclosimError):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,7 +30,7 @@ from enum import Enum
 import numpy as np
 import yaml
 
-from .config import SimConfig, read_yaml
+from .config import SimConfig, _number, read_yaml
 from .errors import MissionError
 from .fsm import (
     CommandId,
@@ -117,7 +116,7 @@ class Segment:
     MissionError
         On a non-finite target, a target outside the medium's band, a
         medium/action mismatch, a drive or land target off the surface,
-        or a negative hold.
+        or a hold that is not a finite nonnegative number.
     """
 
     medium: Medium
@@ -128,7 +127,7 @@ class Segment:
     def __post_init__(self):
         target = _waypoint(self.target, "segment target must be a finite (x, y, z) waypoint")
         object.__setattr__(self, "target", target)
-        if not 0.0 <= self.hold <= sys.float_info.max:  # An int past the range too.
+        if not (_number(self.hold) and 0.0 <= self.hold < math.inf):
             raise MissionError("segment hold must be finite and nonnegative")
         if self.action is Action.DRIVE:
             if self.medium is Medium.AERIAL:
@@ -183,7 +182,7 @@ def atomic_write(path, chunks) -> None:
         raise
 
 
-def builtin_mission(hold: float = 2.0) -> Mission:
+def builtin_mission(hold: float = SimConfig.hover_hold) -> Mission:
     """The ground-air-water demonstration route.
 
     Drive from the origin to (100, 0, 0), take off to 100 m, fly to
@@ -268,14 +267,6 @@ def _segment_from_record(rec) -> Segment:
         raise MissionError("hold must be a number")
     return Segment(medium=medium, action=action, target=_point(rec["target"], "target"),
                    hold=float(hold))
-
-
-def _number(value) -> bool:
-    """Whether a YAML value is a number float() takes: booleans are not, nor is
-    an integer past the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def _point(value, name: str) -> np.ndarray:

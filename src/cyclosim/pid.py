@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .config import GRAVITY, Config, PidChannelGains, PidConfig
+from .config import GRAVITY, Config, PidChannelGains, PidConfig, _number
 from .dynamics import QUAT_SLICE, STATE_DIM, AerialInput
 from .geometry import quat_roll_pitch, quat_yaw, wrap_angle
 
@@ -129,8 +129,10 @@ class CascadePid:
         self._pos_memory, self._att_memory = [0.0, None] * 3, [0.0, None] * 3
 
     def step(self, x, ref_position, ref_yaw: float, dt: float) -> AerialInput:
-        """One controller update at the controller rate on the 13-state ``x``:
-        shapes are checked here, and then only each channel's error and ``dt``."""
+        """One controller update on the 13-state ``x``: shapes, and that ``dt``
+        is a number, are checked here, then only each channel's error and ``dt``."""
+        if not _number(dt):
+            raise ValueError(f"dt must be a number, got {dt!r}")
         x = np.asarray(x, dtype=float)
         if x.shape != (STATE_DIM,):
             raise ValueError(f"x must have shape ({STATE_DIM},)")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_TICKS, Config, tick_ratios, validate
+from .config import MAX_TICKS, Config, _number, tick_ratios, validate
 from .dynamics import (
     AerialInput,
     AquaticInput,
@@ -469,9 +469,10 @@ class _Runner:
 def _time_limit(config: Config, time_limit: float | None) -> float:
     """The run's simulated-seconds budget; ValueError unless it is finite,
     positive and within ``MAX_TICKS`` controller ticks."""
-    limit = config.sim.time_limit if time_limit is None else float(time_limit)
-    if not (math.isfinite(limit) and limit > 0.0):
+    limit = config.sim.time_limit if time_limit is None else time_limit
+    if not (_number(limit) and 0.0 < limit < math.inf):
         raise ValueError(f"time limit must be finite and positive, got {limit!r}")
+    limit = float(limit)
     ticks = limit / config.sim.controller_period
     if ticks > MAX_TICKS:
         raise ValueError(f"time limit {limit!r} s is {ticks:.3g} ticks,"

@@ -4,9 +4,11 @@ Oracles: every expected value is restated from the defaults or from the
 file written by the test itself; every rejection names the offending key.
 """
 
+import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from cyclosim import config
@@ -18,7 +20,9 @@ from cyclosim.config import (
     SimConfig,
     default_config,
     load_config,
+    validate,
 )
+from cyclosim.dynamics import VehicleParams, aerial_step, hover_state, step_rk4
 from cyclosim.errors import ConfigError
 
 
@@ -211,6 +215,36 @@ class TestWorkCaps:
         assert 10 * base.sim.controller_period / base.dt <= config.MAX_SUBSTEPS
         assert 10 * base.nmpc.horizon <= config.MAX_HORIZON
         assert 10 * base.nmpc.max_iters <= config.MAX_ITERS
+
+
+class TestMaxStep:
+    """``MAX_STEP`` is the one upper bound on an RK4 step: the range of
+    ``dt`` and ``nmpc.period`` and the check of both step kernels agree on
+    it, inclusive, to the last float."""
+
+    OVER = math.nextafter(config.MAX_STEP, math.inf)
+
+    def test_config_keys(self):
+        at = default_config()
+        at = replace(at, dt=config.MAX_STEP, nmpc=replace(at.nmpc, period=config.MAX_STEP),
+                     sim=replace(at.sim, controller_period=config.MAX_STEP))
+        assert validate(at) is at
+        for bad, name in ((replace(at, dt=self.OVER), "dt"),
+                          (replace(at, nmpc=replace(at.nmpc, period=self.OVER)), "nmpc.period")):
+            message = f"{name} must lie in (0, 0.05], got {self.OVER!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                validate(bad)
+
+    def test_step_kernels(self):
+        x = hover_state((0.0, 0.0, 1.0)).as_vector()
+        u = np.array([9.81, 0.0, 0.0, 0.0])
+        kernels = (lambda dt: aerial_step(x, u, VehicleParams(), dt),
+                   lambda dt: step_rk4(lambda s, _u: -s, x, u, dt))
+        for kernel in kernels:
+            assert np.isfinite(kernel(config.MAX_STEP)).all()
+            message = f"dt must lie in (0, 0.05], got {self.OVER!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                kernel(self.OVER)
 
 
 class TestTickRatios:

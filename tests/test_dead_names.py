@@ -6,7 +6,9 @@ outside its own definition somewhere in the project's Python: ``src/``,
 ``tests/``, ``tools/``, ``demos/`` or ``perfbench/``.  A reference is a
 name read, an attribute, an imported name, or a string equal to the name
 (``monkeypatch.setattr(module, "_name", ...)``).  Names are matched by
-spelling alone, so two modules' private names of one spelling count as one.
+spelling alone, so two modules' private names of one spelling would count
+as one; each private name is therefore defined in one module only, and a
+second copy of a helper cannot hide behind its live namesake.
 
 A name a module imports must be read in that module.  ``__init__.py`` is
 exempt, since its imports are the package's re-exports, and so is a name
@@ -68,6 +70,16 @@ def test_every_private_name_is_used():
         if everywhere[name] - _references(node)[name] <= 0
     ]
     assert dead == []
+
+
+def test_each_private_name_has_one_home():
+    homes: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # A set: ``_IDLE.flags.writeable = False`` is no second definition.
+        for name in {name for name, _node in _private_definitions(tree)}:
+            homes.setdefault(name, []).append(path.stem)
+    assert {name: stems for name, stems in homes.items() if len(stems) > 1} == {}
 
 
 def _traced_names() -> set:

@@ -21,7 +21,8 @@ import pytest
 
 from cyclosim import nmpc
 from cyclosim.config import default_config
-from cyclosim.errors import ConfigError
+from cyclosim.dynamics import VehicleParams, hover_state
+from cyclosim.errors import ConfigError, MissionError
 from cyclosim.fsm import Medium, SubState
 from cyclosim.geometry import wrap_angle
 from cyclosim.mission import Action, Mission, ReferenceGenerator, Segment, builtin_mission
@@ -402,6 +403,23 @@ class TestBenchmarkHooks:
             held = solved.get(k, held)
             assert log.iters[k] == held
         assert sum(solved.values()) == solves[-1][2].iterations > 0
+
+
+@pytest.mark.parametrize("value", [True, "1", None, 10**400, math.nan],
+                         ids=["bool", "str", "None", "int_past_float", "nan"])
+def test_entry_points_take_numbers_by_the_config_rule(cfg, value):
+    """What ``validate`` rejects as a config number, the library's entry
+    points reject too, each with its documented error and before any work."""
+    with pytest.raises(ValueError, match="^mass must be a positive finite number$"):
+        VehicleParams(mass=value)
+    with pytest.raises(MissionError, match="^segment hold must be finite and nonnegative$"):
+        Segment(Medium.AERIAL, Action.HOVER, [150.0, 0.0, 5.0], hold=value)
+    if value is not None:  # None means the config's time limit.
+        with pytest.raises(ValueError, match="^time limit must be finite and positive"):
+            run(cfg, mini_mission(), "pid", time_limit=value)
+    x = hover_state((100.0, 0.0, 1.0)).as_vector()
+    with pytest.raises(ValueError, match="dt must be"):
+        CascadePid(cfg).step(x, [0.0, 0.0, 1.0], 0.0, value)
 
 
 class TestRunEndings:
